@@ -44,6 +44,7 @@ from .toughness import (
     MinimalityReport,
     ToughnessResult,
     degree_excess_filter,
+    find_cut_below,
     is_minimally_tough,
     parse_certificate,
     solid_reduced_toughness,

@@ -63,8 +63,10 @@ def _config(args) -> EngineConfig:
 
 
 def _load_graph(args) -> Graph:
-    if getattr(args, "g6", None):
+    if args.g6:
         return parse_graph6(args.g6)
+    if not args.file:
+        raise ValueError("one of --g6 or --file is required")
     text = Path(args.file).read_text()
     for line in text.splitlines():
         line = line.strip()
@@ -77,23 +79,18 @@ def _cmd_toughness(args) -> int:
     cfg = _config(args)
     try:
         g = _load_graph(args)
-    except (ValueError, OSError) as exc:
+        if args.upper:
+            cert = toughness_upper_search(g, cfg.budget_steps, seed=cfg.seed)
+            line = f"t <= {cert.ratio}"
+        else:
+            result = toughness_exact(g, cfg)
+            cert, line = result.witness, f"t = {result.value}"
+    except (ValueError, OSError, LimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.upper:
-        cert = toughness_upper_search(g, cfg.budget_steps, seed=cfg.seed)
-        print(f"t <= {cert.ratio}")
-        if args.cert:
-            Path(args.cert).write_text(write_certificate(g, cert))
-        return 0
-    try:
-        result = toughness_exact(g, cfg)
-    except LimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"t = {result.value}")
-    if args.cert and result.witness is not None:
-        Path(args.cert).write_text(write_certificate(g, result.witness))
+    print(line)
+    if args.cert and cert is not None:
+        Path(args.cert).write_text(write_certificate(g, cert))
     return 0
 
 
@@ -118,8 +115,15 @@ def _write_family_files(fam: LabeledFamily, args) -> None:
         Path(args.labels).write_text(fam.label_map_text())
 
 
+# parameters each family needs on the command line
+_GEN_PARAMS = {"planar-chain": ("m",), "knp2-minus-matching": ("n", "m"), "knp3": ("n",)}
+
+
 def _cmd_gen(args) -> int:
     try:
+        missing = [f"--{k}" for k in _GEN_PARAMS.get(args.family, ()) if getattr(args, k) is None]
+        if missing:
+            raise ValueError(f"{args.family} needs {' and '.join(missing)}")
         if args.family == "planar-chain":
             fam = GENERATORS["planar-chain"](args.m)
         elif args.family == "knp2-minus-matching":

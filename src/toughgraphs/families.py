@@ -30,12 +30,8 @@ from dataclasses import dataclass, field
 from .graph import Graph, build_graph, delete_edge, mask_of
 from .invariants import RotationSystem, verify_embedding
 from .ratio import Ratio
-from .toughness import (
-    CutCertificate,
-    _find_below_target,
-    verify_certificate,
-)
-from .invariants import independence_number, maximum_independent_sets, vertex_connectivity
+from .toughness import CutCertificate, find_cut_below, verify_certificate
+from .invariants import independence_number, maximum_independent_sets
 from .operators import complete, line_graph, square, subdivision
 
 
@@ -99,10 +95,7 @@ def _check_family(fam: LabeledFamily) -> None:
 
 
 def _fallback_edge_certificate(g: Graph, e: tuple[int, int], t: Ratio) -> CutCertificate:
-    ge = delete_edge(g, e)
-    alpha, _ = independence_number(ge)
-    kappa = vertex_connectivity(ge)
-    cert = _find_below_target(ge, t, kappa, alpha)
+    cert = find_cut_below(delete_edge(g, e), t)
     if cert is None:
         raise FamilyError(f"no certificate below {t} exists for edge {e}")
     return cert

@@ -9,9 +9,8 @@ general planarity test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .graph import Graph, bits_of, is_connected, mask_of
+from .graph import Graph, bits_of, is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ def verify_embedding(g: Graph, rot: RotationSystem) -> tuple[bool, int]:
 # automorphisms and edge orbits
 
 
-def _refine_colors(g: Graph) -> list[int]:
+def refine_colors(g: Graph) -> list[int]:
     """Stable neighborhood-refinement coloring (isomorphism invariant)."""
     colors = [g.degree(v) for v in range(g.n)]
     while True:
@@ -295,7 +294,7 @@ def automorphisms(g: Graph, node_limit: int = 2_000_000) -> list[tuple[int, ...]
     the small, highly structured graphs this package generates.
     """
     n = g.n
-    colors = _refine_colors(g)
+    colors = refine_colors(g)
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
@@ -376,18 +375,3 @@ def permute_graph(g: Graph, perm: tuple[int, ...]) -> Graph:
         adj[perm[v]] = row
     return Graph(g.n, tuple(adj))
 
-
-def find_isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
-    """A vertex bijection mapping g onto h, or None.  Brute force for tiny n."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return None
-    if g.n > 10:
-        raise ValueError("find_isomorphism is brute force; keep n <= 10")
-    hadj = h.adj
-    for perm in permutations(range(g.n)):
-        if all(
-            mask_of(perm[u] for u in bits_of(g.adj[v])) == hadj[perm[v]]
-            for v in range(g.n)
-        ):
-            return perm
-    return None

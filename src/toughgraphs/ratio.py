@@ -121,8 +121,6 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
-RatioLike = "Ratio | _Infinite"
-
 
 def parse_ratio(text: str) -> Ratio:
     """Parse 'p/q' (or a bare integer) into a Ratio."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, build_graph, is_connected
 from .graph6 import parse_graph6, write_graph6
-from .invariants import _refine_colors
+from .invariants import refine_colors
 from .ratio import Ratio
 from .toughness import DEFAULT_CONFIG, EngineConfig, degree_excess_filter
 
@@ -43,7 +43,7 @@ def canonical_form(g: Graph, limit: int = ENUM_LIMIT + 2) -> Graph:
         raise ValueError(f"canonical_form limited to n <= {limit}, got {n}")
     if n <= 1:
         return g
-    colors = _refine_colors(g)
+    colors = refine_colors(g)
     class_of: dict[int, list[int]] = {}
     for v in range(n):
         class_of.setdefault(colors[v], []).append(v)

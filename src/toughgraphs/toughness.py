@@ -1,7 +1,8 @@
 """Exact toughness with verifiable certificates.
 
-The exhaustive engine enumerates cut-sets as bitmasks in (popcount, mask)
-order and keeps the best candidate under the total order
+The exhaustive engine enumerates cut-sets made of whole twin classes (maximal
+sets of non-adjacent vertices with identical neighborhoods) and keeps the
+best candidate under the total order
 
     (ratio, |S|, mask)   (lexicographic, exact rational comparison)
 
@@ -15,13 +16,17 @@ Prunes used:
   (a) levels below the vertex connectivity (no cut-set that small exists);
   (b) a per-level subset bound |S| / min(alpha, n - |S|) measured against the
       incumbent (omega can never exceed either term);
-  (c) twin closure: a subset splitting a class of non-adjacent vertices with
-      identical neighborhoods is strictly dominated, so only class-closed
-      subsets are evaluated.
+  (c) twin closure: a subset splitting a twin class is strictly beaten by
+      the same subset minus the split vertex, so the scan runs over subsets
+      of twin classes, not of vertices.  The exhaustive limit counts classes,
+      and a twin-free graph is scanned vertex by vertex as before.
+
+The same scan answers the per-edge question of minimality: the cut with the
+fewest vertices, then the lowest mask, whose ratio is below a target.
 
 Parallel mode shards the space by fixing the membership pattern of the first
-p vertices; each shard's answer is independent of the incumbent it was seeded
-with, so the min-merge of shard results is schedule independent.
+p twin classes; each shard's answer is independent of the incumbent it was
+seeded with, so the min-merge of shard results is schedule independent.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ class EngineConfig:
     seconds are converted to steps at a fixed rate by the CLI.
     """
 
-    exhaustive_limit: int = 26
+    exhaustive_limit: int = 26  # most twin classes an exhaustive scan takes
     workers: int = 1
     seed: int = 0
     budget_steps: int = 200_000
@@ -172,28 +177,27 @@ class ToughnessResult:
 
 
 # ---------------------------------------------------------------------------
-# twin classes
+# twin classes and the subset scan over them
 
 
 def twin_classes(g: Graph) -> list[int]:
     """Masks of maximal classes of non-adjacent vertices with identical
-    neighborhoods (identical adjacency rows force non-adjacency)."""
+    neighborhoods (identical adjacency rows force non-adjacency), ascending,
+    which for disjoint masks is by highest member."""
     groups: dict[int, int] = {}
     for v in range(g.n):
         groups[g.adj[v]] = groups.get(g.adj[v], 0) | (1 << v)
     return sorted(groups.values())
 
 
-# ---------------------------------------------------------------------------
-# the exhaustive engine
-
-_NO_INCUMBENT = (0, 0, 0, 0)  # p=0 encodes "none"
+_NO_INCUMBENT = (0, 0, 0, 0)  # q=0 encodes "none"; a real cut has q = omega >= 2
+_NEVER = 1 << 62  # a component count no cut reaches
 
 
 def _better(p: int, q: int, k: int, mask: int, inc) -> bool:
     """(p/q, k, mask) < incumbent in the engine's total order."""
     ip, iq, ik, imask = inc
-    if ip == 0:
+    if iq == 0:
         return True
     lhs = p * iq
     rhs = ip * q
@@ -204,73 +208,106 @@ def _better(p: int, q: int, k: int, mask: int, inc) -> bool:
     return mask < imask
 
 
-def _scan_levels(
+def _thresholds(
+    k: int, best: tuple[int, int, int, int], target: tuple[int, int] | None
+) -> tuple[int, int, int]:
+    """(needed, needed_tie, tie_below): the component count a cut of k
+    vertices needs to replace ``best``, and the count that suffices instead
+    for masks below ``tie_below`` (0: no such masks)."""
+    bp, bq, bk, bm = best
+    if target is not None:
+        # below the target; among hits, smallest (|S|, mask) wins
+        need = max(k * target[1] // target[0] + 1, 2)
+        if bq == 0 or k < bk:
+            return need, 0, 0
+        if k == bk:
+            return _NEVER, need, bm
+        return _NEVER, 0, 0
+    if bq == 0:
+        return 2, 0, 0
+    div, rem = divmod(k * bq, bp)
+    if rem == 0 and k < bk:
+        return max(div, 2), 0, 0
+    if rem == 0 and k == bk:
+        # ties beat the incumbent only on a smaller mask
+        return max(div + 1, 2), max(div, 2), bm
+    return max(div + 1, 2), 0, 0
+
+
+def _scan(
     adj: tuple[int, ...],
-    n: int,
-    full: int,
+    classes: tuple[int, ...],
     prefix: int,
     pbits: int,
     kappa: int,
     alpha: int,
-    twin_masks: tuple[int, ...],
-    inc: tuple[int, int, int, int],
+    target: tuple[int, int] | None,
+    best: tuple[int, int, int, int],
 ) -> tuple[int, int, int, int]:
-    """Scan every subset extending ``prefix`` on the low ``pbits`` vertices.
+    """Scan the cuts made of whole twin classes whose membership on the low
+    ``pbits`` classes is ``prefix``.
 
-    Suffix patterns run over the remaining n - pbits vertices by ascending
-    popcount and, within a level, ascending numeric value (Gosper).  Returns
-    the best (p, q, |S|, mask) found, which is independent of the incumbent
-    handed in (the incumbent only prunes candidates that cannot beat it).
+    Class subsets run by ascending class count and, within a count,
+    ascending value (Gosper).  Classes come in ``twin_classes`` order, so
+    class subsets order like the vertex masks they expand to.  Without a
+    target, returns the minimum (p, q, |S|, mask) under (ratio, |S|, mask)
+    over ``best`` and the cuts that beat it, which is independent of the
+    incumbent handed in (it only prunes candidates that cannot beat it).
+    With ``target = (p, q)`` and no incumbent, returns the cut of ratio
+    below p/q that is smallest under (|S|, mask), or ``_NO_INCUMBENT``.
     """
+    n = len(adj)
+    full = (1 << n) - 1
     adj_by_bit = {1 << v: adj[v] for v in range(n)}
-    ns = n - pbits
-    cpre = prefix.bit_count()
+    # the BFS expands one vertex per class: twins have the same neighbors,
+    # and a component reached through a neighbor holds all of their class
+    reps = 0
+    for c in classes:
+        reps |= c & -c
+    ns = len(classes) - pbits
     top = 1 << ns
-    best = inc
-    check_twins = bool(twin_masks)
-    for ks in range(0, ns + 1):
-        k = cpre + ks
-        if k < kappa or k > n - 2:
+    # twin-free: class masks are vertex masks and a level is a cut size
+    identity = len(classes) == n
+    class_by_bit = {1 << i: c for i, c in enumerate(classes[pbits:])}
+    base = 0
+    for i in bits_of(prefix):
+        base |= classes[i]
+    # caps[k]: most components a cut of k vertices can leave (0: no cut)
+    caps = [min(alpha, n - k) if kappa <= k <= n - 2 else 0 for k in range(n + 1)]
+    table = [_thresholds(k, best, target) for k in range(n + 1)]
+    sizes = sorted(c.bit_count() for c in classes[pbits:])
+    kmin = kmax = base.bit_count()
+    for cs in range(ns + 1):
+        if cs:
+            kmin += sizes[cs - 1]
+            kmax += sizes[-cs]
+        if kmax < kappa:
             continue
-        cap = min(alpha, n - k)
-        if cap < 2:
+        if kmin > n - 2:
             break
-        bp, bq, bk, bm = best
-        if bp:
-            # level bound: every subset here has ratio >= k / cap
-            lhs = k * bq
-            rhs = bp * cap
-            if lhs > rhs:
-                break
-            if lhs == rhs and k > bk:
-                break
-
-        # level constants for the needed-omega threshold; recomputed whenever
-        # the incumbent improves
-        def level_thresholds():
-            if bp == 0:
-                return 2, 0, 0
-            div, rem = divmod(k * bq, bp)
-            if rem == 0 and k < bk:
-                return max(div, 2), 0, 0
-            if rem == 0 and k == bk:
-                # ties beat the incumbent only on a smaller mask
-                return max(div + 1, 2), max(div, 2), bm
-            return max(div + 1, 2), 0, 0
-
-        needed0, needed_tie, tie_below = level_thresholds()
-        sub = (1 << ks) - 1
+        # level bound: k / min(alpha, n - k) grows with k, so once no cut of
+        # kmin vertices can be recorded, no later one can
+        k = kmin
+        needed0, needed_tie, tie_below = table[k]
+        cap = min(alpha, n - k)
+        if needed0 > cap and (not tie_below or needed_tie > cap):
+            break
+        sub = (1 << cs) - 1
         while True:
-            s = (sub << pbits) | prefix if ks else prefix
-            ok = True
-            if check_twins:
-                for c in twin_masks:
-                    x = s & c
-                    if x and x != c:
-                        ok = False
-                        break
-            if ok:
-                needed = needed_tie if (tie_below and s < tie_below) else needed0
+            if identity:
+                s = (sub << pbits) | prefix
+            else:
+                s = base
+                x = sub
+                while x:
+                    b = x & -x
+                    s |= class_by_bit[b]
+                    x ^= b
+                k = s.bit_count()
+                needed0, needed_tie, tie_below = table[k]
+                cap = caps[k]
+            needed = needed_tie if (tie_below and s < tie_below) else needed0
+            if needed <= cap:
                 # component count with an early abort once the remaining
                 # vertices cannot reach the needed component count
                 alive = full & ~s
@@ -280,7 +317,7 @@ def _scan_levels(
                     frontier = comp
                     while frontier:
                         nxt = 0
-                        f = frontier
+                        f = frontier & reps
                         while f:
                             b = f & -f
                             nxt |= adj_by_bit[b]
@@ -294,9 +331,11 @@ def _scan_levels(
                         break
                 if count >= needed:
                     best = (k, count, k, s)
-                    bp, bq, bk, bm = best
-                    needed0, needed_tie, tie_below = level_thresholds()
-            if ks == 0:
+                    if identity and target is not None:
+                        return best  # the first hit in (|S|, mask) order
+                    table = [_thresholds(j, best, target) for j in range(n + 1)]
+                    needed0, needed_tie, tie_below = table[k]
+            if cs == 0:
                 break
             # Gosper: next suffix with the same popcount
             c = sub & -sub
@@ -308,7 +347,7 @@ def _scan_levels(
 
 
 def _shard_worker(args):
-    return _scan_levels(*args)
+    return _scan(*args)
 
 
 def _certificate_from_triple(
@@ -320,43 +359,53 @@ def _certificate_from_triple(
     return CutCertificate(mask, count, Ratio(mask.bit_count(), count))
 
 
+def _scan_inputs(g: Graph, cfg: EngineConfig) -> tuple[tuple[int, ...], int, int, int]:
+    """(twin classes, independence number, a maximum independent set, a
+    lower bound on the vertex connectivity) for a scan of g.  Raises
+    LimitExceeded when g has more twin classes than the exhaustive limit."""
+    classes = tuple(twin_classes(g))
+    if len(classes) > cfg.exhaustive_limit:
+        raise LimitExceeded(
+            f"{len(classes)} twin classes (n={g.n}) exceed exhaustive limit "
+            f"{cfg.exhaustive_limit}; use the heuristic upper-bound search"
+        )
+    alpha, alpha_set = independence_number(g)
+    # max-flow connectivity pays on twin-free graphs; with twins the scan is
+    # short and 0 is still a lower bound
+    kappa = vertex_connectivity(g) if len(classes) == g.n else 0
+    return classes, alpha, alpha_set, kappa
+
+
 def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessResult:
     """Exact toughness with a verified minimizing certificate.
 
     Complete graphs give the infinite value with no witness; disconnected
-    graphs give 0/1 witnessed by the empty cut.
+    graphs give 0/1 witnessed by the empty cut.  The exhaustive limit counts
+    twin classes, so blow-ups far above it in vertices stay exact.
     """
-    n = g.n
-    if n > cfg.exhaustive_limit:
-        raise LimitExceeded(
-            f"n={n} exceeds exhaustive limit {cfg.exhaustive_limit}; "
-            "use the heuristic upper-bound search or a solid reduction"
-        )
-    if n == 0:
+    if g.n == 0:
         raise ValueError("toughness of the empty graph is undefined")
     if g.is_complete():
         return ToughnessResult(INFINITE, None, "exact")
     if not is_connected(g):
         count, _ = components_excluding(g, 0)
         return ToughnessResult(Ratio(0), CutCertificate(0, count, Ratio(0)), "exact")
-
-    alpha, alpha_set = independence_number(g)
-    kappa = vertex_connectivity(g)
-    twins = tuple(c for c in twin_classes(g) if c.bit_count() > 1)
+    classes, alpha, alpha_set, kappa = _scan_inputs(g, cfg)
 
     # seed: the complement of a maximum independent set is always a valid cut
     seed_cut = g.full_mask & ~alpha_set
     seed_omega = component_count(g.adj, alpha_set)
     inc = (seed_cut.bit_count(), seed_omega, seed_cut.bit_count(), seed_cut)
 
+    nq = len(classes)
     pbits = 0
-    if cfg.workers > 1 and n >= 19:
-        pbits = min(6, n - 16)
+    if cfg.workers > 1 and nq >= 19:
+        pbits = min(6, nq - 16)
     if pbits == 0:
-        best = _scan_levels(g.adj, n, g.full_mask, 0, 0, kappa, alpha, twins, inc)
+        best = _scan(g.adj, classes, 0, 0, kappa, alpha, None, inc)
     else:
         shard_args = [
-            (g.adj, n, g.full_mask, prefix, pbits, kappa, alpha, twins)
+            (g.adj, classes, prefix, pbits, kappa, alpha, None)
             for prefix in range(1 << pbits)
         ]
         best = inc
@@ -371,7 +420,7 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
                 done = next(as_completed(pending))
                 pending.remove(done)
                 cand = done.result()
-                if cand[0] and _better(*cand, best):
+                if cand[1] and _better(*cand, best):
                     best = cand
     cert = _certificate_from_triple(g, best)
     check = verify_certificate(g, cert)
@@ -380,79 +429,19 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     return ToughnessResult(cert.ratio, cert, "exact")
 
 
-def _find_below_target(
-    g: Graph, target: Ratio, kappa: int, alpha: int
+def find_cut_below(
+    g: Graph, target: Ratio, cfg: EngineConfig = DEFAULT_CONFIG
 ) -> CutCertificate | None:
-    """First cut of g (by popcount, then mask) with ratio strictly below
-    target; None if an exhaustive scan proves no such cut exists."""
-    adj = g.adj
-    full = g.full_mask
-    n = g.n
-    adj_by_bit = {1 << v: adj[v] for v in range(n)}
-    p, q = target.p, target.q
-    for k in range(max(kappa, 0), n - 1):
-        cap = min(alpha, n - k)
-        if cap < 2:
-            break
-        if k * q >= p * cap:
-            break
-        needed = max((k * q) // p + 1, 2)
-        if k == 0:
-            count, _ = components_excluding(g, 0)
-            if count >= needed:
-                return CutCertificate(0, count, Ratio(0))
-            continue
-        sub = (1 << k) - 1
-        top = 1 << n
-        while sub < top:
-            alive = full & ~sub
-            count = 0
-            while alive:
-                comp = alive & -alive
-                frontier = comp
-                while frontier:
-                    nxt = 0
-                    f = frontier
-                    while f:
-                        b = f & -f
-                        nxt |= adj_by_bit[b]
-                        f ^= b
-                    frontier = nxt & alive & ~comp
-                    comp |= frontier
-                count += 1
-                alive &= ~comp
-                if count + alive.bit_count() < needed:
-                    count = 0
-                    break
-            if count >= needed:
-                return CutCertificate(sub, count, Ratio(k, count))
-            c = sub & -sub
-            r = sub + c
-            sub = r | (((sub ^ r) >> 2) // c)
-    return None
+    """The cut of g with ratio strictly below target that has the fewest
+    vertices and, among those, the lowest mask; None when the scan proves no
+    such cut exists.  Raises LimitExceeded past the exhaustive limit."""
+    classes, alpha, _, kappa = _scan_inputs(g, cfg)
+    hit = _scan(g.adj, classes, 0, 0, kappa, alpha, (target.p, target.q), _NO_INCUMBENT)
+    return _certificate_from_triple(g, hit) if hit[1] else None
 
 
 # ---------------------------------------------------------------------------
 # heuristic upper-bound search
-
-
-def _quotient(g: Graph) -> tuple[list[int], list[int], list[int]]:
-    """Collapse twin classes: returns (class masks, class sizes, class adjacency
-    masks over class indices).  Classes of size 1 are ordinary vertices."""
-    classes = twin_classes(g)
-    index_of = {}
-    for i, c in enumerate(classes):
-        for v in bits_of(c):
-            index_of[v] = i
-    sizes = [c.bit_count() for c in classes]
-    qadj = [0] * len(classes)
-    for i, c in enumerate(classes):
-        rep = (c & -c).bit_length() - 1
-        for u in bits_of(g.adj[rep]):
-            j = index_of[u]
-            if j != i:
-                qadj[i] |= 1 << j
-    return classes, sizes, qadj
 
 
 def _quotient_omega(qadj: list[int], sizes: list[int], alive: int) -> int:
@@ -520,7 +509,14 @@ def toughness_upper_search(
         raise ValueError("upper search needs a connected graph")
     if g.is_complete():
         raise ValueError("complete graphs have no cut-set")
-    classes, sizes, qadj = _quotient(g)
+    # the quotient: classes in the scan's order, their sizes, and each
+    # class's neighbor classes as a mask over class indices
+    classes = twin_classes(g)
+    sizes = [c.bit_count() for c in classes]
+    qadj = [
+        mask_of(j for j, d in enumerate(classes) if g.adj[(c & -c).bit_length() - 1] & d)
+        for c in classes
+    ]
     nq = len(classes)
     full = (1 << nq) - 1
     rng = random.Random(seed)
@@ -655,61 +651,17 @@ def toughness_upper_search(
 
 
 def solid_reduced_toughness(spec, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessResult:
-    """Toughness of a blow-up, minimized over all-copies-or-none cut-sets.
+    """Toughness of a blow-up, through the exact scan of its expansion.
 
-    Enumerates subsets of base vertices; for each, the cut takes every copy.
-    This is exact for blow-ups: a minimizer never splits a class of
-    non-adjacent copies (dropping the split copy strictly improves the
-    ratio), so the restricted minimum equals the true minimum.
+    The copies of a base vertex are twins, so the scan enumerates at most
+    2^base.n class subsets however large the multiplicities; LimitExceeded
+    is raised when the expansion has more twin classes than the exhaustive
+    limit.
     """
     from .operators import solid_expand  # local import to avoid a cycle
 
-    base = spec.base
-    if base.n > cfg.exhaustive_limit:
-        raise LimitExceeded(
-            f"base order {base.n} exceeds exhaustive limit {cfg.exhaustive_limit}"
-        )
-    expanded, index_map = solid_expand(spec)
-    if expanded.is_complete():
-        return ToughnessResult(INFINITE, None, "reduced-solid")
-    if not is_connected(expanded):
-        count, _ = components_excluding(expanded, 0)
-        return ToughnessResult(
-            Ratio(0), CutCertificate(0, count, Ratio(0)), "reduced-solid"
-        )
-    offsets = []
-    total = 0
-    for v in range(base.n):
-        offsets.append(total)
-        total += spec.multiplicity[v]
-    class_masks = [
-        (((1 << spec.multiplicity[v]) - 1) << offsets[v]) for v in range(base.n)
-    ]
-
-    best = None  # (p, q, k, mask)
-    for t_mask in range(1 << base.n):
-        cut = 0
-        for v in bits_of(t_mask):
-            cut |= class_masks[v]
-        k = cut.bit_count()
-        if k > expanded.n - 2:
-            continue
-        if best is not None:
-            # weight bound against the incumbent ratio
-            cap = expanded.n - k
-            if k * best[1] > best[0] * cap:
-                continue
-        count = component_count(expanded.adj, expanded.full_mask & ~cut)
-        if count < 2:
-            continue
-        if best is None or _better(k, count, k, cut, best):
-            best = (k, count, k, cut)
-    if best is None:
-        raise AssertionError("connected non-complete blow-up must have a cut")
-    cert = _certificate_from_triple(expanded, best)
-    if not verify_certificate(expanded, cert):
-        raise AssertionError("reduced search produced an invalid certificate")
-    return ToughnessResult(cert.ratio, cert, "reduced-solid")
+    expanded, _ = solid_expand(spec)
+    return replace(toughness_exact(expanded, cfg), method="reduced-solid")
 
 
 # ---------------------------------------------------------------------------
@@ -759,11 +711,12 @@ def _witness_for_edge(
         cert = toughness_upper_search(ge, steps, seed=cfg.seed * 7919 + edge_index, restarts=3)
         if cert.ratio < target:
             return EdgeWitness(edge, cert, "heuristic", True)
-    if g.n > cfg.exhaustive_limit or not cfg.allow_exhaustive_edges:
+    if not cfg.allow_exhaustive_edges:
         return EdgeWitness(edge, None, "inconclusive", False)
-    alpha, _ = independence_number(ge)
-    kappa = vertex_connectivity(ge)
-    cert = _find_below_target(ge, target, kappa, alpha)
+    try:
+        cert = find_cut_below(ge, target, cfg)
+    except LimitExceeded:
+        return EdgeWitness(edge, None, "inconclusive", False)
     if cert is None:
         return EdgeWitness(edge, None, "exhaustive", False)
     return EdgeWitness(edge, cert, "exhaustive", True)
@@ -857,10 +810,10 @@ def degree_excess_filter(
     delta = min(g.degree(v) for v in range(g.n))
     if min_delta is not None and delta < min_delta:
         return DegreeExcessReport(False, delta=delta, reason="degree screen")
-    if g.n > cfg.exhaustive_limit:
+    try:
+        t = toughness_exact(g, cfg).value
+    except LimitExceeded:
         return DegreeExcessReport(False, inconclusive=True, reason="over exhaustive limit")
-    result = toughness_exact(g, cfg)
-    t = result.value
     ceil_2t = t.ceil_of_double()
     regular = delta == max(g.degree(v) for v in range(g.n))
     if delta <= ceil_2t:

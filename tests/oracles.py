@@ -62,6 +62,40 @@ def brute_toughness(g: Graph):
     return best
 
 
+def brute_witness(g: Graph, groups: list[list[int]] | None = None):
+    """Minimum of (Fraction |S|/omega, |S|, mask) over all cut-sets S with
+    omega >= 2, or None when there is none (complete graphs).  With
+    ``groups``, S runs over unions of the groups instead of vertex subsets."""
+    adj = adj_sets(g)
+    groups = groups if groups is not None else [[v] for v in range(g.n)]
+    best = None
+    for r in range(len(groups) + 1):
+        for chosen in combinations(groups, r):
+            removed = {v for group in chosen for v in group}
+            comps = set_components(adj, removed)
+            if comps >= 2:
+                k = len(removed)
+                key = (Fraction(k, comps), k, sum(1 << v for v in removed))
+                if best is None or key < best:
+                    best = key
+    return best
+
+
+def brute_first_below(g: Graph, target: Fraction):
+    """(|S|, mask) of the cut-set with ratio strictly below target that has
+    the fewest vertices and then the lowest mask; None when there is none."""
+    adj = adj_sets(g)
+    for k in range(g.n + 1):
+        masks = []
+        for subset in combinations(range(g.n), k):
+            comps = set_components(adj, set(subset))
+            if comps >= 2 and Fraction(k, comps) < target:
+                masks.append(sum(1 << v for v in subset))
+        if masks:
+            return k, min(masks)
+    return None
+
+
 def brute_alpha(g: Graph) -> int:
     adj = adj_sets(g)
     best = 0

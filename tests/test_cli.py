@@ -199,3 +199,24 @@ def test_env_threads_fallback(capsys, monkeypatch):
     monkeypatch.setenv("TOUGHNESS_THREADS", "1")
     code, out = run(capsys, "toughness", "--g6", "Dhc", "--exact")
     assert code == 0 and out == "t = 1/1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("toughness", "--exact"),
+        ("minimal",),
+        ("orbits",),
+        ("gen", "planar-chain"),
+        ("gen", "knp3"),
+        ("toughness", "--upper", "--g6", "D~{"),
+        ("toughness", "--upper", "--g6", "C?"),
+    ],
+    ids=["toughness-no-input", "minimal-no-input", "orbits-no-input", "chain-no-m",
+         "knp3-no-n", "upper-complete", "upper-disconnected"],
+)
+def test_user_errors_exit_one_without_traceback(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_connected_graph
-from oracles import brute_toughness, ratio_of
+from oracles import brute_first_below, brute_toughness, brute_witness, ratio_of
 
 from toughgraphs.graph import build_graph, delete_edge, mask_of
 from toughgraphs.invariants import vertex_connectivity
@@ -26,6 +26,7 @@ from toughgraphs.toughness import (
     EngineConfig,
     LimitExceeded,
     degree_excess_filter,
+    find_cut_below,
     is_minimally_tough,
     parse_certificate,
     solid_reduced_toughness,
@@ -151,6 +152,83 @@ class TestExact:
         g = sc52()
         runs = [toughness_exact(g) for _ in range(3)]
         assert len({(r.witness.cut, r.witness.omega) for r in runs}) == 1
+
+
+def witness_key(res):
+    """The engine's result in the oracle's (ratio, |S|, mask) form."""
+    if res.witness is None:
+        return None
+    cut = res.witness.cut
+    return ratio_of(res.value), cut.bit_count(), cut
+
+
+def random_blowup(rng, base_n, max_mult):
+    base = random_connected_graph(rng, base_n, rng.uniform(0.3, 0.8))
+    spec = SolidSpec(base, tuple(rng.randint(1, max_mult) for _ in range(base.n)))
+    return spec, solid_expand(spec)[0]
+
+
+def copy_groups(spec):
+    """The expanded vertices of each base vertex, from the multiplicities."""
+    groups, start = [], 0
+    for m in spec.multiplicity:
+        groups.append(list(range(start, start + m)))
+        start += m
+    return groups
+
+
+class TestScanOracles:
+    def test_witness_matches_brute_on_blowups(self, rng):
+        checked = 0
+        while checked < 25:
+            spec, g = random_blowup(rng, rng.randint(1, 6), 3)
+            if g.n > 12:
+                continue
+            assert witness_key(toughness_exact(g)) == brute_witness(g)
+            checked += 1
+
+    def test_witness_matches_brute_on_random_graphs(self, rng):
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.8))
+            assert witness_key(toughness_exact(g)) == brute_witness(g)
+
+    def test_target_mode_matches_brute_first_below(self, rng):
+        graphs = [sc52()]
+        while len(graphs) < 8:
+            _, g = random_blowup(rng, rng.randint(3, 5), 3)
+            if 6 <= g.n <= 11 and not g.is_complete():
+                graphs.append(g)
+        for g in graphs:
+            t = toughness_exact(g).value
+            for target in (t, Ratio(t.p + t.q, t.q)):
+                for e in g.edges():
+                    ge = delete_edge(g, e)
+                    cert = find_cut_below(ge, target)
+                    got = None if cert is None else (cert.cut.bit_count(), cert.cut)
+                    assert got == brute_first_below(ge, ratio_of(target))
+                    if cert is not None:
+                        assert verify_certificate(ge, cert).ok
+
+    def test_large_blowup_goes_through_exact(self, rng):
+        spec, g = random_blowup(rng, 10, 4)
+        while g.n <= 30:
+            spec, g = random_blowup(rng, 10, 4)
+        assert len(twin_classes(g)) <= 26
+        res = toughness_exact(g)
+        red = solid_reduced_toughness(spec)
+        assert res.method == "exact" and red.method == "reduced-solid"
+        assert red.value == res.value and red.witness == res.witness
+        assert witness_key(res) == brute_witness(g, copy_groups(spec))
+        with pytest.raises(LimitExceeded):
+            toughness_exact(cycle(30))
+
+    def test_twin_shards_match_single_worker(self):
+        spec = SolidSpec(cycle(19), tuple(1 + i % 2 for i in range(19)))
+        g = solid_expand(spec)[0]
+        a = toughness_exact(g, EngineConfig(workers=1))
+        b = toughness_exact(g, EngineConfig(workers=2))
+        assert a.value == b.value == Ratio(9, 17)
+        assert a.witness == b.witness
 
 
 class TestUpperSearch:
