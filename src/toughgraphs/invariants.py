@@ -97,57 +97,89 @@ def maximum_independent_sets(g: Graph) -> list[int]:
 # vertex connectivity
 
 
-def _min_vertex_cut_size(g: Graph, s: int, t: int) -> int:
-    """Size of a minimum vertex cut separating non-adjacent s and t.
+def _local_connectivity(adj: tuple[int, ...], s: int, t: int, cap: int) -> int:
+    """min(cap, number of internally vertex-disjoint s-t paths) for
+    non-adjacent s and t, which by Menger is the smallest vertex cut
+    separating them.
 
-    Unit-capacity max flow on the split digraph: every vertex v other than
-    s, t becomes v_in -> v_out with capacity 1; each edge uv becomes arcs
-    u_out -> v_in and v_out -> u_in of effectively unbounded capacity.
+    Every common neighbor x carries its own path s-x-t and lies on every
+    s-t cut, so those paths are counted and the common neighbors deleted
+    first.  Greedy paths s-a-b-t start the flow, and augmenting paths in the
+    vertex-split residual graph (v_in -> v_out with capacity 1 for inner
+    vertices) raise it, one bitmask BFS level at a time.  The search stops
+    once the flow reaches ``cap``: the caller only needs the minimum over
+    pairs, so a count above the current best carries no information.
     """
-    n = g.n
-    # node ids: v_in = 2v, v_out = 2v+1
-    cap: dict[tuple[int, int], int] = {}
-    adj_nodes: list[list[int]] = [[] for _ in range(2 * n)]
-    big = n + 1
-
-    def add_arc(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            adj_nodes[a].append(b)
-            adj_nodes[b].append(a)
-        cap[(a, b)] += c
-
-    for v in range(n):
-        add_arc(2 * v, 2 * v + 1, 1 if v not in (s, t) else big)
-    for u, v in g.edges():
-        add_arc(2 * u + 1, 2 * v, big)
-        add_arc(2 * v + 1, 2 * u, big)
-
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while True:
-        parent = {source: source}
-        queue = [source]
-        while queue and sink not in parent:
-            nxt = []
-            for a in queue:
-                for b in adj_nodes[a]:
-                    if b not in parent and cap.get((a, b), 0) > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in parent:
-            return flow
-        b = sink
-        while b != source:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] = cap.get((b, a), 0) + 1
-            b = a
+    sbit, tbit = 1 << s, 1 << t
+    common = adj[s] & adj[t]
+    flow = common.bit_count()
+    if flow >= cap:
+        return cap
+    # prev[v]: the vertex whose path arc enters inner vertex v, read only
+    # for v in used; an inner vertex carries flow iff an arc enters it
+    prev = [0] * len(adj)
+    used = 0
+    near_t = adj[t] & ~common
+    for a in bits_of(adj[s] & ~common):
+        b = adj[a] & near_t & ~used
+        if b:
+            b &= -b
+            prev[a] = s
+            prev[b.bit_length() - 1] = a
+            used |= (1 << a) | b
+            flow += 1
+            if flow >= cap:
+                return cap
+    reached_in = [0] * len(adj)  # node the BFS entered v_in from (v: v_out)
+    reached_out = [0] * len(adj)  # node the BFS entered v_out from (v: v_in)
+    blocked = common | sbit
+    while flow < cap:
+        seen_in = blocked
+        seen_out = sbit
+        grow_out = sbit
+        while grow_out:
+            # out-nodes reach their neighbors' in-nodes (unbounded arcs) and,
+            # when the vertex carries flow, its own in-node (cancelling it)
+            grow_in = 0
+            for v in bits_of(grow_out):
+                new = (adj[v] | (used & (1 << v))) & ~seen_in & ~grow_in
+                grow_in |= new
+                for u in bits_of(new):
+                    reached_in[u] = v
+            seen_in |= grow_in
+            if grow_in & tbit:
+                break
+            # in-nodes reach their own out-node when free, else the out-node
+            # of the path predecessor (cancelling that path arc)
+            grow_out = grow_in & ~used & ~seen_out
+            for u in bits_of(grow_out):
+                reached_out[u] = u
+            for u in bits_of(grow_in & used):
+                p = prev[u]
+                if not (seen_out | grow_out) >> p & 1:
+                    grow_out |= 1 << p
+                    reached_out[p] = u
+            seen_out |= grow_out
+        else:
+            return flow  # no augmenting path: the flow is maximum
+        # walk the augmenting path back from t; only arc flows are stored,
+        # and the inner arcs follow from them
+        u = t
+        while True:
+            v = reached_in[u]
+            if v != u and u != t:
+                # the arc v -> u now carries a path (t has no predecessor slot)
+                prev[u] = v
+                used |= 1 << u
+            if v == s:
+                break
+            x = reached_out[v]
+            if x != v:
+                # entered v_out backwards along the path arc v -> x: cancel it
+                used &= ~(1 << x)
+            u = x
         flow += 1
-        if flow > n:
-            raise AssertionError("flow exceeded vertex count")
+    return cap
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -161,16 +193,17 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     # every minimum cut either avoids v0 (then v0 vs some non-neighbor) or
     # contains v0 (then some pair of v0's neighbors ends up separated)
+    adj = g.adj
     v0 = min(range(n), key=lambda v: (g.degree(v), v))
     best = g.degree(v0)
-    non_nbrs = g.full_mask & ~g.adj[v0] & ~(1 << v0)
-    for u in bits_of(non_nbrs):
-        best = min(best, _min_vertex_cut_size(g, v0, u))
-    nbrs = list(bits_of(g.adj[v0]))
+    pairs = [(v0, u) for u in bits_of(g.full_mask & ~adj[v0] & ~(1 << v0))]
+    nbrs = list(bits_of(adj[v0]))
     for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1 :]:
-            if not g.has_edge(x, y):
-                best = min(best, _min_vertex_cut_size(g, x, y))
+        pairs += [(x, y) for y in nbrs[i + 1 :] if not adj[x] >> y & 1]
+    for s, t in pairs:
+        best = _local_connectivity(adj, s, t, best)
+        if best == 1:
+            break  # a connected graph has no smaller cut
     return best
 
 

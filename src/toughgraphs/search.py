@@ -15,8 +15,7 @@ errors per line without aborting, and preserves input order in its report.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph, build_graph, is_connected
 from .graph6 import parse_graph6, write_graph6
@@ -185,13 +184,16 @@ class FlaggedGraph:
         )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SearchReport:
+    """Outcome of one filter call.  Tuples, not lists: a caller that keeps
+    many one-line reports holds no empty lists."""
+
     scanned: int = 0
-    flagged: list[FlaggedGraph] = field(default_factory=list)
+    flagged: tuple[FlaggedGraph, ...] = ()
     rejected: int = 0
-    inconclusive: list[str] = field(default_factory=list)
-    parse_errors: list[tuple[int, str]] = field(default_factory=list)
+    inconclusive: tuple[str, ...] = ()
+    parse_errors: tuple[tuple[int, str], ...] = ()
     wall_time: float = 0.0
 
     def summary_line(self) -> str:
@@ -206,8 +208,7 @@ class SearchReport:
 def _screen_one(args) -> tuple[str, FlaggedGraph | None]:
     """Worker: returns (verdict, flagged-entry-or-None); verdict in
     {flag, reject, inconclusive}."""
-    g6, opts = args
-    g = parse_graph6(g6)
+    g6, g, opts = args
     if opts.min_n is not None and g.n < opts.min_n:
         return "reject", None
     if opts.max_n is not None and g.n > opts.max_n:
@@ -237,8 +238,8 @@ def filter_counterexamples(lines, options: SearchOptions = SearchOptions()) -> S
     errors are recorded per line and skipped.
     """
     started = time.monotonic()
-    report = SearchReport()
-    work: list[tuple[str, SearchOptions]] = []
+    parse_errors: list[tuple[int, str]] = []
+    work: list[tuple[str, Graph, SearchOptions]] = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if text.startswith(">>graph6<<"):
@@ -246,25 +247,33 @@ def filter_counterexamples(lines, options: SearchOptions = SearchOptions()) -> S
         if not text:
             continue
         try:
-            parse_graph6(text)
+            g = parse_graph6(text)
         except ValueError as exc:
-            report.parse_errors.append((lineno, str(exc)))
+            parse_errors.append((lineno, str(exc)))
             continue
-        work.append((text, options))
+        work.append((text, g, options))
 
     if options.workers > 1 and len(work) > 1:
+        # imported only here: single-worker callers never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=options.workers) as pool:
             outcomes = list(pool.map(_screen_one, work, chunksize=16))
     else:
         outcomes = [_screen_one(item) for item in work]
 
-    for (g6, _), (verdict, entry) in zip(work, outcomes):
-        report.scanned += 1
+    flagged: list[FlaggedGraph] = []
+    inconclusive: list[str] = []
+    for (g6, _, _), (verdict, entry) in zip(work, outcomes):
         if verdict == "flag":
-            report.flagged.append(entry)
+            flagged.append(entry)
         elif verdict == "inconclusive":
-            report.inconclusive.append(g6)
-        else:
-            report.rejected += 1
-    report.wall_time = time.monotonic() - started
-    return report
+            inconclusive.append(g6)
+    return SearchReport(
+        scanned=len(work),
+        flagged=tuple(flagged),
+        rejected=len(work) - len(flagged) - len(inconclusive),
+        inconclusive=tuple(inconclusive),
+        parse_errors=tuple(parse_errors),
+        wall_time=time.monotonic() - started,
+    )

@@ -32,7 +32,6 @@ seeded with, so the min-merge of shard results is schedule independent.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 from .graph import (
@@ -404,6 +403,9 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     if pbits == 0:
         best = _scan(g.adj, classes, 0, 0, kappa, alpha, None, inc)
     else:
+        # imported only here: single-worker callers never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         shard_args = [
             (g.adj, classes, prefix, pbits, kappa, alpha, None)
             for prefix in range(1 << pbits)
@@ -685,6 +687,17 @@ class MinimalityReport:
     inconclusive_edges: list[tuple[int, int]] = field(default_factory=list)
 
 
+# The per-edge target scan runs before annealing when 2^q, the number of
+# twin-class subsets of G-e, is at most this multiple of the annealing step
+# budget.  Measured on G-e of connected graphs with n = 8..14 (2-vCPU VM,
+# Python 3.11.7): one annealing step costs 4.3-6.7 us, and the target scan
+# costs 0.60-0.94 us per predicted subset, a ratio of 5.6 to 11.2.  The
+# multiple sits below the smallest ratio, so a routed edge is predicted to
+# scan faster than annealing alone runs.  At the default budget it routes
+# twin-free graphs with n <= 11 to the scan.
+SCAN_STEPS_PER_SUBSET = 4
+
+
 def _witness_for_edge(
     g: Graph,
     edge: tuple[int, int],
@@ -695,9 +708,10 @@ def _witness_for_edge(
 ) -> EdgeWitness:
     """Find a cut of g-e with ratio strictly below target.
 
-    Tries the supplied hint, then a short deterministic heuristic run, then
-    an exhaustive scan with early exit.  ok=False means the exhaustive scan
-    completed and proved no such cut exists.
+    Tries the supplied hint, then the exhaustive scan when it is predicted
+    cheaper than the short deterministic heuristic run, else that heuristic
+    run followed by the scan.  ok=False means the exhaustive scan completed
+    and proved no such cut exists.
     """
     ge = delete_edge(g, edge)
     if hint is not None:
@@ -706,13 +720,18 @@ def _witness_for_edge(
     if not is_connected(ge):
         count, _ = components_excluding(ge, 0)
         return EdgeWitness(edge, CutCertificate(0, count, Ratio(0)), "exhaustive", True)
-    if not ge.is_complete():
-        steps = min(cfg.minimality_heuristic_steps, 60 * g.n)
+    steps = min(cfg.minimality_heuristic_steps, 60 * g.n)
+    scan_first = (
+        cfg.allow_exhaustive_edges
+        and 1 << len(twin_classes(ge)) <= SCAN_STEPS_PER_SUBSET * steps
+    )
+    if not scan_first:
+        # g-e lacks the edge, so it is never complete
         cert = toughness_upper_search(ge, steps, seed=cfg.seed * 7919 + edge_index, restarts=3)
         if cert.ratio < target:
             return EdgeWitness(edge, cert, "heuristic", True)
-    if not cfg.allow_exhaustive_edges:
-        return EdgeWitness(edge, None, "inconclusive", False)
+        if not cfg.allow_exhaustive_edges:
+            return EdgeWitness(edge, None, "inconclusive", False)
     try:
         cert = find_cut_below(ge, target, cfg)
     except LimitExceeded:
@@ -726,6 +745,7 @@ def is_minimally_tough(
     g: Graph,
     cfg: EngineConfig = DEFAULT_CONFIG,
     hints: dict[tuple[int, int], CutCertificate] | None = None,
+    toughness: Ratio | None = None,
 ) -> MinimalityReport:
     """Decide whether deleting any single edge strictly lowers the toughness.
 
@@ -733,13 +753,17 @@ def is_minimally_tough(
     False requires at least one edge whose exhaustive scan proves the
     toughness survives; None (inconclusive) means some edge could be resolved
     neither way within the configured limits.
+
+    ``toughness`` skips the exact computation of t.  Pass only the exact
+    value (a ``toughness_exact`` result), never the ratio of an upper-bound
+    certificate: every edge is tested against it, so a value above t would
+    let edges that keep t pass as ones that lower it.
     """
     if not is_connected(g):
         raise ValueError("minimality is defined for connected graphs")
     if g.is_complete():
         raise ValueError("complete graphs are never minimally tough")
-    result = toughness_exact(g, cfg)
-    t = result.value
+    t = toughness_exact(g, cfg).value if toughness is None else toughness
     hints = hints or {}
     report = MinimalityReport(toughness=t)
 
@@ -821,7 +845,7 @@ def degree_excess_filter(
             False, toughness=t, delta=delta, ceil_2t=ceil_2t, regular=regular,
             reason="degree within ceiling",
         )
-    minimality = is_minimally_tough(g, cfg)
+    minimality = is_minimally_tough(g, cfg, toughness=t)
     if minimality.verdict is None:
         return DegreeExcessReport(
             False, inconclusive=True, toughness=t, delta=delta, ceil_2t=ceil_2t,

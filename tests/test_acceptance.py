@@ -9,12 +9,11 @@ Run with:  pytest tests/test_acceptance.py -v -s
 
 import math
 import time
-from fractions import Fraction
 
 import pytest
 
 from conftest import random_connected_graph, random_graph
-from oracles import brute_toughness, ratio_of
+from oracles import brute_toughness, brute_witness, ratio_of
 
 import random
 
@@ -25,7 +24,7 @@ from toughgraphs.families import (
     gen_planar_chain,
     gen_square_lsk4,
 )
-from toughgraphs.graph import degree_profile, delete_edge, is_connected
+from toughgraphs.graph import degree_profile, delete_edge
 from toughgraphs.graph6 import parse_graph6, write_graph6
 from toughgraphs.invariants import is_claw_free, verify_embedding, vertex_connectivity
 from toughgraphs.operators import SolidSpec, circulant, cycle, solid_expand
@@ -174,10 +173,18 @@ def test_criterion_6_solid_reduction():
             for pattern in range(1 << base.n):
                 mult = tuple(2 if pattern >> v & 1 else 1 for v in range(base.n))
                 spec = SolidSpec(base, mult)
-                expanded, _ = solid_expand(spec)
+                expanded, index_map = solid_expand(spec)
                 red = solid_reduced_toughness(spec)
                 full = toughness_exact(expanded)
                 assert red.value == full.value, (write_graph6(base), mult)
+                # independent value: brute force over unions of copy groups
+                groups = [[i for i, (b, _) in enumerate(index_map) if b == v]
+                          for v in range(base.n)]
+                want = brute_witness(expanded, groups)
+                if want is None:
+                    assert red.value == INFINITE, (write_graph6(base), mult)
+                else:
+                    assert ratio_of(red.value) == want[0], (write_graph6(base), mult)
                 checked += 1
         assert checked == 2 + 4 + 16 + 96 + 672 + 50 * 64
 
@@ -191,8 +198,8 @@ def test_criterion_7_counterexample_search():
         ]
         report = filter_counterexamples(lines, SearchOptions(workers=_WORKERS))
         assert report.scanned == sum(counts)
-        assert report.flagged == []
-        assert report.inconclusive == []
+        assert report.flagged == ()
+        assert report.inconclusive == ()
 
         g, _ = solid_expand(SolidSpec.uniform(cycle(5), 2))
         rep = filter_counterexamples([write_graph6(g)])

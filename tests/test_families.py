@@ -1,7 +1,6 @@
 import pytest
 
 from toughgraphs.families import (
-    FamilyError,
     gen_knp2_minus_matching,
     gen_knp3,
     gen_planar_chain,

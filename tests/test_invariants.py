@@ -3,9 +3,16 @@ import pytest
 from conftest import random_connected_graph, random_graph
 from oracles import brute_alpha, brute_max_independent_sets, brute_vertex_connectivity
 
+from toughgraphs.families import (
+    gen_knp2_minus_matching,
+    gen_knp3,
+    gen_planar_chain,
+    gen_square_lsk4,
+)
 from toughgraphs.graph import bits_of, build_graph, mask_of
 from toughgraphs.invariants import (
     RotationSystem,
+    _local_connectivity,
     automorphisms,
     edge_orbits,
     independence_number,
@@ -16,11 +23,14 @@ from toughgraphs.invariants import (
     vertex_connectivity,
 )
 from toughgraphs.operators import (
+    SolidSpec,
     cartesian_product,
+    circulant,
     complete,
     cycle,
     line_graph,
     path,
+    solid_expand,
     square,
     subdivision,
 )
@@ -85,6 +95,36 @@ class TestConnectivity:
         for _ in range(80):
             g = random_graph(rng, rng.randint(2, 8), rng.random() * 0.7 + 0.2)
             assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+
+    def test_matches_networkx(self, rng):
+        nx = pytest.importorskip("networkx")
+
+        def nx_kappa(g):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            return nx.node_connectivity(h)
+
+        graphs = [random_graph(rng, rng.randint(9, 14), 0.2 + rng.random() * 0.7) for _ in range(60)]
+        graphs += [random_connected_graph(rng, rng.randint(9, 14), 0.35) for _ in range(40)]
+        graphs += [circulant(n, {1, j}) for n in (10, 13, 16, 18) for j in (2, 3, 4)]
+        for base, mult in ((cycle(5), (2, 2, 2, 2, 2)), (path(4), (1, 3, 2, 1)),
+                           (cycle(7), (3, 1, 2, 1, 1, 2, 1))):
+            graphs.append(solid_expand(SolidSpec(base, mult))[0])
+        graphs += [gen_knp3(5).graph, gen_knp3(5, regularized=True).graph,
+                   gen_knp2_minus_matching(7, 5).graph, gen_square_lsk4().graph,
+                   gen_planar_chain(4).graph]
+        for g in graphs:
+            assert vertex_connectivity(g) == nx_kappa(g), g.edges()
+
+    def test_local_search_stops_at_cap(self):
+        # C4 x C4: (0,0) and (2,2) share no neighbor and no greedy path of
+        # length three joins them, so all four paths come from augmentation
+        torus, labels = cartesian_product(cycle(4), cycle(4))
+        s, t = labels.index((0, 0)), labels.index((2, 2))
+        assert _local_connectivity(torus.adj, s, t, torus.n) == 4
+        assert _local_connectivity(torus.adj, s, t, 3) == 3
+        assert vertex_connectivity(torus) == 4
 
 
 class TestClawFree:

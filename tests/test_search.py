@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_graph
 
-from toughgraphs.graph import build_graph, degree_profile, is_connected
+from toughgraphs.graph import build_graph, is_connected
 from toughgraphs.graph6 import parse_graph6, write_graph6
 from toughgraphs.invariants import permute_graph
 from toughgraphs.operators import SolidSpec, complete, cycle, solid_expand
@@ -111,7 +111,7 @@ class TestFilter:
         lines = ["Dhc", "garbage!", "", "A_"]
         rep = filter_counterexamples(lines)
         assert rep.scanned == 2
-        assert rep.parse_errors == [(2, "byte 33 outside graph6 range 63..126")]
+        assert rep.parse_errors == ((2, "byte 33 outside graph6 range 63..126"),)
         assert rep.scanned == len(rep.flagged) + rep.rejected + len(rep.inconclusive)
 
     def test_order_preserved_and_workers_agree(self):

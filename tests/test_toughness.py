@@ -1,12 +1,13 @@
 import math
-from fractions import Fraction
 
 import pytest
 
 from conftest import random_connected_graph
 from oracles import brute_first_below, brute_toughness, brute_witness, ratio_of
 
+import toughgraphs.toughness as engine
 from toughgraphs.graph import build_graph, delete_edge, mask_of
+from toughgraphs.graph6 import parse_graph6, write_graph6
 from toughgraphs.invariants import vertex_connectivity
 from toughgraphs.operators import (
     SolidSpec,
@@ -20,7 +21,6 @@ from toughgraphs.operators import (
     subdivision,
 )
 from toughgraphs.ratio import INFINITE, Ratio
-from toughgraphs.search import enumerate_connected
 from toughgraphs.toughness import (
     CutCertificate,
     EngineConfig,
@@ -357,6 +357,91 @@ class TestMinimality:
         assert plain.toughness == orbits.toughness
         for w in orbits.entries:
             assert w.ok and w.certificate.ratio < Ratio(4, 3)
+
+
+def _oracle_failing_edges(g):
+    """Edges e of g for which no cut of g-e has ratio below t(g), with the
+    brute-force (|S|, mask) of the first cut below t for the others."""
+    t = brute_toughness(g)
+    firsts = {e: brute_first_below(delete_edge(g, e), t) for e in g.edges()}
+    return [e for e, hit in firsts.items() if hit is None], firsts
+
+
+class TestMinimalityRouting:
+    """Per-edge dispatch: hint, then the target scan when it is predicted
+    cheaper than annealing, else annealing followed by the scan."""
+
+    def _corpus(self, rng):
+        graphs = [random_connected_graph(rng, rng.randint(4, 9), 0.3 + rng.random() * 0.5)
+                  for _ in range(10)]
+        graphs.append(sc52())
+        for base, mult in ((cycle(5), (2, 1, 2, 1, 1)), (path(4), (1, 2, 2, 1)),
+                           (cycle(4), (3, 1, 2, 1))):
+            graphs.append(solid_expand(SolidSpec(base, mult))[0])
+        return [g for g in graphs if not g.is_complete()]
+
+    def _check_against_oracle(self, g, rep):
+        failing, firsts = _oracle_failing_edges(g)
+        assert rep.failing_edges == failing
+        assert rep.inconclusive_edges == []
+        assert rep.verdict is (not failing)
+        for w in rep.entries:
+            if not w.ok:
+                continue
+            assert verify_certificate(delete_edge(g, w.edge), w.certificate).ok
+            assert w.certificate.ratio < rep.toughness
+            if w.source == "exhaustive":
+                cut = w.certificate.cut
+                assert (cut.bit_count(), cut) == firsts[w.edge]
+
+    # 0 sends every edge to annealing first, the order before cost routing
+    @pytest.mark.parametrize("multiple", [engine.SCAN_STEPS_PER_SUBSET, 0],
+                             ids=["cost-routed", "annealing-first"])
+    def test_verdicts_match_per_edge_oracle(self, rng, monkeypatch, multiple):
+        monkeypatch.setattr(engine, "SCAN_STEPS_PER_SUBSET", multiple)
+        for g in self._corpus(rng):
+            self._check_against_oracle(g, is_minimally_tough(g))
+
+    def test_small_graphs_skip_annealing(self, monkeypatch):
+        def no_annealing(*args, **kwargs):
+            raise AssertionError("annealing ran on a graph the scan resolves cheaper")
+
+        monkeypatch.setattr(engine, "toughness_upper_search", no_annealing)
+        rep = is_minimally_tough(sc52())
+        assert rep.verdict is True
+        assert {w.source for w in rep.entries} == {"exhaustive"}
+
+    def test_heuristic_only_never_scans(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("exhaustive scan with allow_exhaustive_edges=False")
+
+        monkeypatch.setattr(engine, "find_cut_below", no_scan)
+        cfg = EngineConfig(allow_exhaustive_edges=False)
+        rep = is_minimally_tough(sc52(), cfg)
+        assert {w.source for w in rep.entries} <= {"heuristic", "inconclusive"}
+
+    def test_passed_toughness_gives_the_same_report(self, rng):
+        for g in self._corpus(rng)[:6] + [cycle(4), gen_knp3(4).graph]:
+            t = toughness_exact(g).value
+            assert is_minimally_tough(g, toughness=t) == is_minimally_tough(g)
+
+    def test_degree_excess_filter_computes_toughness_once(self, monkeypatch):
+        calls = []
+        exact = engine.toughness_exact
+
+        def counting(g, *args, **kwargs):
+            calls.append(g)
+            return exact(g, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "toughness_exact", counting)
+        # a hit, two graphs that reach the minimality stage and fail it, and
+        # one screened out by degree
+        cases = ((write_graph6(sc52()), ""), ("DK{", "not minimally tough"),
+                 ("EFz_", "not minimally tough"), ("Dhc", "degree within ceiling"))
+        for g6, reason in cases:
+            calls.clear()
+            assert degree_excess_filter(parse_graph6(g6)).reason == reason
+            assert len(calls) == 1
 
 
 class TestProperties:
