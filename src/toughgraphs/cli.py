@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .families import GENERATORS, LabeledFamily
@@ -115,23 +116,23 @@ def _write_family_files(fam: LabeledFamily, args) -> None:
         Path(args.labels).write_text(fam.label_map_text())
 
 
-# parameters each family needs on the command line
-_GEN_PARAMS = {"planar-chain": ("m",), "knp2-minus-matching": ("n", "m"), "knp3": ("n",)}
+# the generator keyword arguments each family takes from the command line;
+# all are required except the --regularized switch, which is never None
+_GEN_PARAMS = {
+    "planar-chain": ("m",),
+    "knp2-minus-matching": ("n", "m"),
+    "knp3": ("n", "regularized"),
+    "square-lsk4": (),
+}
 
 
 def _cmd_gen(args) -> int:
     try:
-        missing = [f"--{k}" for k in _GEN_PARAMS.get(args.family, ()) if getattr(args, k) is None]
+        params = {k: getattr(args, k) for k in _GEN_PARAMS[args.family]}
+        missing = [f"--{k}" for k, value in params.items() if value is None]
         if missing:
             raise ValueError(f"{args.family} needs {' and '.join(missing)}")
-        if args.family == "planar-chain":
-            fam = GENERATORS["planar-chain"](args.m)
-        elif args.family == "knp2-minus-matching":
-            fam = GENERATORS["knp2-minus-matching"](args.n, args.m)
-        elif args.family == "knp3":
-            fam = GENERATORS["knp3"](args.n, regularized=args.regularized)
-        else:
-            fam = GENERATORS["square-lsk4"]()
+        fam = GENERATORS[args.family](**params)
         _write_family_files(fam, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -163,7 +164,7 @@ def _cmd_minimal(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.heuristic_only:
-        cfg = cfg.with_options(allow_exhaustive_edges=False)
+        cfg = replace(cfg, allow_exhaustive_edges=False)
     hints = _load_hints(g, args.hints) if args.hints else None
     try:
         report = is_minimally_tough(g, cfg, hints=hints)
@@ -258,17 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_toughness)
 
     p = sub.add_parser("gen", help="generate a built-in family")
-    p.add_argument(
-        "family",
-        choices=["planar-chain", "knp2-minus-matching", "knp3", "square-lsk4"],
-    )
+    p.add_argument("family", choices=list(GENERATORS))
     p.add_argument("--m", type=int, help="block count / rung count")
     p.add_argument("--n", type=int, help="clique order")
     p.add_argument("--regularized", action="store_true")
     p.add_argument("--certs", help="directory for base + per-edge certificates")
     p.add_argument("--rotation", help="write the rotation system here")
     p.add_argument("--labels", help="write the label map here")
-    _add_common(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("minimal", help="verify minimal toughness")
@@ -286,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="check a cert v1 file")
     p.add_argument("--cert", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("search", help="filter a graph6 stream for counterexamples")
@@ -302,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g6")
     p.add_argument("--file")
     p.add_argument("--limit", type=int, default=48)
-    _add_common(p)
     p.set_defaults(func=_cmd_orbits)
 
     return parser

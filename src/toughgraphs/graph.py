@@ -119,12 +119,16 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return Graph(g.n - 1, tuple(adj))
 
 
-def component_count(adj: tuple[int, ...], alive: int) -> int:
+def component_count(adj: tuple[int, ...], alive: int, reps: int) -> int:
     """Number of connected components of the subgraph induced on alive.
 
-    This is the innermost primitive of the toughness engine; it runs tens of
-    millions of times, so it works directly on masks with no allocation
-    beyond small ints.
+    ``reps`` holds the lowest member of each class of a partition into
+    twin classes (vertices with identical adjacency rows), and ``alive``
+    must be a union of whole classes; the BFS then expands only the members
+    of reps, since a twin adds no neighbor its class's lowest member lacks.
+    A class with no alive neighbor still counts one component per member.
+    With ``reps`` the full vertex mask every vertex is its own class and
+    ``alive`` may be any mask.
     """
     count = 0
     while alive:
@@ -133,7 +137,7 @@ def component_count(adj: tuple[int, ...], alive: int) -> int:
         frontier = comp
         while frontier:
             nxt = 0
-            f = frontier
+            f = frontier & reps
             while f:
                 b = f & -f
                 nxt |= adj[b.bit_length() - 1]
@@ -176,7 +180,7 @@ def components_excluding(g: Graph, removed: int) -> tuple[int, list[int]]:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return False
-    return component_count(g.adj, g.full_mask) == 1
+    return component_count(g.adj, g.full_mask, g.full_mask) == 1
 
 
 def degree_profile(g: Graph) -> tuple[int, int, bool, tuple[int, ...]]:

@@ -65,15 +65,11 @@ class EngineConfig:
     workers: int = 1
     seed: int = 0
     budget_steps: int = 200_000
-    restarts: int = 20
     use_edge_orbits: bool = False
     minimality_heuristic_steps: int = 4_000
     # with this off, edges that hints and the heuristic cannot resolve are
     # reported inconclusive instead of falling back to exhaustive scans
     allow_exhaustive_edges: bool = True
-
-    def with_options(self, **kw) -> "EngineConfig":
-        return replace(self, **kw)
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -161,7 +157,11 @@ def parse_certificate(text: str) -> tuple[Graph, CutCertificate]:
         if key not in fields:
             raise ValueError(f"cert v1 block missing '{key}' line")
     g = parse_graph6(fields["graph"])
-    cut = mask_of(int(tok) for tok in fields["cut"].split()) if fields["cut"] else 0
+    # checked before any shift: an index of 10**12 would ask for a 125 GB mask
+    vertices = [int(tok) for tok in fields["cut"].split()]
+    if not all(0 <= v < g.n for v in vertices):
+        raise ValueError("cut contains out-of-range vertices")
+    cut = mask_of(vertices)
     return g, CutCertificate(cut, int(fields["omega"]), parse_ratio(fields["ratio"]))
 
 
@@ -187,6 +187,17 @@ def twin_classes(g: Graph) -> list[int]:
     for v in range(g.n):
         groups[g.adj[v]] = groups.get(g.adj[v], 0) | (1 << v)
     return sorted(groups.values())
+
+
+def _lowest_members(classes: list[int] | tuple[int, ...]) -> int:
+    """The ``reps`` mask of ``component_count``: the lowest member of each
+    class.  A BFS over a union of whole classes expands only these: twins
+    have the same neighbors, and a component reached through a neighbor
+    holds all of their class."""
+    reps = 0
+    for c in classes:
+        reps |= c & -c
+    return reps
 
 
 _NO_INCUMBENT = (0, 0, 0, 0)  # q=0 encodes "none"; a real cut has q = omega >= 2
@@ -258,11 +269,7 @@ def _scan(
     n = len(adj)
     full = (1 << n) - 1
     adj_by_bit = {1 << v: adj[v] for v in range(n)}
-    # the BFS expands one vertex per class: twins have the same neighbors,
-    # and a component reached through a neighbor holds all of their class
-    reps = 0
-    for c in classes:
-        reps |= c & -c
+    reps = _lowest_members(classes)
     ns = len(classes) - pbits
     top = 1 << ns
     # twin-free: class masks are vertex masks and a level is a cut size
@@ -308,7 +315,10 @@ def _scan(
             needed = needed_tie if (tie_below and s < tie_below) else needed0
             if needed <= cap:
                 # component count with an early abort once the remaining
-                # vertices cannot reach the needed component count
+                # vertices cannot reach the needed component count.  This is
+                # graph.component_count inlined: calling it once per subset
+                # cost about 5% of throughput on twin-free G(17, p) and on
+                # the per-edge scans of a graph6 stream filter
                 alive = full & ~s
                 count = 0
                 while alive:
@@ -349,15 +359,6 @@ def _shard_worker(args):
     return _scan(*args)
 
 
-def _certificate_from_triple(
-    g: Graph, triple: tuple[int, int, int, int]
-) -> CutCertificate:
-    # recompute omega honestly rather than trusting engine bookkeeping
-    mask = triple[3]
-    count, _ = components_excluding(g, mask)
-    return CutCertificate(mask, count, Ratio(mask.bit_count(), count))
-
-
 def _scan_inputs(g: Graph, cfg: EngineConfig) -> tuple[tuple[int, ...], int, int, int]:
     """(twin classes, independence number, a maximum independent set, a
     lower bound on the vertex connectivity) for a scan of g.  Raises
@@ -387,13 +388,12 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     if g.is_complete():
         return ToughnessResult(INFINITE, None, "exact")
     if not is_connected(g):
-        count, _ = components_excluding(g, 0)
-        return ToughnessResult(Ratio(0), CutCertificate(0, count, Ratio(0)), "exact")
+        return ToughnessResult(Ratio(0), CutCertificate.from_cut(g, 0), "exact")
     classes, alpha, alpha_set, kappa = _scan_inputs(g, cfg)
 
     # seed: the complement of a maximum independent set is always a valid cut
     seed_cut = g.full_mask & ~alpha_set
-    seed_omega = component_count(g.adj, alpha_set)
+    seed_omega = alpha_set.bit_count()  # an independent set: one component each
     inc = (seed_cut.bit_count(), seed_omega, seed_cut.bit_count(), seed_cut)
 
     nq = len(classes)
@@ -424,7 +424,8 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
                 cand = done.result()
                 if cand[1] and _better(*cand, best):
                     best = cand
-    cert = _certificate_from_triple(g, best)
+    # recompute omega rather than trusting the scan's bookkeeping
+    cert = CutCertificate.from_cut(g, best[3])
     check = verify_certificate(g, cert)
     if not check:
         raise AssertionError(f"engine produced an invalid certificate: {check.reason}")
@@ -439,52 +440,29 @@ def find_cut_below(
     such cut exists.  Raises LimitExceeded past the exhaustive limit."""
     classes, alpha, _, kappa = _scan_inputs(g, cfg)
     hit = _scan(g.adj, classes, 0, 0, kappa, alpha, (target.p, target.q), _NO_INCUMBENT)
-    return _certificate_from_triple(g, hit) if hit[1] else None
+    return CutCertificate.from_cut(g, hit[3]) if hit[1] else None
 
 
 # ---------------------------------------------------------------------------
 # heuristic upper-bound search
 
 
-def _quotient_omega(qadj: list[int], sizes: list[int], alive: int) -> int:
-    """Expanded component count when the alive classes survive: a component
-    made of a single class contributes one piece per copy, anything larger is
-    connected."""
-    total = 0
-    while alive:
-        comp = alive & -alive
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= qadj[b.bit_length() - 1]
-                f ^= b
-            frontier = nxt & alive & ~comp
-            comp |= frontier
-        if comp.bit_count() == 1:
-            total += sizes[(comp & -comp).bit_length() - 1]
-        else:
-            total += 1
-        alive &= ~comp
-    return total
-
-
 def _shrink(
-    chosen: int, nq: int, sizes: list[int], qadj: list[int], full: int
+    chosen: int, classes: list[int], adj: tuple[int, ...], reps: int, full: int
 ) -> tuple[int, int, int]:
-    """Greedy removal pass: drop classes while the exact ratio improves.
-    Returns (chosen, weight, omega)."""
-    weight = sum(sizes[i] for i in bits_of(chosen))
-    omega = _quotient_omega(qadj, sizes, full & ~chosen)
+    """Greedy removal pass: drop classes, in class order, while the exact
+    ratio improves.  Returns (chosen, weight, omega)."""
+    weight = chosen.bit_count()
+    omega = component_count(adj, full ^ chosen, reps)
     improved = True
     while improved:
         improved = False
-        for i in bits_of(chosen):
-            cand = chosen & ~(1 << i)
-            w = weight - sizes[i]
-            om = _quotient_omega(qadj, sizes, full & ~cand)
+        for c in classes:
+            if not chosen & c:
+                continue
+            cand = chosen ^ c
+            w = weight - c.bit_count()
+            om = component_count(adj, full ^ cand, reps)
             if om >= 2 and w * omega < weight * om:
                 chosen, weight, omega = cand, w, om
                 improved = True
@@ -496,73 +474,77 @@ def toughness_upper_search(
     g: Graph,
     budget_steps: int = DEFAULT_CONFIG.budget_steps,
     seed: int = 0,
-    restarts: int = DEFAULT_CONFIG.restarts,
+    restarts: int = 20,
 ) -> CutCertificate:
     """Seeded annealing over cut-sets; returns the best verified certificate.
 
-    Never claimed optimal.  The state space collapses twin classes (all
-    copies of a blown-up vertex enter or leave the cut together), which is
-    lossless for the optimum and shrinks solid graphs dramatically.  Restarts
-    are seeded from complements and neighborhoods of greedy independent sets
-    followed by a greedy shrink pass, so structured optima are reachable even
-    when annealing alone would wander.
+    Never claimed optimal.  Every state is a union of whole twin classes
+    (all copies of a blown-up vertex enter or leave the cut together), which
+    is lossless for the optimum and shrinks solid graphs dramatically; moves
+    flip one class and ``component_count`` expands one member per class.
+    Restarts are seeded from complements and neighborhoods of greedy
+    independent sets followed by a greedy shrink pass, so structured optima
+    are reachable even when annealing alone would wander.
     """
     if not is_connected(g):
         raise ValueError("upper search needs a connected graph")
     if g.is_complete():
         raise ValueError("complete graphs have no cut-set")
-    # the quotient: classes in the scan's order, their sizes, and each
-    # class's neighbor classes as a mask over class indices
+    # classes in the scan's order (by highest member), so unions of classes
+    # order like the class subsets they are made of
+    adj = g.adj
     classes = twin_classes(g)
-    sizes = [c.bit_count() for c in classes]
-    qadj = [
-        mask_of(j for j, d in enumerate(classes) if g.adj[(c & -c).bit_length() - 1] & d)
-        for c in classes
-    ]
+    reps = _lowest_members(classes)
     nq = len(classes)
-    full = (1 << nq) - 1
+    full = g.full_mask
     rng = random.Random(seed)
+
+    def nbrs(c: int) -> int:
+        # twins share their row, so any member gives the class's neighbors
+        return adj[c.bit_length() - 1]
 
     def greedy_independent(order: list[int]) -> int:
         chosen = 0
         blocked = 0
         for i in order:
-            if not blocked >> i & 1:
-                chosen |= 1 << i
-                blocked |= (1 << i) | qadj[i]
+            c = classes[i]
+            if not blocked & c:
+                chosen |= c
+                blocked |= c | nbrs(c)
         return chosen
 
     def greedy_clique_packing(order: list[int], cap: int) -> int:
-        """Pairwise non-adjacent cliques, greedily grown; the complement of
-        their union is a cut whose residue components are exactly the packed
-        cliques, which matches the structure of many optimal cuts."""
+        """Pairwise non-adjacent cliques of classes, greedily grown; the
+        complement of their union is a cut whose residue components are
+        exactly the packed cliques, which matches the structure of many
+        optimal cuts."""
         packed = 0
         blocked = 0
         for i in order:
-            if blocked >> i & 1:
+            c = classes[i]
+            if blocked & c:
                 continue
-            clique = 1 << i
-            common = qadj[i] & ~blocked
+            clique = c
+            nbhd = nbrs(c)
+            common = nbhd & ~blocked
             size = 1
             while common and size < cap:
-                j = next(x for x in order if common >> x & 1)
-                clique |= 1 << j
+                d = next(classes[x] for x in order if common & classes[x])
+                clique |= d
                 size += 1
-                common &= qadj[j]
+                common &= nbrs(d)
+                nbhd |= nbrs(d)
             packed |= clique
-            nbhd = 0
-            for j in bits_of(clique):
-                nbhd |= qadj[j]
             blocked |= clique | nbhd
         return packed
 
     def neighborhood(mask: int) -> int:
         out = 0
-        for i in bits_of(mask):
-            out |= qadj[i]
+        for v in bits_of(mask & reps):
+            out |= adj[v]
         return out & ~mask
 
-    best: tuple[int, int, int] | None = None  # (weight, omega, chosen)
+    best: tuple[int, int, int] | None = None  # (weight, omega, cut)
 
     def consider(chosen: int, weight: int, omega: int) -> None:
         nonlocal best
@@ -589,27 +571,28 @@ def toughness_upper_search(
         elif kind == 3:
             state = neighborhood(greedy_independent(order))
         elif kind == 4:
-            lo = min(range(nq), key=lambda i: (qadj[i].bit_count(), i))
-            state = qadj[lo]
+            # the class with the fewest neighbor classes
+            lo = min(range(nq), key=lambda i: ((nbrs(classes[i]) & reps).bit_count(), i))
+            state = nbrs(classes[lo])
         else:
             state = 0
-            for i in range(nq):
+            for c in classes:
                 if rng.random() < 0.5:
-                    state |= 1 << i
-        state, w, om = _shrink(state, nq, sizes, qadj, full)
+                    state |= c
+        state, w, om = _shrink(state, classes, adj, reps, full)
         consider(state, w, om)
         energy = w / om if om >= 2 else float(g.n * 2)
         # one long geometric cooling arc per restart: 0.95 per sweep of moves
         temp = 0.5
         best_ratio_seen = energy
         for step in range(steps_per_restart):
-            cand = state ^ (1 << rng.randrange(nq))
+            cand = state ^ classes[rng.randrange(nq)]
             if rng.random() < 0.25:
-                cand ^= 1 << rng.randrange(nq)
+                cand ^= classes[rng.randrange(nq)]
             if cand in (0, full):
                 continue
-            cw = sum(sizes[j] for j in bits_of(cand))
-            com = _quotient_omega(qadj, sizes, full & ~cand)
+            cw = cand.bit_count()
+            com = component_count(adj, full ^ cand, reps)
             ce = cw / com if com >= 2 else float(g.n * 2)
             if ce <= energy or rng.random() < 2.718281828 ** ((energy - ce) / temp):
                 state, energy = cand, ce
@@ -617,31 +600,23 @@ def toughness_upper_search(
                     consider(cand, cw, com)
                     if ce < best_ratio_seen - 1e-12:
                         best_ratio_seen = ce
-                        state, cw, com = _shrink(cand, nq, sizes, qadj, full)
+                        state, cw, com = _shrink(cand, classes, adj, reps, full)
                         energy = cw / com if com >= 2 else energy
                         consider(state, cw, com)
             if step % nq == nq - 1:
                 temp *= 0.95
                 if temp < 1e-4:
                     temp = 1e-4
-        state, w, om = _shrink(state, nq, sizes, qadj, full)
+        state, w, om = _shrink(state, classes, adj, reps, full)
         consider(state, w, om)
 
-    if best is None:
-        # deterministic fallback: isolate one end of some non-adjacent pair
-        for v in range(g.n):
-            if g.adj[v] != g.full_mask & ~(1 << v):
-                cut = g.adj[v]
-                count, _ = components_excluding(g, cut)
-                if count >= 2:
-                    return CutCertificate(cut, count, Ratio(cut.bit_count(), count))
-        raise RuntimeError("no cut-set found within budget")
-
-    cut = 0
-    for i in bits_of(best[2]):
-        cut |= classes[i]
-    count, _ = components_excluding(g, cut)
-    cert = CutCertificate(cut, count, Ratio(cut.bit_count(), count))
+    if best is not None:
+        cut = best[2]
+    else:
+        # deterministic fallback: the neighbors of the first vertex with a
+        # non-neighbor (g is not complete) cut it off from that non-neighbor
+        cut = next(adj[v] for v in range(g.n) if adj[v] != full ^ (1 << v))
+    cert = CutCertificate.from_cut(g, cut)
     check = verify_certificate(g, cert)
     if not check:
         raise AssertionError(f"upper search produced invalid certificate: {check.reason}")
@@ -718,8 +693,7 @@ def _witness_for_edge(
         if verify_certificate(ge, hint) and hint.ratio < target:
             return EdgeWitness(edge, hint, "template", True)
     if not is_connected(ge):
-        count, _ = components_excluding(ge, 0)
-        return EdgeWitness(edge, CutCertificate(0, count, Ratio(0)), "exhaustive", True)
+        return EdgeWitness(edge, CutCertificate.from_cut(ge, 0), "exhaustive", True)
     steps = min(cfg.minimality_heuristic_steps, 60 * g.n)
     scan_first = (
         cfg.allow_exhaustive_edges

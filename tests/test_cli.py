@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from toughgraphs.cli import main
@@ -218,3 +220,30 @@ def test_user_errors_exit_one_without_traceback(capsys, argv):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--threads", "2", "--cert", "X"),
+        ("gen", "square-lsk4", "--seed", "1"),
+        ("orbits", "--g6", "Dhc", "--budget-secs", "1"),
+        ("orbits", "--g6", "Dhc", "--exhaustive-limit", "5"),
+    ],
+    ids=["certify-threads", "gen-seed", "orbits-budget", "orbits-limit"],
+)
+def test_engine_flags_rejected_where_unused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_minimal_knp3_output_pinned(capsys):
+    # recorded from the class-indexed quotient implementation of the
+    # annealing: 37 edges resolve by annealing and 3 by the target scan
+    expected = (Path(__file__).parent / "data" / "minimal_knp3_n5.txt").read_text()
+    g6 = run(capsys, "gen", "knp3", "--n", "5")[1].strip()
+    code, out = run(capsys, "minimal", "--g6", g6, "--threads", "1")
+    assert code == 0 and out == expected
+    assert out.count("source=heuristic") == 37 and out.count("source=exhaustive") == 3

@@ -6,6 +6,7 @@ from oracles import adj_sets, set_components
 from toughgraphs.graph import (
     bits_of,
     build_graph,
+    component_count,
     components_excluding,
     degree_profile,
     delete_edge,
@@ -14,7 +15,8 @@ from toughgraphs.graph import (
     mask_of,
 )
 from toughgraphs.families import gen_planar_chain, gen_knp2_minus_matching
-from toughgraphs.operators import complete, cycle, path
+from toughgraphs.operators import SolidSpec, complete, cycle, path, solid_expand
+from toughgraphs.toughness import twin_classes
 
 
 def test_build_path():
@@ -129,3 +131,35 @@ def test_wide_vertex_sets():
     assert degree_profile(g)[:3] == (2, 2, True)
     count, labels = components_excluding(g, mask_of((0, 256)))
     assert count == 2 and labels[1] != labels[257]
+
+
+def test_component_count_over_whole_classes_matches_labels(rng):
+    """With reps holding each twin class's lowest member, the count over any
+    union of whole classes equals the full BFS count, including classes of
+    several copies left without an alive neighbor (one component per copy)."""
+    isolated_seen = 0
+    for _ in range(40):
+        base = random_connected_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.6))
+        mult = tuple(rng.randint(1, 4) for _ in range(base.n))
+        g, _ = solid_expand(SolidSpec(base, mult))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        classes = twin_classes(g)
+        reps = 0
+        for c in classes:
+            reps |= c & -c
+        cuts = []
+        for _ in range(15):
+            cuts.append(sum(c for c in classes if rng.random() < 0.4))
+        for c in classes:
+            if c.bit_count() > 1:
+                # remove exactly c's neighbors, so all of c's copies survive
+                # with no alive neighbor
+                cuts.append(g.adj[c.bit_length() - 1])
+                isolated_seen += 1
+        for cut in cuts:
+            alive = g.full_mask & ~cut
+            assert component_count(g.adj, alive, reps) == components_excluding(g, cut)[0]
+            assert component_count(g.adj, alive, g.full_mask) == components_excluding(g, cut)[0]
+    assert isolated_seen > 0

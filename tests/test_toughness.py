@@ -94,6 +94,13 @@ class TestCertificates:
         with pytest.raises(ValueError):
             parse_certificate("cert v1\ngraph: Dhc\ncut: 0\nomega: x\nratio: 1/2\n")
 
+    @pytest.mark.parametrize("index", [5, 10**12])
+    def test_parse_rejects_out_of_range_cut_index(self, index):
+        # Dhc has 5 vertices; the huge index must be refused before any shift
+        text = f"cert v1\ngraph: Dhc\ncut: 0 {index}\nomega: 2\nratio: 1/1\n"
+        with pytest.raises(ValueError, match="cut contains out-of-range vertices"):
+            parse_certificate(text)
+
 
 class TestExact:
     def test_complete_graphs_infinite(self):
@@ -256,6 +263,44 @@ class TestUpperSearch:
             cert = toughness_upper_search(g, budget_steps=5, seed=1, restarts=1)
             assert verify_certificate(g, cert).ok
             assert ratio_of(cert.ratio) >= brute_toughness(g)
+
+    # (ratio, cut) recorded from the class-indexed quotient implementation
+    # of the annealing; a change to any RNG draw or tie-break shows here
+    @pytest.mark.parametrize(
+        "graph, budget, seed, restarts, ratio, cut",
+        [
+            ("chain6", 20_000, 0, 20, Ratio(17, 11), 57073507984),
+            ("chain10", 20_000, 2, 20, Ratio(8, 5), 417088339135905792),
+            # a random 10-vertex base blown up x3
+            (
+                "]Fz_???wF?[?wwww[[?wwFF?[[FFwFFwBb{??~F?Fww?^b_~www~www^{[[?w?~~F?F~w[?^~_",
+                5_000, 4, 20, Ratio(3, 2), 1057198023,
+            ),
+            # a random 11-vertex base blown up x1-x3 and relabelled, so the
+            # classes' lowest members do not come in class order
+            ("ToGhpPOIHPOCM?busBG?@_G?Aa@MuD?q_Aa?", 5_000, 7, 6, Ratio(1, 2), 257),
+            # two more such blow-ups, where a shrink pass that drops classes
+            # in the order of their lowest members ends elsewhere
+            ("NzlLa]tlRTzV}NlRhMG", 200, 27, 6, Ratio(2, 1), 9106),
+            ("RebEABud{OO@dw?GJvq?cOCa?Gd@R?", 200, 133, 6, Ratio(7, 10), 22275),
+            ("K{GOeC\\?gQ?_", 5, 0, 1, Ratio(1, 1), 152),
+            ("KAJ@G^on?C__", 5, 1, 1, Ratio(3, 4), 800),
+            ("K?HC`BKH?EEc", 5, 2, 1, Ratio(3, 4), 292),
+            ("KL\\uPoC\\_kW_", 5, 3, 1, Ratio(6, 5), 2172),
+            # the star K1,3: no state of one step leaves two components, so
+            # the result is the fallback cut around a leaf
+            ("Cs", 1, 0, 1, Ratio(1, 3), 1),
+        ],
+        ids=["chain6", "chain10", "uniform-blowup", "mixed-blowup",
+             "mixed-blowup-shrink-order-1", "mixed-blowup-shrink-order-2", "tiny0", "tiny1", "tiny2", "tiny3", "fallback-star"],
+    )
+    def test_pinned_results(self, graph, budget, seed, restarts, ratio, cut):
+        if graph.startswith("chain"):
+            g = gen_planar_chain(int(graph[5:])).graph
+        else:
+            g = parse_graph6(graph)
+        cert = toughness_upper_search(g, budget, seed=seed, restarts=restarts)
+        assert (cert.ratio, cert.cut) == (ratio, cut)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
