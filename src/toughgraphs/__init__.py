@@ -10,7 +10,6 @@ and stream filtering (``graph6``, ``search``).
 from .graph import (
     Graph,
     build_graph,
-    components_excluding,
     degree_profile,
     delete_edge,
     is_connected,

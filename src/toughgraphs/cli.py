@@ -3,7 +3,9 @@
 Subcommands: toughness, gen, minimal, certify, search, orbits.  All output on
 stdout is byte-deterministic given (input, flags, seed, threads); timing and
 diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure or
-parse error, 2 inconclusive.
+user error, 2 inconclusive.  A user error (bad input, a file that cannot be
+read or written, an input past a configured limit) prints one ``error:`` line
+on stderr, nothing on stdout.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from pathlib import Path
 
 from .families import GENERATORS, LabeledFamily
 from .graph import Graph
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import graph6_lines, parse_graph6, write_graph6
 from .invariants import edge_orbits
 from .search import SearchOptions, filter_counterexamples
 from .toughness import (
-    STEPS_PER_BUDGET_SECOND,
     CutCertificate,
     EngineConfig,
     LimitExceeded,
@@ -31,6 +32,10 @@ from .toughness import (
     verify_certificate,
     write_certificate,
 )
+
+# deterministic substitute for wall-clock budgets: annealing moves per nominal
+# second of --budget-secs
+STEPS_PER_BUDGET_SECOND = 25_000
 
 
 def _default_threads() -> int:
@@ -46,10 +51,6 @@ def _default_threads() -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=None, help="worker count")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--budget-secs", type=int, default=60,
-        help="heuristic budget; converted to a deterministic step count",
-    )
     parser.add_argument("--exhaustive-limit", type=int, default=26)
 
 
@@ -59,7 +60,6 @@ def _config(args) -> EngineConfig:
         exhaustive_limit=args.exhaustive_limit,
         workers=max(1, threads),
         seed=args.seed,
-        budget_steps=max(1, args.budget_secs) * STEPS_PER_BUDGET_SECOND,
     )
 
 
@@ -68,30 +68,24 @@ def _load_graph(args) -> Graph:
         return parse_graph6(args.g6)
     if not args.file:
         raise ValueError("one of --g6 or --file is required")
-    text = Path(args.file).read_text()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith(">>"):
-            return parse_graph6(line)
+    for _, text in graph6_lines(Path(args.file).read_text().splitlines()):
+        return parse_graph6(text)
     raise ValueError(f"no graph6 line found in {args.file}")
 
 
 def _cmd_toughness(args) -> int:
     cfg = _config(args)
-    try:
-        g = _load_graph(args)
-        if args.upper:
-            cert = toughness_upper_search(g, cfg.budget_steps, seed=cfg.seed)
-            line = f"t <= {cert.ratio}"
-        else:
-            result = toughness_exact(g, cfg)
-            cert, line = result.witness, f"t = {result.value}"
-    except (ValueError, OSError, LimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(line)
+    g = _load_graph(args)
+    if args.upper:
+        steps = max(1, args.budget_secs) * STEPS_PER_BUDGET_SECOND
+        cert = toughness_upper_search(g, steps, seed=cfg.seed)
+        line = f"t <= {cert.ratio}"
+    else:
+        result = toughness_exact(g, cfg)
+        cert, line = result.witness, f"t = {result.value}"
     if args.cert and cert is not None:
         Path(args.cert).write_text(write_certificate(g, cert))
+    print(line)
     return 0
 
 
@@ -127,16 +121,12 @@ _GEN_PARAMS = {
 
 
 def _cmd_gen(args) -> int:
-    try:
-        params = {k: getattr(args, k) for k in _GEN_PARAMS[args.family]}
-        missing = [f"--{k}" for k, value in params.items() if value is None]
-        if missing:
-            raise ValueError(f"{args.family} needs {' and '.join(missing)}")
-        fam = GENERATORS[args.family](**params)
-        _write_family_files(fam, args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params = {k: getattr(args, k) for k in _GEN_PARAMS[args.family]}
+    missing = [f"--{k}" for k, value in params.items() if value is None]
+    if missing:
+        raise ValueError(f"{args.family} needs {' and '.join(missing)}")
+    fam = GENERATORS[args.family](**params)
+    _write_family_files(fam, args)
     print(write_graph6(fam.graph))
     return 0
 
@@ -158,19 +148,11 @@ def _load_hints(g: Graph, hints_dir: str) -> dict[tuple[int, int], CutCertificat
 
 def _cmd_minimal(args) -> int:
     cfg = _config(args)
-    try:
-        g = _load_graph(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    g = _load_graph(args)
     if args.heuristic_only:
         cfg = replace(cfg, allow_exhaustive_edges=False)
     hints = _load_hints(g, args.hints) if args.hints else None
-    try:
-        report = is_minimally_tough(g, cfg, hints=hints)
-    except (LimitExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = is_minimally_tough(g, cfg, hints=hints)
     verdict = {True: "true", False: "false", None: "inconclusive"}[report.verdict]
     print(f"minimally tough: {verdict}, t = {report.toughness}")
     for w in report.entries:
@@ -211,11 +193,7 @@ def _cmd_search(args) -> int:
         workers=cfg.workers,
         config=cfg,
     )
-    try:
-        lines = Path(args.input).read_text().splitlines()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    lines = Path(args.input).read_text().splitlines()
     report = filter_counterexamples(lines, options)
     for entry in report.flagged:
         print(entry.report_line())
@@ -227,12 +205,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    try:
-        g = _load_graph(args)
-        orbits, _ = edge_orbits(g, limit=args.limit)
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    orbits, _ = edge_orbits(_load_graph(args), limit=args.limit)
     print(f"{len(orbits)} edge orbits")
     for k, orbit in enumerate(orbits):
         members = " ".join(f"{u}-{v}" for u, v in orbit)
@@ -255,6 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--upper", action="store_true")
     p.add_argument("--cert", help="write the witness certificate here")
+    p.add_argument(
+        "--budget-secs", type=int, default=60,
+        help="annealing budget of --upper; converted to a deterministic step count",
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_toughness)
 
@@ -305,7 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, LimitExceeded) as exc:
+        # user errors only: any other exception is a defect and keeps its
+        # traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

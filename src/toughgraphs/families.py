@@ -3,9 +3,8 @@
 Each generator returns the graph together with a label map, the expected
 invariants, a base certificate realizing the family's toughness, and one
 certificate per edge witnessing that deleting the edge lowers the toughness.
-Every emitted certificate is re-verified during generation; an edge whose
-template fails verification falls back to engine search and is flagged in
-``fallback_edges`` (none of the supported parameter ranges need this).
+Every emitted certificate is re-verified during generation; a certificate
+that fails verification raises ``FamilyError``.
 
 Families:
 
@@ -24,18 +23,14 @@ Families:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .graph import Graph, build_graph, delete_edge, mask_of
 from .invariants import RotationSystem, verify_embedding
 from .ratio import Ratio
-from .toughness import CutCertificate, find_cut_below, verify_certificate
+from .toughness import CutCertificate, verify_certificate
 from .invariants import independence_number, maximum_independent_sets
 from .operators import complete, line_graph, square, subdivision
-
-
-log = logging.getLogger(__name__)
 
 
 class FamilyError(RuntimeError):
@@ -62,7 +57,6 @@ class LabeledFamily:
     base_certificate: CutCertificate
     edge_certificates: dict[tuple[int, int], CutCertificate]
     edge_case: dict[tuple[int, int], str] = field(default_factory=dict)
-    fallback_edges: list[tuple[int, int]] = field(default_factory=list)
     rotation: RotationSystem | None = None
 
     def label_map_text(self) -> str:
@@ -92,13 +86,6 @@ def _check_family(fam: LabeledFamily) -> None:
             raise FamilyError(
                 f"{fam.tag}: edge {e} certificate ratio {cert.ratio} not below {t}"
             )
-
-
-def _fallback_edge_certificate(g: Graph, e: tuple[int, int], t: Ratio) -> CutCertificate:
-    cert = find_cut_below(delete_edge(g, e), t)
-    if cert is None:
-        raise FamilyError(f"no certificate below {t} exists for edge {e}")
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +214,6 @@ def gen_planar_chain(m: int) -> LabeledFamily:
 
     edge_certs: dict[tuple[int, int], CutCertificate] = {}
     edge_case: dict[tuple[int, int], str] = {}
-    fallbacks: list[tuple[int, int]] = []
     for e in g.edges():
         found = None
         for perm in group:
@@ -258,13 +244,8 @@ def gen_planar_chain(m: int) -> LabeledFamily:
                 found = (case, cert)
                 break
         if found is None:
-            log.warning("planar-chain m=%d: edge %s fell back to engine search", m, e)
-            cert = _fallback_edge_certificate(g, e, t)
-            edge_certs[e] = cert
-            edge_case[e] = "fallback"
-            fallbacks.append(e)
-        else:
-            edge_case[e], edge_certs[e] = found
+            raise FamilyError(f"planar-chain m={m}: no template certifies edge {e}")
+        edge_case[e], edge_certs[e] = found
 
     rotations = []
     for v in range(n):
@@ -285,7 +266,6 @@ def gen_planar_chain(m: int) -> LabeledFamily:
         base_certificate=base_cert,
         edge_certificates=edge_certs,
         edge_case=edge_case,
-        fallback_edges=fallbacks,
         rotation=rot,
     )
     _check_family(fam)
@@ -511,7 +491,6 @@ def gen_square_lsk4() -> LabeledFamily:
     target = Ratio(8, 3)
     edge_certs: dict[tuple[int, int], CutCertificate] = {}
     edge_case: dict[tuple[int, int], str] = {}
-    fallbacks: list[tuple[int, int]] = []
     hedges = set(h.edges())
     for e in g.edges():
         u, v = e
@@ -545,10 +524,7 @@ def gen_square_lsk4() -> LabeledFamily:
                 if cert:
                     break
         if cert is None:
-            log.warning("square-lsk4: edge %s fell back to engine search", e)
-            cert = _fallback_edge_certificate(g, e, t)
-            case = "fallback"
-            fallbacks.append(e)
+            raise FamilyError(f"square-lsk4: no template certifies edge {e}")
         edge_certs[e] = cert
         edge_case[e] = case
 
@@ -561,7 +537,6 @@ def gen_square_lsk4() -> LabeledFamily:
         base_certificate=base_cert,
         edge_certificates=edge_certs,
         edge_case=edge_case,
-        fallback_edges=fallbacks,
     )
     _check_family(fam)
     return fam

@@ -15,6 +15,11 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
+class LimitExceeded(RuntimeError):
+    """Input too large for a configured limit of an exhaustive computation
+    (a subset scan, an automorphism search)."""
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     """Bitmask with the given vertex indices set."""
     m = 0
@@ -146,35 +151,6 @@ def component_count(adj: tuple[int, ...], alive: int, reps: int) -> int:
             comp |= frontier
         alive &= ~comp
     return count
-
-
-def components_excluding(g: Graph, removed: int) -> tuple[int, list[int]]:
-    """Component count and labels of g with the masked vertices deleted.
-
-    Returns (count, labels) where labels[v] is the component id (0-based, in
-    order of smallest member) for surviving vertices and -1 for removed ones.
-    """
-    labels = [-1] * g.n
-    adj = g.adj
-    alive = g.full_mask & ~removed
-    count = 0
-    while alive:
-        comp = alive & -alive
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= adj[b.bit_length() - 1]
-                f ^= b
-            frontier = nxt & alive & ~comp
-            comp |= frontier
-        for v in bits_of(comp):
-            labels[v] = count
-        count += 1
-        alive &= ~comp
-    return count, labels
 
 
 def is_connected(g: Graph) -> bool:

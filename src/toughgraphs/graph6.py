@@ -8,9 +8,20 @@ padded to a multiple of 6, each 6-bit group emitted as one byte +63.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .graph import Graph
 
 _HEADER = ">>graph6<<"
+
+
+def graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, graph6 text) for each non-empty line of a
+    stream, with surrounding whitespace and a '>>graph6<<' prefix removed."""
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip().removeprefix(_HEADER)
+        if text:
+            yield lineno, text
 
 
 def write_graph6(g: Graph) -> str:
@@ -39,9 +50,7 @@ def write_graph6(g: Graph) -> str:
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line; tolerates the optional '>>graph6<<' prefix."""
-    s = line.strip()
-    if s.startswith(_HEADER):
-        s = s[len(_HEADER) :]
+    s = line.strip().removeprefix(_HEADER)
     if not s:
         raise ValueError("empty graph6 string")
     data = [ord(c) for c in s]

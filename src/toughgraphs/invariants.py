@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits_of, is_connected
+from .graph import Graph, LimitExceeded, bits_of, is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def refine_colors(g: Graph) -> list[int]:
 def automorphisms(g: Graph, node_limit: int = 2_000_000) -> list[tuple[int, ...]]:
     """All automorphisms of g by backtracking with refinement pruning.
 
-    Raises RuntimeError when the search tree exceeds node_limit; intended for
+    Raises LimitExceeded when the search tree exceeds node_limit; intended for
     the small, highly structured graphs this package generates.
     """
     n = g.n
@@ -342,7 +342,7 @@ def automorphisms(g: Graph, node_limit: int = 2_000_000) -> list[tuple[int, ...]
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
-            raise RuntimeError(f"automorphism search exceeded {node_limit} nodes")
+            raise LimitExceeded(f"automorphism search exceeded {node_limit} nodes")
         if i == n:
             autos.append(tuple(image))
             return

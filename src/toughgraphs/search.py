@@ -17,8 +17,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .graph import Graph, build_graph, is_connected
-from .graph6 import parse_graph6, write_graph6
+from .graph import Graph, build_graph
+from .graph6 import graph6_lines, parse_graph6, write_graph6
 from .invariants import refine_colors
 from .ratio import Ratio
 from .toughness import DEFAULT_CONFIG, EngineConfig, degree_excess_filter
@@ -115,20 +115,28 @@ def canonical_form(g: Graph, limit: int = ENUM_LIMIT + 2) -> Graph:
     return Graph(n, tuple(new_adj))
 
 
-_ALL_GRAPH_LEVELS: dict[int, list[Graph]] = {}
+_CONNECTED_LEVELS: dict[int, list[Graph]] = {}
 
 
-def _all_graphs(n: int) -> list[Graph]:
-    """Canonical representatives of all unlabeled graphs on n vertices."""
-    if n in _ALL_GRAPH_LEVELS:
-        return _ALL_GRAPH_LEVELS[n]
+def _connected_graphs(n: int) -> list[Graph]:
+    """Canonical representatives of the connected graphs on n vertices, in
+    graph6 order.
+
+    Each comes from a connected graph on n - 1 vertices plus a vertex with a
+    non-empty neighborhood, which is connected.  That reaches every class: a
+    connected graph on n >= 2 vertices has a vertex that is not a cut vertex
+    (a leaf of a spanning tree), deleting it leaves a connected graph on
+    n - 1 vertices, and the vertex has a neighbor.
+    """
+    if n in _CONNECTED_LEVELS:
+        return _CONNECTED_LEVELS[n]
     if n == 1:
         level = [build_graph(1, [])]
     else:
-        prev = _all_graphs(n - 1)
+        prev = _connected_graphs(n - 1)
         seen: dict[str, Graph] = {}
         for g in prev:
-            for nbhd in range(1 << (n - 1)):
+            for nbhd in range(1, 1 << (n - 1)):
                 adj = list(g.adj) + [nbhd]
                 for v in range(n - 1):
                     if nbhd >> v & 1:
@@ -138,7 +146,7 @@ def _all_graphs(n: int) -> list[Graph]:
                 if key not in seen:
                     seen[key] = cand
         level = [seen[k] for k in sorted(seen)]
-    _ALL_GRAPH_LEVELS[n] = level
+    _CONNECTED_LEVELS[n] = level
     return level
 
 
@@ -150,7 +158,7 @@ def enumerate_connected(n: int) -> list[Graph]:
     """
     if not 1 <= n <= ENUM_LIMIT:
         raise ValueError(f"built-in enumeration supports 1 <= n <= {ENUM_LIMIT}")
-    return [g for g in _all_graphs(n) if is_connected(g)]
+    return list(_connected_graphs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +248,7 @@ def filter_counterexamples(lines, options: SearchOptions = SearchOptions()) -> S
     started = time.monotonic()
     parse_errors: list[tuple[int, str]] = []
     work: list[tuple[str, Graph, SearchOptions]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if text.startswith(">>graph6<<"):
-            text = text[len(">>graph6<<") :]
-        if not text:
-            continue
+    for lineno, text in graph6_lines(lines):
         try:
             g = parse_graph6(text)
         except ValueError as exc:

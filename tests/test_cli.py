@@ -2,15 +2,27 @@ from pathlib import Path
 
 import pytest
 
+import toughgraphs.families as families
+import toughgraphs.invariants as invariants
 from toughgraphs.cli import main
+from toughgraphs.families import FamilyError
 from toughgraphs.graph6 import parse_graph6, write_graph6
 from toughgraphs.graph import build_graph, degree_profile
 from toughgraphs.operators import SolidSpec, cartesian_product, complete, cycle, path, solid_expand
+from toughgraphs.toughness import VerifyResult
 
 
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def assert_user_error(capsys, argv):
+    """Exit code 1, one ``error:`` line on stderr and nothing on stdout."""
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_toughness_exact_cycle(capsys):
@@ -130,10 +142,7 @@ def test_minimal_false(capsys):
 
 def test_minimal_heuristic_only_inconclusive(capsys):
     diamond = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    code, out = run(
-        capsys, "minimal", "--g6", write_graph6(diamond), "--heuristic-only",
-        "--budget-secs", "1",
-    )
+    code, out = run(capsys, "minimal", "--g6", write_graph6(diamond), "--heuristic-only")
     assert code == 2
     assert out.splitlines()[0].startswith("minimally tough: inconclusive")
 
@@ -216,10 +225,7 @@ def test_env_threads_fallback(capsys, monkeypatch):
          "knp3-no-n", "upper-complete", "upper-disconnected"],
 )
 def test_user_errors_exit_one_without_traceback(capsys, argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert_user_error(capsys, argv)
 
 
 @pytest.mark.parametrize(
@@ -229,8 +235,11 @@ def test_user_errors_exit_one_without_traceback(capsys, argv):
         ("gen", "square-lsk4", "--seed", "1"),
         ("orbits", "--g6", "Dhc", "--budget-secs", "1"),
         ("orbits", "--g6", "Dhc", "--exhaustive-limit", "5"),
+        ("minimal", "--g6", "Dhc", "--budget-secs", "1"),
+        ("search", "--input", "X", "--budget-secs", "1"),
     ],
-    ids=["certify-threads", "gen-seed", "orbits-budget", "orbits-limit"],
+    ids=["certify-threads", "gen-seed", "orbits-budget", "orbits-limit",
+         "minimal-budget", "search-budget"],
 )
 def test_engine_flags_rejected_where_unused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -247,3 +256,48 @@ def test_minimal_knp3_output_pinned(capsys):
     code, out = run(capsys, "minimal", "--g6", g6, "--threads", "1")
     assert code == 0 and out == expected
     assert out.count("source=heuristic") == 37 and out.count("source=exhaustive") == 3
+
+
+def test_unwritable_cert_is_a_user_error(capsys, tmp_path):
+    # the certificate is written before the result line, so stdout stays empty
+    cert = tmp_path / "missing" / "x.cert"
+    assert_user_error(capsys, ["toughness", "--exact", "--g6", "Dhc", "--cert", cert])
+
+
+def test_binary_search_input_is_a_user_error(capsys, tmp_path):
+    stream = tmp_path / "stream.bin"
+    stream.write_bytes(b"\xff\xfe\x00Dhc\n")
+    assert_user_error(capsys, ["search", "--input", stream])
+
+
+def test_unreadable_hint_is_a_user_error(capsys, tmp_path):
+    (tmp_path / "edge-0-1.cert").mkdir()
+    assert_user_error(capsys, ["minimal", "--g6", "Dhc", "--hints", tmp_path])
+
+
+def test_automorphism_node_limit_is_a_user_error(capsys, monkeypatch):
+    search = invariants.automorphisms
+    monkeypatch.setattr(invariants, "automorphisms", lambda g: search(g, node_limit=3))
+    assert_user_error(capsys, ["orbits", "--g6", "Dhc"])
+
+
+def test_defects_keep_their_traceback(monkeypatch):
+    rejected = VerifyResult(False, "rejected")
+    monkeypatch.setattr(families, "verify_certificate", lambda g, cert: rejected)
+    with pytest.raises(FamilyError):
+        main(["gen", "square-lsk4"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("toughness", "--exact"), ("minimal", "--threads", "1"), ("orbits",)],
+    ids=["toughness", "minimal", "orbits"],
+)
+def test_file_header_line_reads_like_a_bare_line(capsys, tmp_path, argv):
+    bare = tmp_path / "bare.g6"
+    bare.write_text("Dhc\n")
+    headed = tmp_path / "headed.g6"
+    headed.write_text(">>graph6<<Dhc\nD~{\n")
+    want = run(capsys, *argv, "--file", str(bare))
+    assert want[0] == 0
+    assert run(capsys, *argv, "--file", str(headed)) == want

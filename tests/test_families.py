@@ -1,6 +1,8 @@
 import pytest
 
+import toughgraphs.families as families
 from toughgraphs.families import (
+    FamilyError,
     gen_knp2_minus_matching,
     gen_knp3,
     gen_planar_chain,
@@ -11,7 +13,12 @@ from toughgraphs.invariants import is_claw_free, verify_embedding
 from toughgraphs.operators import cartesian_product, complete, path
 from toughgraphs.ratio import Ratio
 from toughgraphs.search import canonical_form
-from toughgraphs.toughness import is_minimally_tough, toughness_exact, verify_certificate
+from toughgraphs.toughness import (
+    VerifyResult,
+    is_minimally_tough,
+    toughness_exact,
+    verify_certificate,
+)
 
 
 def assert_expected_structure(fam):
@@ -38,7 +45,6 @@ class TestPlanarChain:
         assert fam.graph.edge_count() == 12 * m
         assert_expected_structure(fam)
         assert fam.base_certificate.omega == 2 * m
-        assert fam.fallback_edges == []
 
     def test_case_ratios_m6(self):
         fam = gen_planar_chain(6)
@@ -159,7 +165,6 @@ class TestSquareLsk4:
         fam = gen_square_lsk4()
         assert len(fam.edge_certificates) == 42
         assert all(c.ratio == Ratio(8, 3) for c in fam.edge_certificates.values())
-        assert fam.fallback_edges == []
 
     def test_exact_toughness_and_minimality(self):
         fam = gen_square_lsk4()
@@ -184,3 +189,24 @@ class TestExactnessSmallScale:
         rep = is_minimally_tough(fam.graph, hints=fam.edge_certificates)
         assert rep.verdict is True
         assert all(w.source == "template" for w in rep.entries)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gen_planar_chain(4), gen_square_lsk4, lambda: gen_knp3(4)],
+    ids=["planar-chain", "square-lsk4", "knp3"],
+)
+def test_template_rejected_on_verification_raises(monkeypatch, make):
+    """No engine fallback: an edge certificate that fails verification
+    fails the generator."""
+    g = make().graph
+    rejected = delete_edge(g, g.edges()[0])
+
+    def verify_rejecting_one_edge(h, cert):
+        if h == rejected:
+            return VerifyResult(False, "rejected")
+        return verify_certificate(h, cert)
+
+    monkeypatch.setattr(families, "verify_certificate", verify_rejecting_one_edge)
+    with pytest.raises(FamilyError, match=r"edge \(0, \d+\)"):
+        make()

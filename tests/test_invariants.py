@@ -9,7 +9,7 @@ from toughgraphs.families import (
     gen_planar_chain,
     gen_square_lsk4,
 )
-from toughgraphs.graph import bits_of, build_graph, mask_of
+from toughgraphs.graph import LimitExceeded, bits_of, build_graph, mask_of
 from toughgraphs.invariants import (
     RotationSystem,
     _local_connectivity,
@@ -216,6 +216,10 @@ class TestOrbits:
     def test_limit(self):
         with pytest.raises(ValueError):
             edge_orbits(complete(5), limit=4)
+
+    def test_node_limit_raises_limit_exceeded(self):
+        with pytest.raises(LimitExceeded, match="automorphism search exceeded 3 nodes"):
+            automorphisms(cycle(8), node_limit=3)
 
 
 def test_automorphism_count_examples():

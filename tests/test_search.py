@@ -5,7 +5,7 @@ import pytest
 from conftest import random_graph
 
 from toughgraphs.graph import build_graph, is_connected
-from toughgraphs.graph6 import parse_graph6, write_graph6
+from toughgraphs.graph6 import graph6_lines, parse_graph6, write_graph6
 from toughgraphs.invariants import permute_graph
 from toughgraphs.operators import SolidSpec, complete, cycle, solid_expand
 from toughgraphs.ratio import Ratio
@@ -28,6 +28,10 @@ class TestGraph6:
 
     def test_header_tolerated(self):
         assert parse_graph6(">>graph6<<Dhc") == cycle(5)
+
+    def test_line_reader_strips_header_and_skips_empty_lines(self):
+        lines = [">>graph6<<Dhc", "", "  ", ">>graph6<<", " A_ ", "!!"]
+        assert list(graph6_lines(lines)) == [(1, "Dhc"), (5, "A_"), (6, "!!")]
 
     def test_round_trip_random(self, rng):
         for _ in range(300):
@@ -77,6 +81,24 @@ class TestEnumeration:
         assert all(is_connected(g) for g in graphs)
         keys = {write_graph6(g) for g in graphs}
         assert len(keys) == len(graphs)
+
+    def test_matches_labeled_brute_force(self):
+        # every labeled graph on n vertices, kept when connected: independent
+        # of the enumerator's extension of connected graphs only
+        for n in range(1, 6):
+            pairs = [(u, v) for v in range(n) for u in range(v)]
+            want = set()
+            for bits in range(1 << len(pairs)):
+                g = build_graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+                if is_connected(g):
+                    want.add(write_graph6(canonical_form(g)))
+            got = [write_graph6(g) for g in enumerate_connected(n)]
+            assert got == sorted(want)
+
+    def test_returns_a_copy(self):
+        first = enumerate_connected(4)
+        first.clear()
+        assert len(enumerate_connected(4)) == 6
 
     def test_limit(self):
         with pytest.raises(ValueError):

@@ -381,9 +381,10 @@ class TestMinimality:
         assert rep.verdict is True and rep.toughness == Ratio(2, 1)
         assert all(w.source == "template" for w in rep.entries)
 
-    def test_heuristic_only_mode_never_proves_false(self):
+    def test_heuristic_only_mode_never_proves_false(self, monkeypatch):
+        monkeypatch.setattr(engine, "MINIMALITY_HEURISTIC_STEPS", 50)
         diamond = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-        cfg = EngineConfig(allow_exhaustive_edges=False, minimality_heuristic_steps=50)
+        cfg = EngineConfig(allow_exhaustive_edges=False)
         rep = is_minimally_tough(diamond, cfg)
         assert rep.verdict is None
         assert rep.inconclusive_edges
