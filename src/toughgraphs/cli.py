@@ -132,6 +132,8 @@ def _cmd_gen(args) -> int:
 
 
 def _load_hints(g: Graph, hints_dir: str) -> dict[tuple[int, int], CutCertificate]:
+    if not Path(hints_dir).is_dir():
+        raise ValueError(f"--hints {hints_dir} is not a directory")
     hints: dict[tuple[int, int], CutCertificate] = {}
     for path in sorted(Path(hints_dir).glob("edge-*.cert")):
         parts = path.stem.split("-")

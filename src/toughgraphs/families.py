@@ -1,10 +1,10 @@
 """Built-in graph families with ready-made cut certificates.
 
-Each generator returns the graph together with a label map, the expected
-invariants, a base certificate realizing the family's toughness, and one
-certificate per edge witnessing that deleting the edge lowers the toughness.
-Every emitted certificate is re-verified during generation; a certificate
-that fails verification raises ``FamilyError``.
+Each generator states a base cut realizing the family's toughness t, one
+cut of G-e per edge e, tagged with its case, and the ratio each case gives.
+One certifier (``_certified``) turns the cuts into certificates, re-verifies
+every one, and checks the base ratio against t and each edge ratio against
+its case's ratio and t; any failure raises ``FamilyError``.
 
 Families:
 
@@ -23,13 +23,17 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import Graph, build_graph, delete_edge, mask_of
-from .invariants import RotationSystem, verify_embedding
+from .invariants import (
+    RotationSystem,
+    independence_number,
+    maximum_independent_sets,
+    verify_embedding,
+)
 from .ratio import Ratio
 from .toughness import CutCertificate, verify_certificate
-from .invariants import independence_number, maximum_independent_sets
 from .operators import complete, line_graph, square, subdivision
 
 
@@ -50,13 +54,12 @@ class FamilyExpectation:
 @dataclass
 class LabeledFamily:
     tag: str
-    params: dict
     graph: Graph
     labels: dict[str, int]
     expected: FamilyExpectation
     base_certificate: CutCertificate
     edge_certificates: dict[tuple[int, int], CutCertificate]
-    edge_case: dict[tuple[int, int], str] = field(default_factory=dict)
+    edge_case: dict[tuple[int, int], str]
     rotation: RotationSystem | None = None
 
     def label_map_text(self) -> str:
@@ -64,28 +67,44 @@ class LabeledFamily:
         return "\n".join(lines) + "\n"
 
 
-def _check_family(fam: LabeledFamily) -> None:
-    g = fam.graph
-    t = fam.expected.toughness
-    res = verify_certificate(g, fam.base_certificate)
+def _certified(
+    tag: str,
+    g: Graph,
+    labels: dict[str, int],
+    expected: FamilyExpectation,
+    base_cut: int,
+    edge_cuts: dict[tuple[int, int], tuple[str, int]],
+    case_ratio: dict[str, Ratio],
+    rotation: RotationSystem | None = None,
+) -> LabeledFamily:
+    """The family with its certificates, built from the generator's cuts and
+    verified: the base cut of g has ratio t, and every edge e has a cut of
+    g-e whose ratio is the one its case gives, below t."""
+    t = expected.toughness
+    base = CutCertificate.from_cut(g, base_cut)
+    res = verify_certificate(g, base)
     if not res:
-        raise FamilyError(f"{fam.tag}: base certificate failed: {res.reason}")
-    if fam.base_certificate.ratio != t:
-        raise FamilyError(
-            f"{fam.tag}: base ratio {fam.base_certificate.ratio} != expected {t}"
-        )
-    edges = set(g.edges())
-    if set(fam.edge_certificates) != edges:
-        missing = edges - set(fam.edge_certificates)
-        raise FamilyError(f"{fam.tag}: {len(missing)} edges without certificates")
-    for e, cert in fam.edge_certificates.items():
-        res = verify_certificate(delete_edge(g, e), cert)
+        raise FamilyError(f"{tag}: base certificate failed: {res.reason}")
+    if base.ratio != t:
+        raise FamilyError(f"{tag}: base ratio {base.ratio} != expected {t}")
+    certs: dict[tuple[int, int], CutCertificate] = {}
+    cases: dict[tuple[int, int], str] = {}
+    for e in g.edges():
+        if e not in edge_cuts:
+            raise FamilyError(f"{tag}: no template certifies edge {e}")
+        case, cut = edge_cuts[e]
+        ge = delete_edge(g, e)
+        cert = CutCertificate.from_cut(ge, cut)
+        res = verify_certificate(ge, cert)
         if not res:
-            raise FamilyError(f"{fam.tag}: edge {e} certificate failed: {res.reason}")
-        if not cert.ratio < t:
+            raise FamilyError(f"{tag}: edge {e} certificate failed: {res.reason}")
+        if cert.ratio != case_ratio[case] or not cert.ratio < t:
             raise FamilyError(
-                f"{fam.tag}: edge {e} certificate ratio {cert.ratio} not below {t}"
+                f"{tag}: edge {e} ({case}) has ratio {cert.ratio}, "
+                f"expected {case_ratio[case]} below {t}"
             )
+        certs[e], cases[e] = cert, case
+    return LabeledFamily(tag, g, labels, expected, base, certs, cases, rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +183,6 @@ def gen_planar_chain(m: int) -> LabeledFamily:
         else:
             base_labels.update({(i, 2), (i, 3), (i, 5), (i, 6)})
     base_mask = mask_of(idx(i, j) for i, j in base_labels)
-    base_cert = CutCertificate.from_cut(g, base_mask)
-    t = Ratio(3, 2)
-
-    def base_set() -> set[tuple[int, int]]:
-        return set(base_labels)
 
     def template_cut(i: int, a: int, b: int) -> tuple[str, set[tuple[int, int]]] | None:
         """Witness cut for the edge (i,a)-(i,b) or (i,a)-(i+1,b) in block
@@ -178,14 +192,13 @@ def gen_planar_chain(m: int) -> LabeledFamily:
             pair = {a, b}
             if i % 2 == 1 and pair <= {2, 3, 6}:
                 (v,) = {2, 3, 6} - pair
-                return "case1", base_set() | {(i, v)}
+                return "case1", base_labels | {(i, v)}
             if i % 2 == 0 and pair == {1, 6}:
-                return "case2", base_set() - {(i, 6)}
+                return "case2", base_labels - {(i, 6)}
             if i % 2 == 0 and pair == {1, 2}:
-                return "case2", base_set() - {(i, 2)}
+                return "case2", base_labels - {(i, 2)}
             if i % 2 == 0 and pair == {1, 5}:
-                s = base_set()
-                s -= {(bnum(i - 2), 2), (bnum(i - 1), 4), (i, 3), (i, 5)}
+                s = base_labels - {(bnum(i - 2), 2), (bnum(i - 1), 4), (i, 3), (i, 5)}
                 s |= {
                     (bnum(i - 1), 3),
                     (bnum(i - 1), 6),
@@ -197,12 +210,10 @@ def gen_planar_chain(m: int) -> LabeledFamily:
             return None
         b -= 10
         if i % 2 == 0 and a == 2 and b == 5:
-            return "case2", base_set() - {(i, 2)}
+            return "case2", base_labels - {(i, 2)}
         if i % 2 == 1 and a == 4 and b == 4:
-            s = base_set()
-            s -= {(bnum(i - 1), 2), (i, 4), (bnum(i + 1), 3)}
-            s |= {(i, 5)}
-            return "case3", s
+            s = base_labels - {(bnum(i - 1), 2), (i, 4), (bnum(i + 1), 3)}
+            return "case3", s | {(i, 5)}
         return None
 
     case_ratio = {
@@ -212,14 +223,16 @@ def gen_planar_chain(m: int) -> LabeledFamily:
         "case4": Ratio(3 * m + 1, 2 * m + 1),
     }
 
-    edge_certs: dict[tuple[int, int], CutCertificate] = {}
-    edge_case: dict[tuple[int, int], str] = {}
+    # the first group element that maps e onto a template wins
+    inverses = []
+    for perm in group:
+        inv = [0] * n
+        for x, px in enumerate(perm):
+            inv[px] = x
+        inverses.append(inv)
+    edge_cuts: dict[tuple[int, int], tuple[str, int]] = {}
     for e in g.edges():
-        found = None
-        for perm in group:
-            inv = [0] * n
-            for x, px in enumerate(perm):
-                inv[px] = x
+        for perm, inv in zip(group, inverses):
             iu, iv = perm[e[0]], perm[e[1]]
             bi, ji = iu // 6 + 1, iu % 6 + 1
             bv, jv = iv // 6 + 1, iv % 6 + 1
@@ -231,21 +244,10 @@ def gen_planar_chain(m: int) -> LabeledFamily:
                 match = template_cut(bv, jv, ji + 10)
             else:
                 match = None
-            if match is None:
-                continue
-            case, cut_labels = match
-            cut = mask_of(inv[idx(i, j)] for i, j in cut_labels)
-            cert = CutCertificate.from_cut(delete_edge(g, e), cut)
-            if (
-                cert.omega >= 2
-                and cert.ratio == case_ratio[case]
-                and verify_certificate(delete_edge(g, e), cert)
-            ):
-                found = (case, cert)
+            if match is not None:
+                case, cut_labels = match
+                edge_cuts[e] = (case, mask_of(inv[idx(i, j)] for i, j in cut_labels))
                 break
-        if found is None:
-            raise FamilyError(f"planar-chain m={m}: no template certifies edge {e}")
-        edge_case[e], edge_certs[e] = found
 
     rotations = []
     for v in range(n):
@@ -257,19 +259,10 @@ def gen_planar_chain(m: int) -> LabeledFamily:
     if not ok or faces != 6 * m + 2:
         raise FamilyError(f"chain rotation failed embedding check (faces={faces})")
 
-    fam = LabeledFamily(
-        tag="planar-chain",
-        params={"m": m},
-        graph=g,
-        labels=labels,
-        expected=FamilyExpectation(t, 4, 4, True, False, True),
-        base_certificate=base_cert,
-        edge_certificates=edge_certs,
-        edge_case=edge_case,
-        rotation=rot,
+    expected = FamilyExpectation(Ratio(3, 2), 4, 4, True, False, True)
+    return _certified(
+        "planar-chain", g, labels, expected, base_mask, edge_cuts, case_ratio, rot
     )
-    _check_family(fam)
-    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -296,38 +289,27 @@ def gen_knp2_minus_matching(n: int, m: int) -> LabeledFamily:
     g = build_graph(2 * n, edges)
     labels = {f"v_{{{i},{j}}}": idx(i, j) for i in (1, 2) for j in range(1, n + 1)}
 
-    t = Ratio(m, 2)
-    base_cert = CutCertificate.from_cut(g, mask_of(idx(1, p) for p in range(1, m + 1)))
-
-    edge_certs: dict[tuple[int, int], CutCertificate] = {}
-    edge_case: dict[tuple[int, int], str] = {}
+    edge_cuts: dict[tuple[int, int], tuple[str, int]] = {}
     for e in g.edges():
         u, v = e
         iu, ju = u // n + 1, u % n + 1
         iv, jv = v // n + 1, v % n + 1
         if iu != iv:
             cut = mask_of(idx(1, p) for p in range(1, m + 1) if p != ju)
-            edge_case[e] = "rung"
+            edge_cuts[e] = ("rung", cut)
         else:
             i = iu
             cut = mask_of(
                 idx(i, p) for p in range(1, n + 1) if p not in (ju, jv)
             ) | mask_of((idx(3 - i, ju), idx(3 - i, jv)))
-            edge_case[e] = "clique"
-        edge_certs[e] = CutCertificate.from_cut(delete_edge(g, e), cut)
+            edge_cuts[e] = ("clique", cut)
 
-    fam = LabeledFamily(
-        tag="knp2-minus-matching",
-        params={"n": n, "m": m},
-        graph=g,
-        labels=labels,
-        expected=FamilyExpectation(t, n - 1, n, False, True, False),
-        base_certificate=base_cert,
-        edge_certificates=edge_certs,
-        edge_case=edge_case,
+    base = mask_of(idx(1, p) for p in range(1, m + 1))
+    expected = FamilyExpectation(Ratio(m, 2), n - 1, n, False, True, False)
+    case_ratio = {"rung": Ratio(m - 1, 2), "clique": Ratio(n, 3)}
+    return _certified(
+        "knp2-minus-matching", g, labels, expected, base, edge_cuts, case_ratio
     )
-    _check_family(fam)
-    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +359,6 @@ def gen_knp3(n: int, regularized: bool = False) -> LabeledFamily:
         f"v_{{{i},{p}}}": idx(i, p) for i in (1, 2, 3) for p in layer_range[i]
     }
 
-    t = Ratio(n + 1, 3)
     if not regularized:
         base = mask_of(idx(2, p) for p in range(1, n)) | mask_of(
             (idx(1, n), idx(3, n))
@@ -386,7 +367,6 @@ def gen_knp3(n: int, regularized: bool = False) -> LabeledFamily:
         base = mask_of(idx(2, p) for p in range(1, n - 1)) | mask_of(
             (idx(1, n - 1), idx(3, n - 1), idx(3, n))
         )
-    base_cert = CutCertificate.from_cut(g, base)
 
     pos = {v: lab for lab, v in ((p, idx(i, p)) for i in (1, 2, 3) for p in layer_range[i])}
     layer = {}
@@ -394,48 +374,46 @@ def gen_knp3(n: int, regularized: bool = False) -> LabeledFamily:
         for p in layer_range[i]:
             layer[idx(i, p)] = i
 
-    edge_certs: dict[tuple[int, int], CutCertificate] = {}
-    edge_case: dict[tuple[int, int], str] = {}
+    edge_cuts: dict[tuple[int, int], tuple[str, int]] = {}
     for e in g.edges():
         u, v = e
         iu, ju = layer[u], pos[u]
         iv, jv = layer[v], pos[v]
         if not regularized:
-            if iu != iv:
-                if iu == 2 or iv == 2:
-                    i, j = (iv, jv) if iu == 2 else (iu, ju)
-                    cut = mask_of(idx(2, p) for p in range(1, n + 1) if p != j)
-                    cut |= 1 << idx(4 - i, j)
-                    edge_case[e] = "rung"
+            if iu != iv:  # every plain rung has an end in the middle clique
+                i, j = (iv, jv) if iu == 2 else (iu, ju)
+                cut = mask_of(idx(2, p) for p in range(1, n + 1) if p != j)
+                cut |= 1 << idx(4 - i, j)
+                case = "rung"
             elif iu == 2:
                 cut = mask_of(
                     idx(2, p) for p in range(1, n + 1) if p not in (ju, jv)
                 ) | mask_of((idx(1, ju), idx(1, jv), idx(3, ju), idx(3, jv)))
-                edge_case[e] = "middle-clique"
+                case = "middle-clique"
             else:
                 i = iu
                 cut = mask_of(
                     idx(i, p) for p in range(1, n + 1) if p not in (ju, jv)
                 ) | mask_of((idx(2, ju), idx(2, jv)))
-                edge_case[e] = "outer-clique"
+                case = "outer-clique"
         else:
             if iu != iv and {iu, iv} == {1, 3}:
                 cut = mask_of(idx(2, p) for p in range(1, n - 1)) | mask_of(
                     (idx(1, n - 1), idx(3, n - 1))
                 )
-                edge_case[e] = "tie-edge"
+                case = "tie-edge"
             elif iu != iv:
                 i, j = (iv, jv) if iu == 2 else (iu, ju)
                 cut = mask_of(idx(2, p) for p in range(1, n) if p != j)
                 cut |= mask_of((idx(4 - i, j), idx(1, n)))
-                edge_case[e] = "rung"
+                case = "rung"
             elif iu == 2:
                 cut = mask_of(
                     idx(2, p) for p in range(1, n) if p not in (ju, jv)
                 ) | mask_of(
                     (idx(1, ju), idx(1, jv), idx(3, ju), idx(3, jv), idx(1, n))
                 )
-                edge_case[e] = "middle-clique"
+                case = "middle-clique"
             else:
                 i = iu
                 j1, j2 = min(ju, jv), max(ju, jv)
@@ -443,27 +421,20 @@ def gen_knp3(n: int, regularized: bool = False) -> LabeledFamily:
                 cut = mask_of(
                     idx(i, p) for p in range(1, n + 1) if p not in (j1, j2)
                 ) | mask_of((idx(2, j1), extra))
-                edge_case[e] = "outer-clique"
-        edge_certs[e] = CutCertificate.from_cut(delete_edge(g, e), cut)
+                case = "outer-clique"
+        edge_cuts[e] = (case, cut)
 
     tag = "knp3-regularized" if regularized else "knp3"
-    expected = (
-        FamilyExpectation(t, n, n, True, False, False)
-        if regularized
-        else FamilyExpectation(t, n, n + 1, False, False, False)
+    expected = FamilyExpectation(
+        Ratio(n + 1, 3), n, n if regularized else n + 1, regularized, False, False
     )
-    fam = LabeledFamily(
-        tag=tag,
-        params={"n": n, "regularized": regularized},
-        graph=g,
-        labels=labels,
-        expected=expected,
-        base_certificate=base_cert,
-        edge_certificates=edge_certs,
-        edge_case=edge_case,
-    )
-    _check_family(fam)
-    return fam
+    case_ratio = {
+        "middle-clique": Ratio(n + 2, 4),
+        "rung": Ratio(n, 3),
+        "outer-clique": Ratio(n, 3),
+        "tie-edge": Ratio(n, 3),
+    }
+    return _certified(tag, g, labels, expected, base, edge_cuts, case_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -481,22 +452,15 @@ def gen_square_lsk4() -> LabeledFamily:
     h, edge_map = line_graph(subdivision(complete(4)))
     g = square(h)
     labels = {f"e_{{{u}-{v}}}": k for k, (u, v) in enumerate(edge_map)}
-    t = Ratio(3)
-
     max_sets = maximum_independent_sets(g)
     if len(max_sets) != 4 or independence_number(g)[0] != 3:
         raise FamilyError("square family: unexpected independent-set structure")
-    base_cert = CutCertificate.from_cut(g, g.full_mask & ~max_sets[0])
 
     target = Ratio(8, 3)
-    edge_certs: dict[tuple[int, int], CutCertificate] = {}
-    edge_case: dict[tuple[int, int], str] = {}
+    edge_cuts: dict[tuple[int, int], tuple[str, int]] = {}
     hedges = set(h.edges())
     for e in g.edges():
         u, v = e
-        ge = delete_edge(g, e)
-        cert = None
-        case = None
         if e in hedges:
             pool = [
                 (x, y)
@@ -507,39 +471,26 @@ def gen_square_lsk4() -> LabeledFamily:
                 and not (g.adj[x] | g.adj[y]) >> v & 1
             ]
             if len(pool) == 1:
-                x, y = pool[0]
-                cut = g.full_mask & ~mask_of((u, v, x, y))
-                cand = CutCertificate.from_cut(ge, cut)
-                if cand.ratio == target and verify_certificate(ge, cand):
-                    cert, case = cand, "detached-pair"
-        else:
-            for iset in max_sets:
-                for a, b in ((u, v), (v, u)):
-                    if iset >> b & 1 and not iset >> a & 1:
-                        cut = g.full_mask & ~(iset | (1 << a))
-                        cand = CutCertificate.from_cut(ge, cut)
-                        if cand.ratio == target and verify_certificate(ge, cand):
-                            cert, case = cand, "independent-extension"
-                            break
-                if cert:
-                    break
-        if cert is None:
-            raise FamilyError(f"square-lsk4: no template certifies edge {e}")
-        edge_certs[e] = cert
-        edge_case[e] = case
+                cut = g.full_mask & ~mask_of((u, v, *pool[0]))
+                edge_cuts[e] = ("detached-pair", cut)
+            continue
+        ge = delete_edge(g, e)
+        extensions = (
+            g.full_mask & ~(iset | (1 << a))
+            for iset in max_sets
+            for a, b in ((u, v), (v, u))
+            if iset >> b & 1 and not iset >> a & 1
+        )
+        # the first extension at ratio 8/3; some give 4/1 instead
+        for cut in extensions:
+            if CutCertificate.from_cut(ge, cut).ratio == target:
+                edge_cuts[e] = ("independent-extension", cut)
+                break
 
-    fam = LabeledFamily(
-        tag="square-lsk4",
-        params={},
-        graph=g,
-        labels=labels,
-        expected=FamilyExpectation(t, 7, 7, True, False, False),
-        base_certificate=base_cert,
-        edge_certificates=edge_certs,
-        edge_case=edge_case,
-    )
-    _check_family(fam)
-    return fam
+    expected = FamilyExpectation(Ratio(3), 7, 7, True, False, False)
+    base = g.full_mask & ~max_sets[0]
+    case_ratio = {"detached-pair": target, "independent-extension": target}
+    return _certified("square-lsk4", g, labels, expected, base, edge_cuts, case_ratio)
 
 
 GENERATORS = {

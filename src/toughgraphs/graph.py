@@ -52,9 +52,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits_of(self.adj[v])
-
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 

@@ -15,11 +15,17 @@ from .graph import Graph
 _HEADER = ">>graph6<<"
 
 
+def _unwrap(line: str) -> str:
+    """The graph6 text of a line: stripped, without a '>>graph6<<' prefix,
+    and stripped again."""
+    return line.strip().removeprefix(_HEADER).strip()
+
+
 def graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(1-based line number, graph6 text) for each non-empty line of a
-    stream, with surrounding whitespace and a '>>graph6<<' prefix removed."""
+    """(1-based line number, graph6 text) for each line of a stream whose
+    text (see ``_unwrap``) is not empty."""
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip().removeprefix(_HEADER)
+        text = _unwrap(raw)
         if text:
             yield lineno, text
 
@@ -50,7 +56,7 @@ def write_graph6(g: Graph) -> str:
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line; tolerates the optional '>>graph6<<' prefix."""
-    s = line.strip().removeprefix(_HEADER)
+    s = _unwrap(line)
     if not s:
         raise ValueError("empty graph6 string")
     data = [ord(c) for c in s]

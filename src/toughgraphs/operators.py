@@ -129,9 +129,6 @@ class SolidSpec:
     def uniform(cls, base: Graph, s: int) -> "SolidSpec":
         return cls(base, (s,) * base.n)
 
-    def expanded_order(self) -> int:
-        return sum(self.multiplicity)
-
 
 def solid_expand(spec: SolidSpec) -> tuple[Graph, list[tuple[int, int]]]:
     """Blow up each base vertex into a set of mutually non-adjacent copies.

@@ -26,16 +26,9 @@ class Ratio:
         self.p = p // g
         self.q = q // g
 
-    @property
-    def is_infinite(self) -> bool:
-        return False
-
     def ceil_of_double(self) -> int:
         """Smallest integer >= 2*p/q, computed exactly."""
         return (2 * self.p + self.q - 1) // self.q
-
-    def as_pair(self) -> tuple[int, int]:
-        return (self.p, self.q)
 
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, _Infinite):
@@ -89,10 +82,6 @@ class _Infinite:
     """Singleton value strictly greater than every finite Ratio."""
 
     __slots__ = ()
-
-    @property
-    def is_infinite(self) -> bool:
-        return True
 
     def __eq__(self, other: Any) -> bool:
         return isinstance(other, _Infinite)

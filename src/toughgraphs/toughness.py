@@ -32,7 +32,7 @@ seeded with, so the min-merge of shard results is schedule independent.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .graph import (
     Graph,
@@ -631,21 +631,41 @@ def solid_reduced_toughness(spec, cfg: EngineConfig = DEFAULT_CONFIG) -> Toughne
 # minimal toughness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeWitness:
     edge: tuple[int, int]
-    certificate: CutCertificate | None
-    source: str  # template | heuristic | exhaustive
-    ok: bool
+    certificate: CutCertificate | None  # a cut of g-e below t, if found
+    source: str  # template | heuristic | exhaustive | inconclusive
+
+    @property
+    def ok(self) -> bool:
+        return self.certificate is not None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class MinimalityReport:
+    """One witness per edge, in edge order; everything else derives from
+    them."""
+
     toughness: object  # Ratio
-    entries: list[EdgeWitness] = field(default_factory=list)
-    verdict: bool | None = None  # None means inconclusive
-    failing_edges: list[tuple[int, int]] = field(default_factory=list)
-    inconclusive_edges: list[tuple[int, int]] = field(default_factory=list)
+    entries: tuple[EdgeWitness, ...]
+
+    @property
+    def failing_edges(self) -> list[tuple[int, int]]:
+        """Edges whose exhaustive scan proved that deleting them keeps t."""
+        return [w.edge for w in self.entries if not w.ok and w.source == "exhaustive"]
+
+    @property
+    def inconclusive_edges(self) -> list[tuple[int, int]]:
+        return [w.edge for w in self.entries if w.source == "inconclusive"]
+
+    @property
+    def verdict(self) -> bool | None:
+        """None (inconclusive) while any edge is unresolved, even when another
+        edge fails; otherwise True exactly when no edge fails."""
+        if self.inconclusive_edges:
+            return None
+        return not self.failing_edges
 
 
 # The per-edge target scan runs before annealing when 2^q, the number of
@@ -674,15 +694,16 @@ def _witness_for_edge(
 
     Tries the supplied hint, then the exhaustive scan when it is predicted
     cheaper than the short deterministic heuristic run, else that heuristic
-    run followed by the scan.  ok=False means the exhaustive scan completed
-    and proved no such cut exists.
+    run followed by the scan.  Without a certificate, source "exhaustive"
+    means the scan proved no such cut exists, and "inconclusive" that the
+    edge stayed unresolved.
     """
     ge = delete_edge(g, edge)
     if hint is not None:
         if verify_certificate(ge, hint) and hint.ratio < target:
-            return EdgeWitness(edge, hint, "template", True)
+            return EdgeWitness(edge, hint, "template")
     if not is_connected(ge):
-        return EdgeWitness(edge, CutCertificate.from_cut(ge, 0), "exhaustive", True)
+        return EdgeWitness(edge, CutCertificate.from_cut(ge, 0), "exhaustive")
     steps = min(MINIMALITY_HEURISTIC_STEPS, 60 * g.n)
     scan_first = (
         cfg.allow_exhaustive_edges
@@ -692,16 +713,14 @@ def _witness_for_edge(
         # g-e lacks the edge, so it is never complete
         cert = toughness_upper_search(ge, steps, seed=cfg.seed * 7919 + edge_index, restarts=3)
         if cert.ratio < target:
-            return EdgeWitness(edge, cert, "heuristic", True)
+            return EdgeWitness(edge, cert, "heuristic")
         if not cfg.allow_exhaustive_edges:
-            return EdgeWitness(edge, None, "inconclusive", False)
+            return EdgeWitness(edge, None, "inconclusive")
     try:
         cert = find_cut_below(ge, target, cfg)
     except LimitExceeded:
-        return EdgeWitness(edge, None, "inconclusive", False)
-    if cert is None:
-        return EdgeWitness(edge, None, "exhaustive", False)
-    return EdgeWitness(edge, cert, "exhaustive", True)
+        return EdgeWitness(edge, None, "inconclusive")
+    return EdgeWitness(edge, cert, "exhaustive")
 
 
 def is_minimally_tough(
@@ -728,7 +747,6 @@ def is_minimally_tough(
         raise ValueError("complete graphs are never minimally tough")
     t = toughness_exact(g, cfg).value if toughness is None else toughness
     hints = hints or {}
-    report = MinimalityReport(toughness=t)
 
     rep_map = None
     if cfg.use_edge_orbits and g.n <= 48:
@@ -741,29 +759,14 @@ def is_minimally_tough(
     for idx, edge in enumerate(g.edges()):
         if rep_map is not None:
             rep, sigma = rep_map[edge]
-            if rep != edge and rep in solved and solved[rep].ok and solved[rep].certificate:
+            if rep != edge and rep in solved and solved[rep].ok:
                 mapped = mask_of(sigma[v] for v in bits_of(solved[rep].certificate.cut))
                 cand = CutCertificate.from_cut(delete_edge(g, edge), mapped)
                 if cand.omega >= 2 and cand.ratio < t:
-                    witness = EdgeWitness(edge, cand, solved[rep].source, True)
-                    solved[edge] = witness
-                    report.entries.append(witness)
+                    solved[edge] = EdgeWitness(edge, cand, solved[rep].source)
                     continue
-        witness = _witness_for_edge(g, edge, t, cfg, hints.get(edge), idx)
-        solved[edge] = witness
-        report.entries.append(witness)
-
-    fail = [w.edge for w in report.entries if not w.ok and w.source == "exhaustive"]
-    stuck = [w.edge for w in report.entries if not w.ok and w.source == "inconclusive"]
-    report.failing_edges = fail
-    report.inconclusive_edges = stuck
-    if stuck:
-        report.verdict = None
-    elif fail:
-        report.verdict = False
-    else:
-        report.verdict = True
-    return report
+        solved[edge] = _witness_for_edge(g, edge, t, cfg, hints.get(edge), idx)
+    return MinimalityReport(t, tuple(solved.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -803,27 +806,18 @@ def degree_excess_filter(
         return DegreeExcessReport(False, inconclusive=True, reason="over exhaustive limit")
     ceil_2t = t.ceil_of_double()
     regular = delta == max(g.degree(v) for v in range(g.n))
-    if delta <= ceil_2t:
-        return DegreeExcessReport(
-            False, toughness=t, delta=delta, ceil_2t=ceil_2t, regular=regular,
-            reason="degree within ceiling",
-        )
-    minimality = is_minimally_tough(g, cfg, toughness=t)
-    if minimality.verdict is None:
-        return DegreeExcessReport(
-            False, inconclusive=True, toughness=t, delta=delta, ceil_2t=ceil_2t,
-            regular=regular, reason="minimality inconclusive",
-        )
-    if not minimality.verdict:
-        return DegreeExcessReport(
-            False, toughness=t, delta=delta, ceil_2t=ceil_2t, regular=regular,
-            reason="not minimally tough",
-        )
+    verdict, reason = False, "degree within ceiling"
+    if delta > ceil_2t:
+        verdict = is_minimally_tough(g, cfg, toughness=t).verdict
+        reasons = {True: "", False: "not minimally tough", None: "minimality inconclusive"}
+        reason = reasons[verdict]
     return DegreeExcessReport(
-        True,
+        verdict is True,
+        inconclusive=verdict is None,
         toughness=t,
         delta=delta,
         ceil_2t=ceil_2t,
-        delta_over_t=Ratio(delta * t.q, t.p),
+        delta_over_t=Ratio(delta * t.q, t.p) if verdict else None,
         regular=regular,
+        reason=reason,
     )

@@ -275,6 +275,17 @@ def test_unreadable_hint_is_a_user_error(capsys, tmp_path):
     assert_user_error(capsys, ["minimal", "--g6", "Dhc", "--hints", tmp_path])
 
 
+def test_missing_hints_directory_is_a_user_error(capsys, tmp_path):
+    assert_user_error(capsys, ["minimal", "--g6", "Dhc", "--hints", tmp_path / "missing"])
+
+
+def test_search_reports_a_headed_line_without_the_space(capsys, tmp_path):
+    stream = tmp_path / "stream.g6"
+    stream.write_text(">>graph6<< I]KoWZBoo\n")
+    code, out = run(capsys, "search", "--threads", "1", "--input", str(stream))
+    assert code == 0 and out.startswith("I]KoWZBoo\t")
+
+
 def test_automorphism_node_limit_is_a_user_error(capsys, monkeypatch):
     search = invariants.automorphisms
     monkeypatch.setattr(invariants, "automorphisms", lambda g: search(g, node_limit=3))

@@ -94,6 +94,10 @@ class TestKnp2MinusMatching:
         assert clique_edges
         for e in clique_edges:
             assert fam.edge_certificates[e].ratio == Ratio(3, 1)
+        rung_edges = [e for e, c in fam.edge_case.items() if c == "rung"]
+        assert len(rung_edges) == 7
+        for e in rung_edges:
+            assert fam.edge_certificates[e].ratio == Ratio(7 - 1, 2)  # (m - 1)/2
 
     @pytest.mark.parametrize("n,m", [(7, 4), (7, 7), (6, 5), (9, 6)])
     def test_constraint_enforced(self, n, m):
@@ -105,6 +109,9 @@ class TestKnp2MinusMatching:
         fam = gen_knp2_minus_matching(n, m)
         assert fam.expected.toughness == Ratio(m, 2)
         assert_expected_structure(fam)
+        want = {"rung": Ratio(m - 1, 2), "clique": Ratio(n, 3)}
+        for e, case in fam.edge_case.items():
+            assert fam.edge_certificates[e].ratio == want[case]
 
 
 class TestKnp3:
@@ -141,9 +148,11 @@ class TestKnp3:
         prod, _ = cartesian_product(complete(4), path(3))
         assert canonical_form(fam.graph, limit=12) == canonical_form(prod, limit=12)
 
-    def test_per_edge_ratio_values(self):
-        n = 6
-        fam = gen_knp3(n)
+    # n/3 and (n+2)/4 coincide at n = 6, so odd n tell the cases apart
+    @pytest.mark.parametrize("n,regularized", [(5, False), (5, True), (7, False), (7, True)])
+    def test_per_edge_ratio_values(self, n, regularized):
+        fam = gen_knp3(n, regularized)
+        assert {"rung", "middle-clique", "outer-clique"} <= set(fam.edge_case.values())
         for e, case in fam.edge_case.items():
             r = fam.edge_certificates[e].ratio
             if case == "middle-clique":
@@ -209,4 +218,28 @@ def test_template_rejected_on_verification_raises(monkeypatch, make):
 
     monkeypatch.setattr(families, "verify_certificate", verify_rejecting_one_edge)
     with pytest.raises(FamilyError, match=r"edge \(0, \d+\)"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make,case,wrong_case",
+    [
+        (lambda: gen_knp3(5), "middle-clique", "rung"),
+        (lambda: gen_knp3(5, regularized=True), "middle-clique", "outer-clique"),
+        (lambda: gen_knp2_minus_matching(7, 5), "clique", "rung"),
+    ],
+    ids=["knp3", "knp3-regularized", "knp2-minus-matching"],
+)
+def test_edge_ratio_off_its_case_raises(monkeypatch, make, case, wrong_case):
+    """A cut that verifies and lies below t still fails the generator when
+    its ratio is not the one its case gives."""
+    certify = families._certified
+
+    def mislabel_one_edge(tag, g, labels, expected, base, edge_cuts, case_ratio):
+        e = next(e for e, (c, _) in edge_cuts.items() if c == case)
+        edge_cuts = {**edge_cuts, e: (wrong_case, edge_cuts[e][1])}
+        return certify(tag, g, labels, expected, base, edge_cuts, case_ratio)
+
+    monkeypatch.setattr(families, "_certified", mislabel_one_edge)
+    with pytest.raises(FamilyError, match=rf"edge \(\d+, \d+\) \({wrong_case}\)"):
         make()

@@ -10,7 +10,8 @@ def test_lowest_terms():
     r = Ratio(12, 8)
     assert (r.p, r.q) == (3, 2)
     assert str(r) == "3/2"
-    assert Ratio(0, 5).as_pair() == (0, 1)
+    r = Ratio(0, 5)
+    assert (r.p, r.q) == (0, 1)
 
 
 def test_integer_keeps_denominator_one():

@@ -33,6 +33,11 @@ class TestGraph6:
         lines = [">>graph6<<Dhc", "", "  ", ">>graph6<<", " A_ ", "!!"]
         assert list(graph6_lines(lines)) == [(1, "Dhc"), (5, "A_"), (6, "!!")]
 
+    def test_space_after_header_is_stripped(self):
+        headed = ">>graph6<< I]KoWZBoo"
+        assert list(graph6_lines([headed, ">>graph6<<  "])) == [(1, "I]KoWZBoo")]
+        assert parse_graph6(headed) == parse_graph6("I]KoWZBoo")
+
     def test_round_trip_random(self, rng):
         for _ in range(300):
             g = random_graph(rng, rng.randint(1, 62), rng.random())
