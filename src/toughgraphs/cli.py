@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .families import GENERATORS, LabeledFamily
-from .graph import Graph
+from .graph import Graph, delete_edge
 from .graph6 import graph6_lines, parse_graph6, write_graph6
 from .invariants import edge_orbits
 from .search import SearchOptions, filter_counterexamples
@@ -68,8 +69,9 @@ def _load_graph(args) -> Graph:
         return parse_graph6(args.g6)
     if not args.file:
         raise ValueError("one of --g6 or --file is required")
-    for _, text in graph6_lines(Path(args.file).read_text().splitlines()):
-        return parse_graph6(text)
+    with open(args.file) as stream:
+        for _, text in graph6_lines(stream):
+            return parse_graph6(text)
     raise ValueError(f"no graph6 line found in {args.file}")
 
 
@@ -90,8 +92,6 @@ def _cmd_toughness(args) -> int:
 
 
 def _write_family_files(fam: LabeledFamily, args) -> None:
-    from .graph import delete_edge
-
     if args.certs:
         outdir = Path(args.certs)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -132,19 +132,27 @@ def _cmd_gen(args) -> int:
 
 
 def _load_hints(g: Graph, hints_dir: str) -> dict[tuple[int, int], CutCertificate]:
+    """The certificates of a directory's edge-<u>-<v>.cert files.  Each must
+    name an edge e of g and hold a certificate of g - e that verifies."""
     if not Path(hints_dir).is_dir():
         raise ValueError(f"--hints {hints_dir} is not a directory")
     hints: dict[tuple[int, int], CutCertificate] = {}
     for path in sorted(Path(hints_dir).glob("edge-*.cert")):
-        parts = path.stem.split("-")
-        if len(parts) != 3:
-            continue
         try:
-            u, v = int(parts[1]), int(parts[2])
-            _, cert = parse_certificate(path.read_text())
-        except ValueError:
-            continue
-        hints[(min(u, v), max(u, v))] = cert
+            named = re.fullmatch(r"edge-([0-9]+)-([0-9]+)", path.stem)
+            if named is None:
+                raise ValueError("name is not edge-<u>-<v>.cert")
+            u, v = sorted(map(int, named.groups()))
+            minus_edge = delete_edge(g, (u, v))  # raises unless uv is an edge
+            ge, cert = parse_certificate(path.read_text())
+            if ge != minus_edge:
+                raise ValueError(f"its graph is not the graph minus edge {u}-{v}")
+            check = verify_certificate(ge, cert)
+            if not check:
+                raise ValueError(check.reason)
+        except ValueError as exc:
+            raise ValueError(f"hint {path}: {exc}") from None
+        hints[(u, v)] = cert
     return hints
 
 
@@ -195,8 +203,8 @@ def _cmd_search(args) -> int:
         workers=cfg.workers,
         config=cfg,
     )
-    lines = Path(args.input).read_text().splitlines()
-    report = filter_counterexamples(lines, options)
+    with open(args.input) as stream:
+        report = filter_counterexamples(stream, options)
     for entry in report.flagged:
         print(entry.report_line())
     for lineno, msg in report.parse_errors:

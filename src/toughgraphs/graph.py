@@ -107,20 +107,6 @@ def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """New graph with vertex v removed and higher indices shifted down."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    lo = (1 << v) - 1
-    adj = []
-    for u in range(g.n):
-        if u == v:
-            continue
-        row = g.adj[u]
-        adj.append((row & lo) | ((row >> (v + 1)) << v))
-    return Graph(g.n - 1, tuple(adj))
-
-
 def component_count(adj: tuple[int, ...], alive: int, reps: int) -> int:
     """Number of connected components of the subgraph induced on alive.
 

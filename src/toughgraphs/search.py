@@ -15,13 +15,14 @@ errors per line without aborting, and preserves input order in its report.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, islice
+from typing import Iterator
 
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, degree_profile
 from .graph6 import graph6_lines, parse_graph6, write_graph6
-from .invariants import refine_colors
-from .ratio import Ratio
-from .toughness import DEFAULT_CONFIG, EngineConfig, degree_excess_filter
+from .invariants import permute_graph, refine_colors
+from .toughness import DEFAULT_CONFIG, DegreeExcessReport, EngineConfig, degree_excess_filter
 
 ENUM_LIMIT = 8
 
@@ -100,19 +101,8 @@ def canonical_form(g: Graph, limit: int = ENUM_LIMIT + 2) -> Graph:
 
     dfs(0)
     assert best_order is not None
-    perm = [0] * n
-    for new_idx, old in enumerate(best_order):
-        perm[old] = new_idx
-    new_adj = [0] * n
-    for v in range(n):
-        row = 0
-        a = adj[v]
-        while a:
-            b = a & -a
-            row |= 1 << perm[b.bit_length() - 1]
-            a ^= b
-        new_adj[perm[v]] = row
-    return Graph(n, tuple(new_adj))
+    # vertex v moves to its position in the best order
+    return permute_graph(g, tuple(best_order.index(v) for v in range(n)))
 
 
 _CONNECTED_LEVELS: dict[int, list[Graph]] = {}
@@ -175,30 +165,13 @@ class SearchOptions:
     config: EngineConfig = DEFAULT_CONFIG
 
 
-@dataclass(frozen=True)
-class FlaggedGraph:
-    graph6: str
-    toughness: Ratio
-    delta: int
-    ceil_2t: int
-    delta_over_t: Ratio
-    regular: bool
-
-    def report_line(self) -> str:
-        return (
-            f"{self.graph6}\tt={self.toughness}\tdelta={self.delta}"
-            f"\tceil2t={self.ceil_2t}\tratio={self.delta_over_t}"
-            f"\tregular={1 if self.regular else 0}"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class SearchReport:
     """Outcome of one filter call.  Tuples, not lists: a caller that keeps
     many one-line reports holds no empty lists."""
 
     scanned: int = 0
-    flagged: tuple[FlaggedGraph, ...] = ()
+    flagged: tuple[DegreeExcessReport, ...] = ()
     rejected: int = 0
     inconclusive: tuple[str, ...] = ()
     parse_errors: tuple[tuple[int, str], ...] = ()
@@ -213,69 +186,74 @@ class SearchReport:
         return f"{len(self.flagged)} counterexamples / {self.scanned} scanned{extra}"
 
 
-def _screen_one(args) -> tuple[str, FlaggedGraph | None]:
-    """Worker: returns (verdict, flagged-entry-or-None); verdict in
-    {flag, reject, inconclusive}."""
-    g6, g, opts = args
-    if opts.min_n is not None and g.n < opts.min_n:
-        return "reject", None
-    if opts.max_n is not None and g.n > opts.max_n:
-        return "reject", None
-    rep = degree_excess_filter(g, opts.config, min_delta=opts.min_delta)
-    if rep.inconclusive:
-        return "inconclusive", None
-    if not rep.is_hit:
-        return "reject", None
-    if opts.non_regular_only and rep.regular:
-        return "reject", None
-    return "flag", FlaggedGraph(
-        graph6=g6,
-        toughness=rep.toughness,
-        delta=rep.delta,
-        ceil_2t=rep.ceil_2t,
-        delta_over_t=rep.delta_over_t,
-        regular=rep.regular,
-    )
+def _screen_one(item) -> tuple[str, DegreeExcessReport | None]:
+    """(graph6, report) for one (graph6, graph, options) item.  No report
+    means a bound that needs no toughness rejected the graph: its order, or
+    its regularity under ``non_regular_only``."""
+    g6, g, opts = item
+    too_small = opts.min_n is not None and g.n < opts.min_n
+    too_large = opts.max_n is not None and g.n > opts.max_n
+    if too_small or too_large or (opts.non_regular_only and degree_profile(g)[2]):
+        return g6, None
+    return g6, degree_excess_filter(g, opts.config, min_delta=opts.min_delta)
+
+
+def _screened(work: Iterator, workers: int) -> Iterator[tuple[str, DegreeExcessReport | None]]:
+    """``_screen_one`` of each work item, in input order.  A pool takes the
+    items in batches of 64 per worker and holds at most two: the next batch
+    is queued before the current one is read, so no worker waits on the
+    slowest item of a batch.  A stream of at most one item starts no pool."""
+    batch = list(islice(work, 64 * workers)) if workers > 1 else []
+    if len(batch) < 2:
+        yield from map(_screen_one, chain(batch, work))
+        return
+    # imported only here: single-worker callers never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        ahead = pool.map(_screen_one, batch, chunksize=16)
+        while batch:
+            batch = list(islice(work, 64 * workers))
+            current, ahead = ahead, pool.map(_screen_one, batch, chunksize=16)
+            yield from current
 
 
 def filter_counterexamples(lines, options: SearchOptions = SearchOptions()) -> SearchReport:
     """Screen a graph6 stream for connected, non-complete, minimally tough
     graphs whose minimum degree exceeds the ceiling of twice the toughness.
 
-    Report ordering equals input order regardless of worker count; parse
-    errors are recorded per line and skipped.
+    One pass: each line is parsed, screened and folded into the report as
+    it is read, so only the hits, the inconclusive lines, the parse errors
+    and the counts are held.  Report order is input order for any worker
+    count; inside a pool, each graph's engine runs with one worker.
     """
     started = time.monotonic()
+    if options.workers > 1:
+        options = replace(options, config=replace(options.config, workers=1))
     parse_errors: list[tuple[int, str]] = []
-    work: list[tuple[str, Graph, SearchOptions]] = []
-    for lineno, text in graph6_lines(lines):
-        try:
-            g = parse_graph6(text)
-        except ValueError as exc:
-            parse_errors.append((lineno, str(exc)))
-            continue
-        work.append((text, g, options))
 
-    if options.workers > 1 and len(work) > 1:
-        # imported only here: single-worker callers never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    def parsed() -> Iterator[tuple[str, Graph, SearchOptions]]:
+        for lineno, text in graph6_lines(lines):
+            try:
+                g = parse_graph6(text)
+            except ValueError as exc:
+                parse_errors.append((lineno, str(exc)))
+                continue
+            yield text, g, options
 
-        with ProcessPoolExecutor(max_workers=options.workers) as pool:
-            outcomes = list(pool.map(_screen_one, work, chunksize=16))
-    else:
-        outcomes = [_screen_one(item) for item in work]
-
-    flagged: list[FlaggedGraph] = []
+    scanned = 0
+    flagged: list[DegreeExcessReport] = []
     inconclusive: list[str] = []
-    for (g6, _, _), (verdict, entry) in zip(work, outcomes):
-        if verdict == "flag":
-            flagged.append(entry)
-        elif verdict == "inconclusive":
+    for g6, rep in _screened(parsed(), options.workers):
+        scanned += 1
+        if rep is not None and rep.inconclusive:
             inconclusive.append(g6)
+        elif rep is not None and rep.is_hit:
+            flagged.append(replace(rep, graph6=g6))
     return SearchReport(
-        scanned=len(work),
+        scanned=scanned,
         flagged=tuple(flagged),
-        rejected=len(work) - len(flagged) - len(inconclusive),
+        rejected=scanned - len(flagged) - len(inconclusive),
         inconclusive=tuple(inconclusive),
         parse_errors=tuple(parse_errors),
         wall_time=time.monotonic() - started,

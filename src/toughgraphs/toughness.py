@@ -39,6 +39,7 @@ from .graph import (
     LimitExceeded,
     bits_of,
     component_count,
+    degree_profile,
     delete_edge,
     is_connected,
     mask_of,
@@ -530,17 +531,12 @@ def toughness_upper_search(
             out |= adj[v]
         return out & ~mask
 
-    best: tuple[int, int, int] | None = None  # (weight, omega, cut)
+    best = _NO_INCUMBENT  # (|S|, omega, |S|, cut) in the scan's order
 
     def consider(chosen: int, weight: int, omega: int) -> None:
         nonlocal best
-        if omega < 2:
-            return
-        if best is None or weight * best[1] < best[0] * omega or (
-            weight * best[1] == best[0] * omega
-            and (weight, chosen) < (best[0], best[2])
-        ):
-            best = (weight, omega, chosen)
+        if omega >= 2 and _better(weight, omega, weight, chosen, best):
+            best = (weight, omega, weight, chosen)
 
     steps_per_restart = max(1, budget_steps // max(1, restarts))
     base_order = list(range(nq))
@@ -596,8 +592,8 @@ def toughness_upper_search(
         state, w, om = _shrink(state, classes, adj, reps, full)
         consider(state, w, om)
 
-    if best is not None:
-        cut = best[2]
+    if best[1]:
+        cut = best[3]
     else:
         # deterministic fallback: the neighbors of the first vertex with a
         # non-neighbor (g is not complete) cut it off from that non-neighbor
@@ -776,7 +772,8 @@ def is_minimally_tough(
 @dataclass(frozen=True)
 class DegreeExcessReport:
     """Outcome of screening one graph for the minimum-degree excess property:
-    connected, non-complete, minimally tough, and delta > ceil(2t)."""
+    connected, non-complete, minimally tough, and delta > ceil(2t).
+    ``graph6`` is the graph's stream text, set on the hits of a search."""
 
     is_hit: bool
     inconclusive: bool = False
@@ -786,6 +783,14 @@ class DegreeExcessReport:
     delta_over_t: Ratio | None = None
     regular: bool = False
     reason: str = ""
+    graph6: str = ""
+
+    def report_line(self) -> str:
+        return (
+            f"{self.graph6}\tt={self.toughness}\tdelta={self.delta}"
+            f"\tceil2t={self.ceil_2t}\tratio={self.delta_over_t}"
+            f"\tregular={1 if self.regular else 0}"
+        )
 
 
 def degree_excess_filter(
@@ -797,7 +802,7 @@ def degree_excess_filter(
         return DegreeExcessReport(False, reason="disconnected")
     if g.is_complete():
         return DegreeExcessReport(False, reason="complete")
-    delta = min(g.degree(v) for v in range(g.n))
+    delta, _, regular, _ = degree_profile(g)
     if min_delta is not None and delta < min_delta:
         return DegreeExcessReport(False, delta=delta, reason="degree screen")
     try:
@@ -805,7 +810,6 @@ def degree_excess_filter(
     except LimitExceeded:
         return DegreeExcessReport(False, inconclusive=True, reason="over exhaustive limit")
     ceil_2t = t.ceil_of_double()
-    regular = delta == max(g.degree(v) for v in range(g.n))
     verdict, reason = False, "degree within ceiling"
     if delta > ceil_2t:
         verdict = is_minimally_tough(g, cfg, toughness=t).verdict

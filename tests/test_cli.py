@@ -7,9 +7,9 @@ import toughgraphs.invariants as invariants
 from toughgraphs.cli import main
 from toughgraphs.families import FamilyError
 from toughgraphs.graph6 import parse_graph6, write_graph6
-from toughgraphs.graph import build_graph, degree_profile
+from toughgraphs.graph import build_graph, degree_profile, delete_edge
 from toughgraphs.operators import SolidSpec, cartesian_product, complete, cycle, path, solid_expand
-from toughgraphs.toughness import VerifyResult
+from toughgraphs.toughness import CutCertificate, VerifyResult, write_certificate
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -17,12 +17,14 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
-def assert_user_error(capsys, argv):
-    """Exit code 1, one ``error:`` line on stderr and nothing on stdout."""
+def assert_user_error(capsys, argv) -> str:
+    """Exit code 1, one ``error:`` line on stderr and nothing on stdout;
+    returns that line."""
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    return captured.err
 
 
 def test_toughness_exact_cycle(capsys):
@@ -273,6 +275,49 @@ def test_binary_search_input_is_a_user_error(capsys, tmp_path):
 def test_unreadable_hint_is_a_user_error(capsys, tmp_path):
     (tmp_path / "edge-0-1.cert").mkdir()
     assert_user_error(capsys, ["minimal", "--g6", "Dhc", "--hints", tmp_path])
+
+
+def c5_hint(edge, cut_text=None) -> str:
+    """A certificate of C5 - edge cutting vertex 3 (omega 2 when edge is 0-1),
+    optionally with its cut line replaced."""
+    ge = delete_edge(cycle(5), edge)
+    text = write_certificate(ge, CutCertificate.from_cut(ge, 1 << 3))
+    return text if cut_text is None else text.replace("cut: 3", f"cut: {cut_text}")
+
+
+@pytest.mark.parametrize(
+    "files, named, reason",
+    [
+        # a junk file and an out-of-range cut; the first in name order is named
+        (
+            {"edge-0-4.cert": "junk\n", "edge-0-1.cert": c5_hint((0, 1), "3 9")},
+            "edge-0-1.cert",
+            "cut contains out-of-range vertices",
+        ),
+        ({"edge-0-4.cert": "junk\n"}, "edge-0-4.cert", "not a cert v1 block"),
+        ({"edge-0-2.cert": c5_hint((0, 1))}, "edge-0-2.cert", "edge (0, 2) not present"),
+        ({"edge-0-1-2.cert": c5_hint((0, 1))}, "edge-0-1-2.cert", "name is not"),
+        ({"edge-1-2.cert": c5_hint((0, 1))}, "edge-1-2.cert", "graph minus edge 1-2"),
+        (
+            {"edge-0-1.cert": c5_hint((0, 1)).replace("omega: 2", "omega: 3")},
+            "edge-0-1.cert",
+            "component mismatch",
+        ),
+    ],
+    ids=["junk-and-out-of-range", "junk", "non-edge", "misnamed", "other-edge", "unverified"],
+)
+def test_unusable_hint_is_a_user_error(capsys, tmp_path, files, named, reason):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    err = assert_user_error(capsys, ["minimal", "--g6", "Dhc", "--hints", tmp_path])
+    assert f"{named}: " in err and reason in err
+
+
+def test_hint_written_for_another_graph_is_a_user_error(capsys, tmp_path):
+    run(capsys, "gen", "knp3", "--n", "4", "--certs", str(tmp_path))
+    g6 = run(capsys, "gen", "knp3", "--n", "5")[1].strip()
+    err = assert_user_error(capsys, ["minimal", "--g6", g6, "--hints", tmp_path])
+    assert "edge-0-1.cert: its graph is not the graph minus edge 0-1" in err
 
 
 def test_missing_hints_directory_is_a_user_error(capsys, tmp_path):

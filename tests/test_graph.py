@@ -9,7 +9,6 @@ from toughgraphs.graph import (
     component_count,
     degree_profile,
     delete_edge,
-    delete_vertex,
     is_connected,
     mask_of,
 )
@@ -63,11 +62,6 @@ def test_delete_edge_chain_count():
     g = gen_planar_chain(4).graph
     e = g.edges()[0]
     assert delete_edge(g, e).edge_count() == 47
-
-
-def test_delete_vertex():
-    g = delete_vertex(cycle(4), 2)
-    assert g.n == 3 and g.edge_count() == 2
 
 
 def test_components_trivial():

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import random_graph
 
+import toughgraphs.toughness as engine
 from toughgraphs.graph import build_graph, is_connected
 from toughgraphs.graph6 import graph6_lines, parse_graph6, write_graph6
 from toughgraphs.invariants import permute_graph
@@ -15,6 +17,7 @@ from toughgraphs.search import (
     enumerate_connected,
     filter_counterexamples,
 )
+from toughgraphs.toughness import EngineConfig
 
 
 class TestGraph6:
@@ -157,3 +160,64 @@ class TestFilter:
         assert rep.rejected == 1
         rep = filter_counterexamples(lines, SearchOptions(max_n=4))
         assert rep.rejected == 1
+
+    def test_stream_held_in_bounded_memory(self):
+        lines = ("Dhc" for _ in range(5_000))
+        tracemalloc.start()
+        try:
+            rep = filter_counterexamples(lines, SearchOptions(max_n=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.scanned, rep.rejected) == (5_000, 5_000)
+        assert peak < 0.25 * 2**20
+
+    def test_workers_agree_past_one_pool_batch(self):
+        hit, _ = solid_expand(SolidSpec.uniform(cycle(5), 2))
+        pattern = [
+            ">>graph6<<" + write_graph6(cycle(5)),
+            "",
+            "garbage!",
+            write_graph6(cycle(6)),
+            write_graph6(cycle(9)),  # nine twin classes: over the limit
+            "   ",
+            write_graph6(complete(4)),
+            "Dh",
+        ]
+        lines = pattern * 40
+        for at in (3, 150, 300):
+            lines.insert(at, write_graph6(hit))
+        config = EngineConfig(exhaustive_limit=8)
+        seq, par = (
+            filter_counterexamples(lines, SearchOptions(workers=w, config=config))
+            for w in (1, 2)
+        )
+        assert seq.scanned == 163 and len(seq.flagged) == 3 and len(seq.inconclusive) == 40
+        assert [f.report_line() for f in seq.flagged] == [f.report_line() for f in par.flagged]
+        assert seq.summary_line() == par.summary_line()
+        assert seq.parse_errors == par.parse_errors and len(seq.parse_errors) == 80
+        assert seq.inconclusive == par.inconclusive
+
+    def test_regular_graph_over_the_limit_is_rejected_not_inconclusive(self):
+        lines = [write_graph6(complete(7)), write_graph6(cycle(7))]
+        config = EngineConfig(exhaustive_limit=5)
+        rep = filter_counterexamples(lines, SearchOptions(non_regular_only=True, config=config))
+        assert (rep.scanned, rep.rejected, rep.inconclusive) == (2, 2, ())
+        assert rep.summary_line() == "0 counterexamples / 2 scanned"
+        rep = filter_counterexamples(lines, SearchOptions(config=config))
+        assert rep.inconclusive == (write_graph6(cycle(7)),)
+
+    def test_pool_workers_run_engines_with_one_worker(self, monkeypatch):
+        # the pool forks, so its workers inherit the patched engine
+        exact = engine.toughness_exact
+
+        def single_worker_exact(g, cfg=engine.DEFAULT_CONFIG):
+            assert cfg.workers == 1, f"engine started with {cfg.workers} workers"
+            return exact(g, cfg)
+
+        monkeypatch.setattr(engine, "toughness_exact", single_worker_exact)
+        hit, _ = solid_expand(SolidSpec.uniform(cycle(5), 2))
+        lines = [write_graph6(cycle(6)), write_graph6(hit)]
+        options = SearchOptions(workers=2, config=EngineConfig(workers=2))
+        rep = filter_counterexamples(lines, options)
+        assert [f.graph6 for f in rep.flagged] == [write_graph6(hit)]
