@@ -111,7 +111,8 @@ def _write_family_files(fam: LabeledFamily, args) -> None:
 
 
 # the generator keyword arguments each family takes from the command line;
-# all are required except the --regularized switch, which is never None
+# all are required except the --regularized switch, which is never None.
+# A family takes no other of these flags.
 _GEN_PARAMS = {
     "planar-chain": ("m",),
     "knp2-minus-matching": ("n", "m"),
@@ -125,6 +126,10 @@ def _cmd_gen(args) -> int:
     missing = [f"--{k}" for k, value in params.items() if value is None]
     if missing:
         raise ValueError(f"{args.family} needs {' and '.join(missing)}")
+    for k in sorted({k for ks in _GEN_PARAMS.values() for k in ks} - params.keys()):
+        value = getattr(args, k)  # unset: None, or False for the switch
+        if value is not None and value is not False:
+            raise ValueError(f"{args.family} takes no --{k}")
     fam = GENERATORS[args.family](**params)
     _write_family_files(fam, args)
     print(write_graph6(fam.graph))
@@ -215,7 +220,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    orbits, _ = edge_orbits(_load_graph(args), limit=args.limit)
+    orbits = edge_orbits(_load_graph(args), limit=args.limit)
     print(f"{len(orbits)} edge orbits")
     for k, orbit in enumerate(orbits):
         members = " ".join(f"{u}-{v}" for u, v in orbit)

@@ -37,59 +37,61 @@ def _greedy_clique_cover_count(adj: tuple[int, ...], remaining: int) -> int:
     return count
 
 
-def independence_number(g: Graph) -> tuple[int, int]:
-    """Exact independence number and one maximum independent set (as a mask).
+def _grow_independent(
+    adj: tuple[int, ...], remaining: int, chosen: int, size: int, best: tuple[int, int]
+) -> tuple[int, int]:
+    """The larger of ``best`` and the largest (size, set) that extends the
+    independent set ``chosen`` (``size`` vertices) inside ``remaining``.
 
-    Branch and bound: branch on the highest-degree vertex of the remaining
-    subgraph (include first), bound by a greedy clique cover.
+    Branches on the highest-degree vertex of the remaining subgraph (include
+    first) and bounds by a greedy clique cover; ``best`` wins ties.
     """
-    adj = g.adj
-    best_size = 0
-    best_set = 0
+    if not remaining:
+        return (size, chosen) if size > best[0] else best
+    if size + _greedy_clique_cover_count(adj, remaining) <= best[0]:
+        return best
+    # highest remaining degree, ties to the lowest index
+    pick = -1
+    pick_deg = -1
+    for v in bits_of(remaining):
+        d = (adj[v] & remaining).bit_count()
+        if d > pick_deg:
+            pick_deg = d
+            pick = v
+    bit = 1 << pick
+    best = _grow_independent(adj, remaining & ~(bit | adj[pick]), chosen | bit, size + 1, best)
+    return _grow_independent(adj, remaining & ~bit, chosen, size, best)
 
-    def expand(remaining: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_set
-        if not remaining:
-            if size > best_size:
-                best_size = size
-                best_set = chosen
-            return
-        if size + _greedy_clique_cover_count(adj, remaining) <= best_size:
-            return
-        # highest remaining degree, ties to the lowest index
-        pick = -1
-        pick_deg = -1
-        for v in bits_of(remaining):
-            d = (adj[v] & remaining).bit_count()
-            if d > pick_deg:
-                pick_deg = d
-                pick = v
-        bit = 1 << pick
-        expand(remaining & ~(bit | adj[pick]), chosen | bit, size + 1)
-        expand(remaining & ~bit, chosen, size)
 
-    expand(g.full_mask, 0, 0)
-    return best_size, best_set
+def independence_number(g: Graph) -> tuple[int, int]:
+    """Exact independence number and one maximum independent set (as a mask),
+    by branch and bound (``_grow_independent``)."""
+    return _grow_independent(g.adj, g.full_mask, 0, 0, (0, 0))
+
+
+def _extend_to_size(
+    adj: tuple[int, ...], alpha: int, start: int, chosen: int, size: int,
+    forbidden: int, out: list[int],
+) -> None:
+    """Append to ``out`` every independent set of ``alpha`` vertices that
+    extends ``chosen`` (``size`` vertices) by vertices from ``start`` on that
+    are not ``forbidden``."""
+    if size == alpha:
+        out.append(chosen)
+        return
+    # not enough vertices left to reach alpha
+    for v in range(start, len(adj) - (alpha - size) + 1):
+        bit = 1 << v
+        if forbidden & bit:
+            continue
+        _extend_to_size(adj, alpha, v + 1, chosen | bit, size + 1, forbidden | adj[v], out)
 
 
 def maximum_independent_sets(g: Graph) -> list[int]:
     """All maximum independent sets as masks, ascending.  Exponential; keep n small."""
     alpha, _ = independence_number(g)
-    adj = g.adj
     out: list[int] = []
-
-    def extend(start: int, chosen: int, size: int, forbidden: int) -> None:
-        if size == alpha:
-            out.append(chosen)
-            return
-        # not enough vertices left to reach alpha
-        for v in range(start, g.n - (alpha - size) + 1):
-            bit = 1 << v
-            if forbidden & bit:
-                continue
-            extend(v + 1, chosen | bit, size + 1, forbidden | adj[v])
-
-    extend(0, 0, 0, 0)
+    _extend_to_size(g.adj, alpha, 0, 0, 0, 0, out)
     return sorted(out)
 
 
@@ -320,6 +322,39 @@ def refine_colors(g: Graph) -> list[int]:
         colors = new
 
 
+def _map_vertices(
+    g: Graph, order: list[int], candidates: list[list[int]], i: int,
+    image: list[int], used: list[bool], autos: list[tuple[int, ...]],
+    nodes: int, node_limit: int,
+) -> int:
+    """Extend the partial automorphism ``image`` of ``order[:i]`` in every
+    way, appending each complete one to ``autos``; returns the search-tree
+    node count so far, ``nodes`` being the count before this node."""
+    nodes += 1
+    if nodes > node_limit:
+        raise LimitExceeded(f"automorphism search exceeded {node_limit} nodes")
+    if i == g.n:
+        autos.append(tuple(image))
+        return nodes
+    v = order[i]
+    for w in candidates[v]:
+        if used[w]:
+            continue
+        ok = True
+        for j in range(i):
+            u = order[j]
+            if g.has_edge(v, u) != g.has_edge(w, image[u]):
+                ok = False
+                break
+        if ok:
+            image[v] = w
+            used[w] = True
+            nodes = _map_vertices(g, order, candidates, i + 1, image, used, autos, nodes, node_limit)
+            used[w] = False
+    image[v] = -1
+    return nodes
+
+
 def automorphisms(g: Graph, node_limit: int = 2_000_000) -> list[tuple[int, ...]]:
     """All automorphisms of g by backtracking with refinement pruning.
 
@@ -334,68 +369,26 @@ def automorphisms(g: Graph, node_limit: int = 2_000_000) -> list[tuple[int, ...]
     # map vertices in an order that keeps candidate lists small
     order = sorted(range(n), key=lambda v: (len(by_color[colors[v]]), colors[v], v))
     autos: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-    nodes = 0
-
-    def backtrack(i: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise LimitExceeded(f"automorphism search exceeded {node_limit} nodes")
-        if i == n:
-            autos.append(tuple(image))
-            return
-        v = order[i]
-        for w in by_color[colors[v]]:
-            if used[w]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if g.has_edge(v, u) != g.has_edge(w, image[u]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                backtrack(i + 1)
-                used[w] = False
-        image[v] = -1
-
-    backtrack(0)
+    candidates = [by_color[colors[v]] for v in range(n)]
+    _map_vertices(g, order, candidates, 0, [-1] * n, [False] * n, autos, 0, node_limit)
     return autos
 
 
-def edge_orbits(
-    g: Graph, limit: int = 48
-) -> tuple[list[list[tuple[int, int]]], dict[tuple[int, int], tuple[tuple[int, int], tuple[int, ...]]]]:
-    """Partition E(g) into orbits under the full automorphism group.
-
-    Returns (orbits, transversal) where transversal maps each edge e to
-    (representative edge r, automorphism sigma) with sigma(r) = e.  Optional
-    optimization feature; results elsewhere never depend on it.
-    """
+def edge_orbits(g: Graph, limit: int = 48) -> list[list[tuple[int, int]]]:
+    """Partition E(g) into orbits under the full automorphism group: each
+    orbit sorted, orbits ordered by their lowest edge."""
     if g.n > limit:
         raise ValueError(f"edge_orbits limited to n <= {limit}, got {g.n}")
     autos = automorphisms(g)
-    edges = g.edges()
-    reps: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, ...]]] = {}
-    orbit_of: dict[tuple[int, int], tuple[int, int]] = {}
-    orbits: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for e in edges:
-        if e in orbit_of:
+    orbits: list[list[tuple[int, int]]] = []
+    placed: set[tuple[int, int]] = set()
+    for u, v in g.edges():  # ascending, so each new orbit starts at its lowest edge
+        if (u, v) in placed:
             continue
-        members = []
-        for sigma in autos:
-            u, v = sigma[e[0]], sigma[e[1]]
-            img = (u, v) if u < v else (v, u)
-            if img not in orbit_of:
-                orbit_of[img] = e
-                reps[img] = (e, sigma)
-                members.append(img)
-        orbits[e] = sorted(members)
-    return [orbits[k] for k in sorted(orbits)], reps
+        orbit = sorted({(min(s[u], s[v]), max(s[u], s[v])) for s in autos})
+        placed.update(orbit)
+        orbits.append(orbit)
+    return orbits
 
 
 def permute_graph(g: Graph, perm: tuple[int, ...]) -> Graph:

@@ -31,6 +31,55 @@ ENUM_LIMIT = 8
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 
 
+def _min_adjacency_string(
+    adj: tuple[int, ...],
+    position_class: list[list[int]],
+    placed: list[int],
+    placed_mask: int,
+    cols: list[int],
+    best: tuple[list[int], list[int]] | None,
+) -> tuple[list[int], list[int]] | None:
+    """The smaller of ``best`` and the least (adjacency columns, vertex order)
+    over the completions of the order ``placed``, whose columns are ``cols``
+    (``cols[d-1]`` is the adjacency column of position d); each position
+    takes a vertex of its ``position_class``.  None when ``best`` is None and
+    no completion exists."""
+    depth = len(placed)
+    if depth == len(adj):
+        return (cols[:], placed[:]) if best is None or cols < best[0] else best
+    candidates = [v for v in position_class[depth] if not placed_mask >> v & 1]
+    seen: list[tuple[int, int, int]] = []
+    for w in candidates:
+        col = 0
+        aw = adj[w]
+        for u in placed:
+            col = (col << 1) | (aw >> u & 1)
+        # interchangeable with an already-tried candidate: same column and
+        # same adjacency outside the placed prefix and the pair itself
+        sig = aw & ~placed_mask
+        skip = False
+        for c0, w0, s0 in seen:
+            scrub = ~((1 << w) | (1 << w0))
+            if c0 == col and s0 & scrub == sig & scrub:
+                skip = True
+                break
+        if skip:
+            continue
+        seen.append((col, w, sig))
+        if depth:
+            cols.append(col)
+            # lexicographic branch-and-bound against the incumbent string
+            if best is not None and cols > best[0][:depth]:
+                cols.pop()
+                continue
+        placed.append(w)
+        best = _min_adjacency_string(adj, position_class, placed, placed_mask | 1 << w, cols, best)
+        placed.pop()
+        if depth:
+            cols.pop()
+    return best
+
+
 def canonical_form(g: Graph, limit: int = ENUM_LIMIT + 2) -> Graph:
     """Canonically relabeled copy of g (isomorphic graphs map to equal graphs).
 
@@ -52,57 +101,10 @@ def canonical_form(g: Graph, limit: int = ENUM_LIMIT + 2) -> Graph:
     for cls in class_sequence:
         position_class.extend([cls] * len(cls))
 
-    adj = g.adj
-    best_cols: list[int] | None = None
-    best_order: list[int] | None = None
-    placed: list[int] = []
-    placed_mask = 0
-    cols: list[int] = []  # cols[d-1] is the adjacency column of position d
-
-    def dfs(depth: int) -> None:
-        nonlocal best_cols, best_order, placed_mask
-        if depth == n:
-            if best_cols is None or cols < best_cols:
-                best_cols = cols[:]
-                best_order = placed[:]
-            return
-        candidates = [v for v in position_class[depth] if not placed_mask >> v & 1]
-        seen: list[tuple[int, int, int]] = []
-        for w in candidates:
-            col = 0
-            aw = adj[w]
-            for u in placed:
-                col = (col << 1) | (aw >> u & 1)
-            # interchangeable with an already-tried candidate: same column and
-            # same adjacency outside the placed prefix and the pair itself
-            sig = aw & ~placed_mask
-            skip = False
-            for c0, w0, s0 in seen:
-                scrub = ~((1 << w) | (1 << w0))
-                if c0 == col and s0 & scrub == sig & scrub:
-                    skip = True
-                    break
-            if skip:
-                continue
-            seen.append((col, w, sig))
-            if depth:
-                cols.append(col)
-                # lexicographic branch-and-bound against the incumbent string
-                if best_cols is not None and cols > best_cols[:depth]:
-                    cols.pop()
-                    continue
-            placed.append(w)
-            placed_mask |= 1 << w
-            dfs(depth + 1)
-            placed_mask ^= 1 << w
-            placed.pop()
-            if depth:
-                cols.pop()
-
-    dfs(0)
-    assert best_order is not None
+    best = _min_adjacency_string(g.adj, position_class, [], 0, [], None)
+    assert best is not None
     # vertex v moves to its position in the best order
-    return permute_graph(g, tuple(best_order.index(v) for v in range(n)))
+    return permute_graph(g, tuple(best[1].index(v) for v in range(n)))
 
 
 _CONNECTED_LEVELS: dict[int, list[Graph]] = {}

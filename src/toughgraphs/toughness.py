@@ -45,7 +45,7 @@ from .graph import (
     mask_of,
 )
 from .graph6 import parse_graph6, write_graph6
-from .invariants import edge_orbits, independence_number, vertex_connectivity
+from .invariants import independence_number, vertex_connectivity
 from .ratio import INFINITE, Ratio, parse_ratio
 
 
@@ -56,7 +56,6 @@ class EngineConfig:
     exhaustive_limit: int = 26  # most twin classes an exhaustive scan takes
     workers: int = 1
     seed: int = 0
-    use_edge_orbits: bool = False
     # with this off, edges that hints and the heuristic cannot resolve are
     # reported inconclusive instead of falling back to exhaustive scans
     allow_exhaustive_edges: bool = True
@@ -657,11 +656,11 @@ class MinimalityReport:
 
     @property
     def verdict(self) -> bool | None:
-        """None (inconclusive) while any edge is unresolved, even when another
-        edge fails; otherwise True exactly when no edge fails."""
-        if self.inconclusive_edges:
-            return None
-        return not self.failing_edges
+        """False once any edge fails, whatever the others say; otherwise None
+        (inconclusive) while any edge is unresolved, else True."""
+        if self.failing_edges:
+            return False
+        return None if self.inconclusive_edges else True
 
 
 # The per-edge target scan runs before annealing when 2^q, the number of
@@ -729,7 +728,8 @@ def is_minimally_tough(
 
     verdict True requires a verified below-t certificate for every edge;
     False requires at least one edge whose exhaustive scan proves the
-    toughness survives; None (inconclusive) means some edge could be resolved
+    toughness survives, even if other edges stay unresolved; None
+    (inconclusive) means no edge fails and some edge could be resolved
     neither way within the configured limits.
 
     ``toughness`` skips the exact computation of t.  Pass only the exact
@@ -743,26 +743,11 @@ def is_minimally_tough(
         raise ValueError("complete graphs are never minimally tough")
     t = toughness_exact(g, cfg).value if toughness is None else toughness
     hints = hints or {}
-
-    rep_map = None
-    if cfg.use_edge_orbits and g.n <= 48:
-        try:
-            _, rep_map = edge_orbits(g)
-        except LimitExceeded:
-            rep_map = None
-
-    solved: dict[tuple[int, int], EdgeWitness] = {}
-    for idx, edge in enumerate(g.edges()):
-        if rep_map is not None:
-            rep, sigma = rep_map[edge]
-            if rep != edge and rep in solved and solved[rep].ok:
-                mapped = mask_of(sigma[v] for v in bits_of(solved[rep].certificate.cut))
-                cand = CutCertificate.from_cut(delete_edge(g, edge), mapped)
-                if cand.omega >= 2 and cand.ratio < t:
-                    solved[edge] = EdgeWitness(edge, cand, solved[rep].source)
-                    continue
-        solved[edge] = _witness_for_edge(g, edge, t, cfg, hints.get(edge), idx)
-    return MinimalityReport(t, tuple(solved.values()))
+    entries = tuple(
+        _witness_for_edge(g, edge, t, cfg, hints.get(edge), idx)
+        for idx, edge in enumerate(g.edges())
+    )
+    return MinimalityReport(t, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,22 @@ def test_gen_parameter_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("square-lsk4", "--m", "9"), "m"),
+        (("square-lsk4", "--m", "0"), "m"),
+        (("knp3", "--n", "5", "--m", "2"), "m"),
+        (("planar-chain", "--m", "4", "--n", "7", "--regularized"), "n"),
+        (("knp2-minus-matching", "--n", "7", "--m", "5", "--regularized"), "regularized"),
+    ],
+    ids=["square-m", "square-m-zero", "knp3-m", "chain-n", "knp2-regularized"],
+)
+def test_gen_rejects_parameters_its_family_does_not_take(capsys, argv, flag):
+    err = assert_user_error(capsys, ("gen",) + argv)
+    assert err == f"error: {argv[0]} takes no --{flag}\n"
+
+
 def test_gen_chain_writes_everything_and_certify_round_trip(capsys, tmp_path):
     certs = tmp_path / "certs"
     code, out = run(
@@ -140,6 +156,21 @@ def test_minimal_false(capsys):
     code, out = run(capsys, "minimal", "--g6", write_graph6(diamond))
     assert code == 0
     assert out.splitlines()[0] == "minimally tough: false, t = 1/1"
+
+
+def test_minimal_failing_edge_outranks_unresolved_ones(capsys):
+    # past a 3-class limit only the diamond's chord 0-1 is scanned, and it
+    # keeps t; annealing cannot resolve the other edges
+    code, out = run(capsys, "minimal", "--g6", "C}", "--exhaustive-limit", "3", "--threads", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "minimally tough: false, t = 1/1",
+        "edge 0-1: no certificate below t",
+        "edge 0-2: unresolved",
+        "edge 0-3: unresolved",
+        "edge 1-2: unresolved",
+        "edge 1-3: unresolved",
+    ]
 
 
 def test_minimal_heuristic_only_inconclusive(capsys):

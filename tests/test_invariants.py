@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from conftest import random_connected_graph, random_graph
@@ -18,7 +20,6 @@ from toughgraphs.invariants import (
     independence_number,
     is_claw_free,
     maximum_independent_sets,
-    permute_graph,
     verify_embedding,
     vertex_connectivity,
 )
@@ -34,6 +35,8 @@ from toughgraphs.operators import (
     square,
     subdivision,
 )
+from toughgraphs.search import canonical_form
+from toughgraphs.toughness import is_minimally_tough
 
 
 def square_lsk4():
@@ -196,22 +199,17 @@ class TestEmbedding:
 
 class TestOrbits:
     def test_cycle_single_orbit(self):
-        orbits, _ = edge_orbits(cycle(5))
+        orbits = edge_orbits(cycle(5))
         assert len(orbits) == 1
 
     def test_path_two_orbits(self):
-        orbits, _ = edge_orbits(path(4))
+        orbits = edge_orbits(path(4))
         assert len(orbits) == 2
 
     def test_k5p3_three_orbits(self):
         g, _ = cartesian_product(complete(5), path(3))
-        orbits, reps = edge_orbits(g)
+        orbits = edge_orbits(g)
         assert len(orbits) == 3
-        # transversal maps are automorphisms sending the representative edge
-        for edge, (rep, sigma) in list(reps.items())[:10]:
-            assert permute_graph(g, sigma) == g
-            u, v = sigma[rep[0]], sigma[rep[1]]
-            assert tuple(sorted((u, v))) == edge
 
     def test_limit(self):
         with pytest.raises(ValueError):
@@ -220,6 +218,26 @@ class TestOrbits:
     def test_node_limit_raises_limit_exceeded(self):
         with pytest.raises(LimitExceeded, match="automorphism search exceeded 3 nodes"):
             automorphisms(cycle(8), node_limit=3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [independence_number, maximum_independent_sets, canonical_form, automorphisms,
+     is_minimally_tough],
+    ids=lambda f: f.__name__,
+)
+def test_calls_leave_no_reference_cycles(call):
+    # a recursive closure would leave a function <-> cell cycle per call,
+    # which only the cyclic collector frees
+    g = cycle(7)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            call(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_automorphism_count_examples():

@@ -371,6 +371,15 @@ class TestMinimality:
         assert rep.verdict is False
         assert rep.failing_edges == [(0, 1)]
 
+    def test_failing_edge_outranks_inconclusive_ones(self):
+        # the diamond has 3 twin classes; G - e has 4 for every edge but the
+        # chord 0-1, whose G - e (C4, twins {0,1} and {2,3}) keeps t = 1
+        diamond = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        rep = is_minimally_tough(diamond, EngineConfig(exhaustive_limit=3))
+        assert rep.failing_edges == [(0, 1)]
+        assert rep.inconclusive_edges == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert rep.verdict is False
+
     def test_blown_up_cycle_minimal(self):
         rep = is_minimally_tough(sc52())
         assert rep.verdict is True and rep.toughness == Ratio(4, 3)
@@ -395,14 +404,6 @@ class TestMinimality:
         with pytest.raises(ValueError):
             is_minimally_tough(build_graph(4, [(0, 1), (2, 3)]))
 
-    def test_edge_orbit_mode_matches_default(self):
-        g = sc52()
-        plain = is_minimally_tough(g)
-        orbits = is_minimally_tough(g, EngineConfig(use_edge_orbits=True))
-        assert plain.verdict == orbits.verdict
-        assert plain.toughness == orbits.toughness
-        for w in orbits.entries:
-            assert w.ok and w.certificate.ratio < Ratio(4, 3)
 
 
 def _oracle_failing_edges(g):
