@@ -18,8 +18,20 @@ Prunes used:
       incumbent (omega can never exceed either term);
   (c) twin closure: a subset splitting a twin class is strictly beaten by
       the same subset minus the split vertex, so the scan runs over subsets
-      of twin classes, not of vertices.  The exhaustive limit counts classes,
-      and a twin-free graph is scanned vertex by vertex as before.
+      of twin classes, not of vertices.  The exhaustive limit counts classes.
+
+The scan works on the twin quotient: bit i of a mask is twin class i, and
+two classes are adjacent when their members are.  A class mask is split into
+three chunks of ceil(q/3) bits, and two tables per chunk, built once per
+scan, hold the union of the chunk's quotient rows and its vertex count.  A
+component grows as
+
+    comp | (T0[chunk 0 of comp] | T1[chunk 1] | T2[chunk 2]) & alive
+
+until it stops changing, three lookups per round however large it is.  A
+component made of a single class counts one component per member (twins are
+never adjacent).  Classes are ordered by their highest member, so class
+masks order like the vertex masks they stand for.
 
 The same scan answers the per-edge question of minimality: the cut with the
 fewest vertices, then the lowest mask, whose ratio is below a target.
@@ -230,6 +242,25 @@ def _thresholds(
     return max(div + 1, 2), 0, 0
 
 
+def _class_mask(classes: tuple[int, ...], vertices: int) -> int:
+    """Bit i set iff class i meets ``vertices``."""
+    return sum(1 << i for i, c in enumerate(classes) if vertices & c)
+
+
+def _chunk_tables(values: list[int], w: int, combine) -> tuple[list[int], ...]:
+    """Three tables over the w-bit chunks of a class mask: entry x of table j
+    combines ``values[j * w + i]`` over the set bits i of x.  Each entry
+    extends the entry without its lowest bit, one step per entry."""
+    out = []
+    for lo in (0, w, 2 * w):
+        t = [0] * (1 << max(0, min(w, len(values) - lo)))
+        for x in range(1, len(t)):
+            b = x & -x
+            t[x] = combine(t[x ^ b], values[lo + b.bit_length() - 1])
+        out.append(t)
+    return tuple(out)
+
+
 def _scan(
     adj: tuple[int, ...],
     classes: tuple[int, ...],
@@ -243,36 +274,45 @@ def _scan(
     """Scan the cuts made of whole twin classes whose membership on the low
     ``pbits`` classes is ``prefix``.
 
+    The scan runs on the twin quotient: bit i of a subset is class i.
     Class subsets run by ascending class count and, within a count,
     ascending value (Gosper).  Classes come in ``twin_classes`` order, so
-    class subsets order like the vertex masks they expand to.  Without a
-    target, returns the minimum (p, q, |S|, mask) under (ratio, |S|, mask)
-    over ``best`` and the cuts that beat it, which is independent of the
+    class subsets order like the vertex masks they expand to, and the
+    masks handed in and returned are vertex masks.  Without a target,
+    returns the minimum (p, q, |S|, mask) under (ratio, |S|, mask) over
+    ``best`` and the cuts that beat it, which is independent of the
     incumbent handed in (it only prunes candidates that cannot beat it).
     With ``target = (p, q)`` and no incumbent, returns the cut of ratio
     below p/q that is smallest under (|S|, mask), or ``_NO_INCUMBENT``.
     """
     n = len(adj)
-    full = (1 << n) - 1
-    adj_by_bit = {1 << v: adj[v] for v in range(n)}
-    reps = _lowest_members(classes)
-    ns = len(classes) - pbits
-    top = 1 << ns
+    nq = len(classes)
     # twin-free: class masks are vertex masks and a level is a cut size
-    identity = len(classes) == n
-    class_by_bit = {1 << i: c for i, c in enumerate(classes[pbits:])}
-    base = 0
-    for i in bits_of(prefix):
-        base |= classes[i]
+    twin_free = nq == n
+    full = (1 << nq) - 1
+    rows = [_class_mask(classes, adj[c.bit_length() - 1]) for c in classes]
+    sizes = [c.bit_count() for c in classes]
+    # per chunk of w class bits: the union of the quotient rows (T) and the
+    # vertex count (V), so a closure round and |S| take three lookups each
+    w = -(-nq // 3)
+    m = (1 << w) - 1
+    w2 = 2 * w
+    T0, T1, T2 = _chunk_tables(rows, w, int.__or__)
+    V0, V1, V2 = _chunk_tables(sizes, w, int.__add__)
+    if best[1] and not twin_free:
+        best = best[:3] + (_class_mask(classes, best[3]),)
+    ns = nq - pbits
+    top = 1 << ns
+    kbase = V0[prefix & m] + V1[prefix >> w & m] + V2[prefix >> w2]
     # caps[k]: most components a cut of k vertices can leave (0: no cut)
     caps = [min(alpha, n - k) if kappa <= k <= n - 2 else 0 for k in range(n + 1)]
     table = [_thresholds(k, best, target) for k in range(n + 1)]
-    sizes = sorted(c.bit_count() for c in classes[pbits:])
-    kmin = kmax = base.bit_count()
+    free = sorted(sizes[pbits:])
+    kmin = kmax = kbase
     for cs in range(ns + 1):
         if cs:
-            kmin += sizes[cs - 1]
-            kmax += sizes[-cs]
+            kmin += free[cs - 1]
+            kmax += free[-cs]
         if kmax < kappa:
             continue
         if kmin > n - 2:
@@ -286,47 +326,40 @@ def _scan(
             break
         sub = (1 << cs) - 1
         while True:
-            if identity:
-                s = (sub << pbits) | prefix
-            else:
-                s = base
-                x = sub
-                while x:
-                    b = x & -x
-                    s |= class_by_bit[b]
-                    x ^= b
-                k = s.bit_count()
+            s = (sub << pbits) | prefix
+            if not twin_free:
+                k = V0[s & m] + V1[s >> w & m] + V2[s >> w2]
                 needed0, needed_tie, tie_below = table[k]
                 cap = caps[k]
             needed = needed_tie if (tie_below and s < tie_below) else needed0
             if needed <= cap:
-                # component count with an early abort once the remaining
-                # vertices cannot reach the needed component count.  This is
-                # graph.component_count inlined: calling it once per subset
-                # cost about 5% of throughput on twin-free G(17, p) and on
-                # the per-edge scans of a graph6 stream filter
-                alive = full & ~s
+                # component count with an early abort once the vertices left
+                # cannot reach the needed component count
+                alive = full ^ s
                 count = 0
                 while alive:
-                    comp = alive & -alive
-                    frontier = comp
-                    while frontier:
-                        nxt = 0
-                        f = frontier & reps
-                        while f:
-                            b = f & -f
-                            nxt |= adj_by_bit[b]
-                            f ^= b
-                        frontier = nxt & alive & ~comp
-                        comp |= frontier
-                    count += 1
-                    alive &= ~comp
-                    if count + alive.bit_count() < needed:
+                    b = comp = alive & -alive
+                    grown = b | (T0[b & m] | T1[b >> w & m] | T2[b >> w2]) & alive
+                    while grown != comp:
+                        comp = grown
+                        grown |= (T0[comp & m] | T1[comp >> w & m] | T2[comp >> w2]) & alive
+                    alive ^= comp
+                    if twin_free or comp != b:
+                        count += 1
+                    else:
+                        # a lone class: its members are pairwise non-adjacent
+                        count += V0[b & m] + V1[b >> w & m] + V2[b >> w2]
+                    left = (
+                        alive.bit_count()
+                        if twin_free
+                        else V0[alive & m] + V1[alive >> w & m] + V2[alive >> w2]
+                    )
+                    if count + left < needed:
                         count = 0
                         break
                 if count >= needed:
                     best = (k, count, k, s)
-                    if identity and target is not None:
+                    if twin_free and target is not None:
                         return best  # the first hit in (|S|, mask) order
                     table = [_thresholds(j, best, target) for j in range(n + 1)]
                     needed0, needed_tie, tie_below = table[k]
@@ -338,6 +371,8 @@ def _scan(
             sub = r | (((sub ^ r) >> 2) // c)
             if sub >= top:
                 break
+    if best[1] and not twin_free:
+        best = best[:3] + (sum(classes[i] for i in bits_of(best[3])),)
     return best
 
 
@@ -665,11 +700,14 @@ class MinimalityReport:
 
 # The per-edge target scan runs before annealing when 2^q, the number of
 # twin-class subsets of G-e, is at most this multiple of the annealing step
-# budget.  Measured on G-e of connected graphs with n = 8..14 (2-vCPU VM,
-# Python 3.11.7): one annealing step costs 4.3-6.7 us, and the target scan
-# costs 0.60-0.94 us per predicted subset, a ratio of 5.6 to 11.2.  The
-# multiple sits below the smallest ratio, so a routed edge is predicted to
-# scan faster than annealing alone runs.  At the default budget it routes
+# budget.  Measured on G-e of 12 connected G(n, p) per n = 8..14, p in
+# 0.3-0.7, four edges each (2-vCPU VM, Python 3.11.7; medians per n): one
+# annealing step costs 2.3-3.9 us, and the quotient scan costs 0.18-0.63 us
+# per predicted subset, a ratio of 5.1 to 16.7 (the vertex-by-vertex scan
+# before it cost 0.21-1.18 us, a ratio down to 2.8).  The multiple sits below
+# the smallest ratio, so a routed edge is predicted to scan faster than
+# annealing alone runs.  Raising it would move edges between routes and so
+# change which certificate `minimal` prints.  At the default budget it routes
 # twin-free graphs with n <= 11 to the scan.
 SCAN_STEPS_PER_SUBSET = 4
 
@@ -700,9 +738,12 @@ def _witness_for_edge(
     if not is_connected(ge):
         return EdgeWitness(edge, CutCertificate.from_cut(ge, 0), "exhaustive")
     steps = min(MINIMALITY_HEURISTIC_STEPS, 60 * g.n)
+    nq = len(twin_classes(ge))
+    # past the exhaustive limit the scan would raise, so annealing goes first
     scan_first = (
         cfg.allow_exhaustive_edges
-        and 1 << len(twin_classes(ge)) <= SCAN_STEPS_PER_SUBSET * steps
+        and nq <= cfg.exhaustive_limit
+        and 1 << nq <= SCAN_STEPS_PER_SUBSET * steps
     )
     if not scan_first:
         # g-e lacks the edge, so it is never complete

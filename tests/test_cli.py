@@ -4,6 +4,7 @@ import pytest
 
 import toughgraphs.families as families
 import toughgraphs.invariants as invariants
+import toughgraphs.toughness as toughness
 from toughgraphs.cli import main
 from toughgraphs.families import FamilyError
 from toughgraphs.graph6 import parse_graph6, write_graph6
@@ -158,19 +159,30 @@ def test_minimal_false(capsys):
     assert out.splitlines()[0] == "minimally tough: false, t = 1/1"
 
 
-def test_minimal_failing_edge_outranks_unresolved_ones(capsys):
+def test_minimal_failing_edge_outranks_unresolved_ones(capsys, monkeypatch):
     # past a 3-class limit only the diamond's chord 0-1 is scanned, and it
-    # keeps t; annealing cannot resolve the other edges
+    # keeps t; annealing at one step per restart misses edge 0-3's cut
+    monkeypatch.setattr(toughness, "MINIMALITY_HEURISTIC_STEPS", 1)
     code, out = run(capsys, "minimal", "--g6", "C}", "--exhaustive-limit", "3", "--threads", "1")
     assert code == 0
     assert out.splitlines() == [
         "minimally tough: false, t = 1/1",
         "edge 0-1: no certificate below t",
-        "edge 0-2: unresolved",
+        "edge 0-2: |S|=1 omega=2 ratio=1/2 source=heuristic",
         "edge 0-3: unresolved",
-        "edge 1-2: unresolved",
-        "edge 1-3: unresolved",
+        "edge 1-2: |S|=1 omega=2 ratio=1/2 source=heuristic",
+        "edge 1-3: |S|=1 omega=2 ratio=1/2 source=heuristic",
     ]
+
+
+def test_minimal_anneals_edges_past_the_limit(capsys):
+    code, out = run(capsys, "minimal", "--g6", "C}", "--exhaustive-limit", "3", "--threads", "1")
+    assert code == 0
+    assert out.splitlines() == [
+        "minimally tough: false, t = 1/1",
+        "edge 0-1: no certificate below t",
+    ] + [f"edge {e}: |S|=1 omega=2 ratio=1/2 source=heuristic"
+         for e in ("0-2", "0-3", "1-2", "1-3")]
 
 
 def test_minimal_heuristic_only_inconclusive(capsys):

@@ -238,6 +238,71 @@ class TestScanOracles:
         assert a.witness == b.witness
 
 
+def complete_bipartite(a, b):
+    return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def graph_with_classes(rng, q, twins):
+    """A connected, non-complete graph with exactly q twin classes and at
+    most 13 vertices, with its vertex groups for the oracle: a twin-free
+    random graph, or with ``twins`` a blow-up of one with 1 to 13 - q
+    doubled vertices (a twin-free base keeps its vertices' copy groups as
+    the twin classes)."""
+    while True:
+        base = random_connected_graph(rng, q, rng.uniform(0.3, 0.8))
+        if len(twin_classes(base)) == q and (twins or not base.is_complete()):
+            break
+    if not twins:
+        return base, [[v] for v in range(q)]
+    mult = [1] * q
+    for v in rng.sample(range(q), rng.randint(1, min(q, 13 - q))):
+        mult[v] = 2
+    spec = SolidSpec(base, tuple(mult))
+    return solid_expand(spec)[0], copy_groups(spec)
+
+
+class TestQuotientScan:
+    """The scan runs on the twin quotient, with three chunk tables per class
+    mask and one component per member of a class left on its own."""
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (1, 5), (2, 3), (3, 3), (2, 7), (4, 5)])
+    def test_bipartite_residue_is_one_class(self, a, b):
+        # cutting the smaller side leaves the other one, a single twin class
+        # whose members are all components
+        g = complete_bipartite(a, b)
+        res = toughness_exact(g)
+        assert res.value == Ratio(min(a, b), max(a, b))
+        assert witness_key(res) == brute_witness(g)
+        for target in (res.value, Ratio(1, 1), Ratio(2, 1)):
+            cert = find_cut_below(g, target)
+            got = None if cert is None else (cert.cut.bit_count(), cert.cut)
+            assert got == brute_first_below(g, ratio_of(target))
+
+    @pytest.mark.parametrize("q", range(2, 13))
+    def test_every_chunk_split_matches_oracles(self, rng, q):
+        # q = 2..12 covers every residue of q mod 3: the top chunk holds w,
+        # w - 1 or w - 2 bits, none at q = 2 and 4.  No graph of 2 or 3 twin
+        # classes is twin-free and non-complete
+        for twins in (q < 4, True, True):
+            g, groups = graph_with_classes(rng, q, twins)
+            res = toughness_exact(g)
+            assert witness_key(res) == brute_witness(g, groups)
+            t = res.value
+            for target in (t, Ratio(2 * t.p + t.q, 2 * t.q), Ratio(t.p + t.q, t.q)):
+                cert = find_cut_below(g, target)
+                got = None if cert is None else (cert.cut.bit_count(), cert.cut)
+                assert got == brute_first_below(g, ratio_of(target))
+
+    def test_twin_free_shards_match_single_worker(self, rng):
+        g = random_connected_graph(rng, 19, 0.5)
+        while len(twin_classes(g)) != 19:
+            g = random_connected_graph(rng, 19, 0.5)
+        a = toughness_exact(g, EngineConfig(workers=1))
+        b = toughness_exact(g, EngineConfig(workers=2))
+        assert a.value == b.value
+        assert a.witness == b.witness
+
+
 class TestUpperSearch:
     def test_cycle_reaches_optimum(self):
         cert = toughness_upper_search(cycle(5), budget_steps=2_000, seed=3)
@@ -371,14 +436,26 @@ class TestMinimality:
         assert rep.verdict is False
         assert rep.failing_edges == [(0, 1)]
 
-    def test_failing_edge_outranks_inconclusive_ones(self):
+    def test_failing_edge_outranks_inconclusive_ones(self, monkeypatch):
         # the diamond has 3 twin classes; G - e has 4 for every edge but the
-        # chord 0-1, whose G - e (C4, twins {0,1} and {2,3}) keeps t = 1
+        # chord 0-1, whose G - e (C4, twins {0,1} and {2,3}) keeps t = 1.
+        # Past a 3-class limit the other edges go to annealing, which at
+        # one step per restart misses the 1/2 cut of G - {0,3}
+        monkeypatch.setattr(engine, "MINIMALITY_HEURISTIC_STEPS", 1)
         diamond = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
         rep = is_minimally_tough(diamond, EngineConfig(exhaustive_limit=3))
         assert rep.failing_edges == [(0, 1)]
-        assert rep.inconclusive_edges == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert rep.inconclusive_edges == [(0, 3)]
         assert rep.verdict is False
+
+    def test_edges_past_the_limit_fall_back_to_annealing(self):
+        # G - e has 4 twin classes, over the limit: the scan cannot run,
+        # so annealing must, and it finds the 1/2 cut of each such edge
+        diamond = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        rep = is_minimally_tough(diamond, EngineConfig(exhaustive_limit=3))
+        assert [w.source for w in rep.entries] == ["exhaustive"] + ["heuristic"] * 4
+        assert all(w.certificate.ratio == Ratio(1, 2) for w in rep.entries[1:])
+        assert rep.failing_edges == [(0, 1)] and rep.verdict is False
 
     def test_blown_up_cycle_minimal(self):
         rep = is_minimally_tough(sc52())
