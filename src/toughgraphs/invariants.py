@@ -63,10 +63,11 @@ def _grow_independent(
     return _grow_independent(adj, remaining & ~bit, chosen, size, best)
 
 
-def independence_number(g: Graph) -> tuple[int, int]:
-    """Exact independence number and one maximum independent set (as a mask),
-    by branch and bound (``_grow_independent``)."""
-    return _grow_independent(g.adj, g.full_mask, 0, 0, (0, 0))
+def independence_number(g: Graph, within: int | None = None) -> tuple[int, int]:
+    """Exact independence number and one maximum independent set (as a mask)
+    of g, or of its subgraph induced on the mask ``within``, by branch and
+    bound (``_grow_independent``)."""
+    return _grow_independent(g.adj, g.full_mask if within is None else within, 0, 0, (0, 0))
 
 
 def _extend_to_size(

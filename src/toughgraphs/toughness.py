@@ -34,7 +34,18 @@ never adjacent).  Classes are ordered by their highest member, so class
 masks order like the vertex masks they stand for.
 
 The same scan answers the per-edge question of minimality: the cut with the
-fewest vertices, then the lowest mask, whose ratio is below a target.
+fewest vertices, then the lowest mask, whose ratio is below a target.  There
+the cap on component counts is alpha(G - e), derived exactly from alpha(G)
+as max(alpha(G), 2 + alpha(G - N[u] - N[v])) for e = uv.
+
+The annealing upper-bound search builds the same tables (``_quotient``)
+and, up to 27 twin classes (chunks of at most 9 bits), anneals over class
+masks with the same closure, so a step costs three lookups per round
+however many copies a class has.  Past 27 classes, as on the twin-free
+36-60 vertex chains, it anneals over vertex masks and counts with
+``graph.component_count``.  Class masks order like the vertex masks they
+stand for, so the (ratio, |S|, mask) tie-break picks the same certificate
+in either form.
 
 Parallel mode shards the space by fixing the membership pattern of the first
 p twin classes; each shard's answer is independent of the incumbent it was
@@ -45,6 +56,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cache, partial
 
 from .graph import (
     Graph,
@@ -187,17 +199,6 @@ def twin_classes(g: Graph) -> list[int]:
     return sorted(groups.values())
 
 
-def _lowest_members(classes: list[int] | tuple[int, ...]) -> int:
-    """The ``reps`` mask of ``component_count``: the lowest member of each
-    class.  A BFS over a union of whole classes expands only these: twins
-    have the same neighbors, and a component reached through a neighbor
-    holds all of their class."""
-    reps = 0
-    for c in classes:
-        reps |= c & -c
-    return reps
-
-
 _NO_INCUMBENT = (0, 0, 0, 0)  # q=0 encodes "none"; a real cut has q = omega >= 2
 _NEVER = 1 << 62  # a component count no cut reaches
 
@@ -261,6 +262,18 @@ def _chunk_tables(values: list[int], w: int, combine) -> tuple[list[int], ...]:
     return tuple(out)
 
 
+def _quotient(adj: tuple[int, ...], classes) -> tuple:
+    """(rows, sizes, w, T, V) of the twin quotient: ``rows[i]`` is the class
+    mask of class i's neighbours and ``sizes[i]`` its vertex count, and the
+    three chunk tables of each over w = ceil(q/3) bits hold their union (T)
+    and their sum (V), so a closure round and a weight take three lookups
+    each."""
+    rows = [_class_mask(classes, adj[c.bit_length() - 1]) for c in classes]
+    sizes = [c.bit_count() for c in classes]
+    w = -(-len(classes) // 3)
+    return rows, sizes, w, _chunk_tables(rows, w, int.__or__), _chunk_tables(sizes, w, int.__add__)
+
+
 def _scan(
     adj: tuple[int, ...],
     classes: tuple[int, ...],
@@ -290,15 +303,9 @@ def _scan(
     # twin-free: class masks are vertex masks and a level is a cut size
     twin_free = nq == n
     full = (1 << nq) - 1
-    rows = [_class_mask(classes, adj[c.bit_length() - 1]) for c in classes]
-    sizes = [c.bit_count() for c in classes]
-    # per chunk of w class bits: the union of the quotient rows (T) and the
-    # vertex count (V), so a closure round and |S| take three lookups each
-    w = -(-nq // 3)
+    _, sizes, w, (T0, T1, T2), (V0, V1, V2) = _quotient(adj, classes)
     m = (1 << w) - 1
     w2 = 2 * w
-    T0, T1, T2 = _chunk_tables(rows, w, int.__or__)
-    V0, V1, V2 = _chunk_tables(sizes, w, int.__add__)
     if best[1] and not twin_free:
         best = best[:3] + (_class_mask(classes, best[3]),)
     ns = nq - pbits
@@ -380,21 +387,21 @@ def _shard_worker(args):
     return _scan(*args)
 
 
-def _scan_inputs(g: Graph, cfg: EngineConfig) -> tuple[tuple[int, ...], int, int, int]:
-    """(twin classes, independence number, a maximum independent set, a
-    lower bound on the vertex connectivity) for a scan of g.  Raises
-    LimitExceeded when g has more twin classes than the exhaustive limit."""
-    classes = tuple(twin_classes(g))
+def _check_limit(g: Graph, classes: tuple[int, ...], cfg: EngineConfig) -> None:
+    """Raise LimitExceeded when g has more twin classes than the exhaustive
+    limit."""
     if len(classes) > cfg.exhaustive_limit:
         raise LimitExceeded(
             f"{len(classes)} twin classes (n={g.n}) exceed exhaustive limit "
             f"{cfg.exhaustive_limit}; use the heuristic upper-bound search"
         )
-    alpha, alpha_set = independence_number(g)
-    # max-flow connectivity pays on twin-free graphs; with twins the scan is
-    # short and 0 is still a lower bound
-    kappa = vertex_connectivity(g) if len(classes) == g.n else 0
-    return classes, alpha, alpha_set, kappa
+
+
+def _connectivity_bound(g: Graph, classes: tuple[int, ...]) -> int:
+    """A lower bound on the vertex connectivity for the scan's level prune:
+    max-flow connectivity pays on twin-free graphs; with twins the scan is
+    short and 0 is still a lower bound."""
+    return vertex_connectivity(g) if len(classes) == g.n else 0
 
 
 def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessResult:
@@ -410,7 +417,10 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
         return ToughnessResult(INFINITE, None, "exact")
     if not is_connected(g):
         return ToughnessResult(Ratio(0), CutCertificate.from_cut(g, 0), "exact")
-    classes, alpha, alpha_set, kappa = _scan_inputs(g, cfg)
+    classes = tuple(twin_classes(g))
+    _check_limit(g, classes, cfg)
+    alpha, alpha_set = independence_number(g)
+    kappa = _connectivity_bound(g, classes)
 
     # seed: the complement of a maximum independent set is always a valid cut
     seed_cut = g.full_mask & ~alpha_set
@@ -459,7 +469,16 @@ def find_cut_below(
     """The cut of g with ratio strictly below target that has the fewest
     vertices and, among those, the lowest mask; None when the scan proves no
     such cut exists.  Raises LimitExceeded past the exhaustive limit."""
-    classes, alpha, _, kappa = _scan_inputs(g, cfg)
+    classes = tuple(twin_classes(g))
+    _check_limit(g, classes, cfg)
+    return _cut_below(g, target, classes, independence_number(g)[0])
+
+
+def _cut_below(
+    g: Graph, target: Ratio, classes: tuple[int, ...], alpha: int
+) -> CutCertificate | None:
+    """``find_cut_below`` given g's twin classes and independence number."""
+    kappa = _connectivity_bound(g, classes)
     hit = _scan(g.adj, classes, 0, 0, kappa, alpha, (target.p, target.q), _NO_INCUMBENT)
     return CutCertificate.from_cut(g, hit[3]) if hit[1] else None
 
@@ -468,22 +487,60 @@ def find_cut_below(
 # heuristic upper-bound search
 
 
+# Annealing counts on the twin quotient with the scan's chunk tables while a
+# chunk has at most this many bits: q <= 27, the scan's own regime, with 512
+# entries per table.  The tables grow as 2^ceil(q/3), to a million entries
+# each on the twin-free 60-vertex chain, so past this annealing counts on the
+# vertex graph with ``component_count``.
+_ANNEAL_CHUNK_BITS = 9
+
+
+def _table_counters(T, V, w: int):
+    """(count, weigh) on class masks of the twin quotient, from its chunk
+    tables: ``count(alive)`` closes components three lookups per round as
+    in ``_scan``, a class with no alive neighbour counting one component per
+    member, and ``weigh(s)`` is the number of vertices of s."""
+    T0, T1, T2 = T
+    V0, V1, V2 = V
+    m = (1 << w) - 1
+    w2 = 2 * w
+
+    def weigh(s: int) -> int:
+        return V0[s & m] + V1[s >> w & m] + V2[s >> w2]
+
+    def count(alive: int) -> int:
+        total = 0
+        while alive:
+            b = comp = alive & -alive
+            grown = b | (T0[b & m] | T1[b >> w & m] | T2[b >> w2]) & alive
+            while grown != comp:
+                comp = grown
+                grown |= (T0[comp & m] | T1[comp >> w & m] | T2[comp >> w2]) & alive
+            alive ^= comp
+            total += 1 if comp != b else V0[b & m] + V1[b >> w & m] + V2[b >> w2]
+        return total
+
+    return count, weigh
+
+
 def _shrink(
-    chosen: int, classes: list[int], adj: tuple[int, ...], reps: int, full: int
+    chosen: int, units: list[int], sizes: list[int], full: int, count, weigh
 ) -> tuple[int, int, int]:
-    """Greedy removal pass: drop classes, in class order, while the exact
-    ratio improves.  Returns (chosen, weight, omega)."""
-    weight = chosen.bit_count()
-    omega = component_count(adj, full ^ chosen, reps)
+    """Greedy removal pass: drop classes (``units``, of ``sizes`` vertices),
+    in class order, while the exact ratio improves; ``count`` and ``weigh``
+    give the components left by a state and its vertex count.  Returns
+    (chosen, weight, omega)."""
+    weight = weigh(chosen)
+    omega = count(full ^ chosen)
     improved = True
     while improved:
         improved = False
-        for c in classes:
-            if not chosen & c:
+        for u, size in zip(units, sizes):
+            if not chosen & u:
                 continue
-            cand = chosen ^ c
-            w = weight - c.bit_count()
-            om = component_count(adj, full ^ cand, reps)
+            cand = chosen ^ u
+            w = weight - size
+            om = count(full ^ cand)
             if om >= 2 and w * omega < weight * om:
                 chosen, weight, omega = cand, w, om
                 improved = True
@@ -502,7 +559,9 @@ def toughness_upper_search(
     Never claimed optimal.  Every state is a union of whole twin classes
     (all copies of a blown-up vertex enter or leave the cut together), which
     is lossless for the optimum and shrinks solid graphs dramatically; moves
-    flip one class and ``component_count`` expands one member per class.
+    flip one class.  Up to 27 classes a state is a class mask and its
+    components close over the twin quotient with the scan's three-lookup
+    tables; past that it is a vertex mask counted by ``component_count``.
     Restarts are seeded from complements and neighborhoods of greedy
     independent sets followed by a greedy shrink pass, so structured optima
     are reachable even when annealing alone would wander.
@@ -511,27 +570,40 @@ def toughness_upper_search(
         raise ValueError("upper search needs a connected graph")
     if g.is_complete():
         raise ValueError("complete graphs have no cut-set")
-    # classes in the scan's order (by highest member), so unions of classes
-    # order like the class subsets they are made of
     adj = g.adj
+    # classes in the scan's order (by highest member), so class masks order
+    # like the vertex masks they stand for, and the (ratio, |S|, mask)
+    # tie-break picks the same cut in either form
     classes = twin_classes(g)
-    reps = _lowest_members(classes)
     nq = len(classes)
-    full = g.full_mask
+    tabled = -(-nq // 3) <= _ANNEAL_CHUNK_BITS
+    if tabled:
+        rows, sizes, w, T, V = _quotient(adj, classes)
+        units = [1 << i for i in range(nq)]  # bit i is class i
+        full = reps = (1 << nq) - 1  # each class is its own representative
+        count, weigh = _table_counters(T, V, w)
+    else:
+        rows, units, full = adj, classes, g.full_mask
+        sizes = [c.bit_count() for c in classes]
+        # the lowest member of each class: a BFS over whole classes expands
+        # only these, since twins have the same neighbors
+        reps = sum(c & -c for c in classes)
+        count = partial(component_count, adj, reps=reps)
+        weigh = int.bit_count
     rng = random.Random(seed)
 
-    def nbrs(c: int) -> int:
+    def nbrs(u: int) -> int:
         # twins share their row, so any member gives the class's neighbors
-        return adj[c.bit_length() - 1]
+        return rows[u.bit_length() - 1]
 
     def greedy_independent(order: list[int]) -> int:
         chosen = 0
         blocked = 0
         for i in order:
-            c = classes[i]
-            if not blocked & c:
-                chosen |= c
-                blocked |= c | nbrs(c)
+            u = units[i]
+            if not blocked & u:
+                chosen |= u
+                blocked |= u | nbrs(u)
         return chosen
 
     def greedy_clique_packing(order: list[int], cap: int) -> int:
@@ -542,15 +614,15 @@ def toughness_upper_search(
         packed = 0
         blocked = 0
         for i in order:
-            c = classes[i]
-            if blocked & c:
+            u = units[i]
+            if blocked & u:
                 continue
-            clique = c
-            nbhd = nbrs(c)
+            clique = u
+            nbhd = nbrs(u)
             common = nbhd & ~blocked
             size = 1
             while common and size < cap:
-                d = next(classes[x] for x in order if common & classes[x])
+                d = next(units[x] for x in order if common & units[x])
                 clique |= d
                 size += 1
                 common &= nbrs(d)
@@ -561,8 +633,8 @@ def toughness_upper_search(
 
     def neighborhood(mask: int) -> int:
         out = 0
-        for v in bits_of(mask & reps):
-            out |= adj[v]
+        for b in bits_of(mask & reps):
+            out |= rows[b]
         return out & ~mask
 
     best = _NO_INCUMBENT  # (|S|, omega, |S|, cut) in the scan's order
@@ -588,27 +660,33 @@ def toughness_upper_search(
             state = neighborhood(greedy_independent(order))
         elif kind == 4:
             # the class with the fewest neighbor classes
-            lo = min(range(nq), key=lambda i: ((nbrs(classes[i]) & reps).bit_count(), i))
-            state = nbrs(classes[lo])
+            lo = min(range(nq), key=lambda i: ((nbrs(units[i]) & reps).bit_count(), i))
+            state = nbrs(units[lo])
         else:
             state = 0
-            for c in classes:
+            for u in units:
                 if rng.random() < 0.5:
-                    state |= c
-        state, w, om = _shrink(state, classes, adj, reps, full)
-        consider(state, w, om)
-        energy = w / om if om >= 2 else float(g.n * 2)
+                    state |= u
+        state, cw, com = _shrink(state, units, sizes, full, count, weigh)
+        consider(state, cw, com)
+        energy = cw / com if com >= 2 else float(g.n * 2)
         # one long geometric cooling arc per restart: 0.95 per sweep of moves
         temp = 0.5
         best_ratio_seen = energy
         for step in range(steps_per_restart):
-            cand = state ^ classes[rng.randrange(nq)]
+            cand = state ^ units[rng.randrange(nq)]
             if rng.random() < 0.25:
-                cand ^= classes[rng.randrange(nq)]
+                cand ^= units[rng.randrange(nq)]
             if cand in (0, full):
                 continue
-            cw = cand.bit_count()
-            com = component_count(adj, full ^ cand, reps)
+            if tabled:
+                cw = weigh(cand)
+                com = count(full ^ cand)
+            else:
+                # called directly: on the 36-60 vertex chains a wrapper's
+                # call costs a measurable share of the step
+                cw = cand.bit_count()
+                com = component_count(adj, full ^ cand, reps)
             ce = cw / com if com >= 2 else float(g.n * 2)
             if ce <= energy or rng.random() < 2.718281828 ** ((energy - ce) / temp):
                 state, energy = cand, ce
@@ -616,22 +694,22 @@ def toughness_upper_search(
                     consider(cand, cw, com)
                     if ce < best_ratio_seen - 1e-12:
                         best_ratio_seen = ce
-                        state, cw, com = _shrink(cand, classes, adj, reps, full)
+                        state, cw, com = _shrink(cand, units, sizes, full, count, weigh)
                         energy = cw / com if com >= 2 else energy
                         consider(state, cw, com)
             if step % nq == nq - 1:
                 temp *= 0.95
                 if temp < 1e-4:
                     temp = 1e-4
-        state, w, om = _shrink(state, classes, adj, reps, full)
-        consider(state, w, om)
+        state, cw, com = _shrink(state, units, sizes, full, count, weigh)
+        consider(state, cw, com)
 
     if best[1]:
-        cut = best[3]
+        cut = sum(c for c, u in zip(classes, units) if best[3] & u)
     else:
         # deterministic fallback: the neighbors of the first vertex with a
         # non-neighbor (g is not complete) cut it off from that non-neighbor
-        cut = next(adj[v] for v in range(g.n) if adj[v] != full ^ (1 << v))
+        cut = next(adj[v] for v in range(g.n) if adj[v] != g.full_mask ^ (1 << v))
     cert = CutCertificate.from_cut(g, cut)
     check = verify_certificate(g, cert)
     if not check:
@@ -701,18 +779,28 @@ class MinimalityReport:
 # The per-edge target scan runs before annealing when 2^q, the number of
 # twin-class subsets of G-e, is at most this multiple of the annealing step
 # budget.  Measured on G-e of 12 connected G(n, p) per n = 8..14, p in
-# 0.3-0.7, four edges each (2-vCPU VM, Python 3.11.7; medians per n): one
-# annealing step costs 2.3-3.9 us, and the quotient scan costs 0.18-0.63 us
-# per predicted subset, a ratio of 5.1 to 16.7 (the vertex-by-vertex scan
-# before it cost 0.21-1.18 us, a ratio down to 2.8).  The multiple sits below
-# the smallest ratio, so a routed edge is predicted to scan faster than
-# annealing alone runs.  Raising it would move edges between routes and so
-# change which certificate `minimal` prints.  At the default budget it routes
-# twin-free graphs with n <= 11 to the scan.
+# 0.3-0.7, four edges each (2-vCPU VM, Python 3.11.7; medians per n of the
+# per-edge values): one annealing step at this budget costs 3.5-4.4 us, and
+# the quotient scan costs 0.28-0.57 us per predicted subset, a ratio of 6.2
+# to 13.1.  Counting on the quotient's tables made those steps 0-13% cheaper
+# than the BFS count before it, on the same edges; on such small graphs the
+# random draws and bookkeeping of a step cost more than its count.  The
+# multiple sits below the smallest ratio, so a routed edge is predicted to
+# scan faster than annealing alone runs.  Raising it would move edges between
+# routes and so change which certificate `minimal` prints.  At the default
+# budget it routes twin-free graphs with n <= 11 to the scan.
 SCAN_STEPS_PER_SUBSET = 4
 
 # The annealing budget of one edge is min(MINIMALITY_HEURISTIC_STEPS, 60 n).
 MINIMALITY_HEURISTIC_STEPS = 4_000
+
+
+def _alpha_without(g: Graph, edge: tuple[int, int], alpha: int) -> int:
+    """α(g − uv) from α(g) = ``alpha``, exactly: an independent set of g − uv
+    is independent in g, or holds u and v and no other neighbour of either."""
+    u, v = edge
+    rest = g.full_mask & ~(g.adj[u] | g.adj[v])  # u and v are neighbours in g
+    return max(alpha, 2 + independence_number(g, rest)[0])
 
 
 def _witness_for_edge(
@@ -722,6 +810,7 @@ def _witness_for_edge(
     cfg: EngineConfig,
     hint: CutCertificate | None,
     edge_index: int,
+    alpha,
 ) -> EdgeWitness:
     """Find a cut of g-e with ratio strictly below target.
 
@@ -729,7 +818,7 @@ def _witness_for_edge(
     cheaper than the short deterministic heuristic run, else that heuristic
     run followed by the scan.  Without a certificate, source "exhaustive"
     means the scan proved no such cut exists, and "inconclusive" that the
-    edge stayed unresolved.
+    edge stayed unresolved.  ``alpha()`` gives α(g).
     """
     ge = delete_edge(g, edge)
     if hint is not None:
@@ -738,8 +827,9 @@ def _witness_for_edge(
     if not is_connected(ge):
         return EdgeWitness(edge, CutCertificate.from_cut(ge, 0), "exhaustive")
     steps = min(MINIMALITY_HEURISTIC_STEPS, 60 * g.n)
-    nq = len(twin_classes(ge))
-    # past the exhaustive limit the scan would raise, so annealing goes first
+    classes = tuple(twin_classes(ge))
+    nq = len(classes)
+    # past the exhaustive limit the scan cannot run, so annealing goes first
     scan_first = (
         cfg.allow_exhaustive_edges
         and nq <= cfg.exhaustive_limit
@@ -750,12 +840,9 @@ def _witness_for_edge(
         cert = toughness_upper_search(ge, steps, seed=cfg.seed * 7919 + edge_index, restarts=3)
         if cert.ratio < target:
             return EdgeWitness(edge, cert, "heuristic")
-        if not cfg.allow_exhaustive_edges:
+        if not cfg.allow_exhaustive_edges or nq > cfg.exhaustive_limit:
             return EdgeWitness(edge, None, "inconclusive")
-    try:
-        cert = find_cut_below(ge, target, cfg)
-    except LimitExceeded:
-        return EdgeWitness(edge, None, "inconclusive")
+    cert = _cut_below(ge, target, classes, _alpha_without(g, edge, alpha()))
     return EdgeWitness(edge, cert, "exhaustive")
 
 
@@ -784,8 +871,10 @@ def is_minimally_tough(
         raise ValueError("complete graphs are never minimally tough")
     t = toughness_exact(g, cfg).value if toughness is None else toughness
     hints = hints or {}
+    # α(g), computed once, when the first edge reaches the scan
+    alpha = cache(lambda: independence_number(g)[0])
     entries = tuple(
-        _witness_for_edge(g, edge, t, cfg, hints.get(edge), idx)
+        _witness_for_edge(g, edge, t, cfg, hints.get(edge), idx, alpha)
         for idx, edge in enumerate(g.edges())
     )
     return MinimalityReport(t, entries)

@@ -2,12 +2,16 @@
 
 Deliberately written against a different graph representation (adjacency
 sets, python Fractions, itertools subset enumeration) so they share no code
-path with the engines they check.
+path with the engines they check.  The exception is ``vertex_mask_anneal``,
+the annealing search on vertex masks as it was before it moved to the twin
+quotient: a seeded heuristic has no independent answer, so its former
+implementation is the reference the current one must match.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -135,3 +139,166 @@ def brute_vertex_connectivity(g: Graph) -> int:
 
 def ratio_of(cert_ratio) -> Fraction:
     return Fraction(cert_ratio.p, cert_ratio.q)
+
+
+def _count_over_classes(adj: tuple[int, ...], alive: int, reps: int) -> int:
+    """Components on ``alive`` (a union of whole twin classes) by a BFS that
+    expands only ``reps``, the lowest member of each class."""
+    count = 0
+    while alive:
+        count += 1
+        comp = alive & -alive
+        frontier = comp
+        while frontier:
+            nxt = 0
+            f = frontier & reps
+            while f:
+                b = f & -f
+                nxt |= adj[b.bit_length() - 1]
+                f ^= b
+            frontier = nxt & alive & ~comp
+            comp |= frontier
+        alive &= ~comp
+    return count
+
+
+def vertex_mask_anneal(g: Graph, budget_steps: int, seed: int, restarts: int):
+    """(ratio as a Fraction, cut mask) of the annealing upper-bound search as
+    it ran on vertex masks, one BFS per step, before it moved to the twin
+    quotient.  ``toughness_upper_search`` must make the same RNG draws and
+    the same (ratio, |S|, mask) choices, so its result must match this."""
+    adj = g.adj
+    full = g.full_mask
+    groups: dict[int, int] = {}
+    for v in range(g.n):
+        groups[adj[v]] = groups.get(adj[v], 0) | (1 << v)
+    classes = sorted(groups.values())
+    reps = 0
+    for c in classes:
+        reps |= c & -c
+    nq = len(classes)
+    rng = random.Random(seed)
+
+    def count(alive):
+        return _count_over_classes(adj, alive, reps)
+
+    def shrink(chosen):
+        weight = chosen.bit_count()
+        omega = count(full ^ chosen)
+        improved = True
+        while improved:
+            improved = False
+            for c in classes:
+                if not chosen & c:
+                    continue
+                cand = chosen ^ c
+                w = weight - c.bit_count()
+                om = count(full ^ cand)
+                if om >= 2 and w * omega < weight * om:
+                    chosen, weight, omega = cand, w, om
+                    improved = True
+                    break
+        return chosen, weight, omega
+
+    def nbrs(c):
+        return adj[c.bit_length() - 1]
+
+    def greedy_independent(order):
+        chosen = blocked = 0
+        for i in order:
+            c = classes[i]
+            if not blocked & c:
+                chosen |= c
+                blocked |= c | nbrs(c)
+        return chosen
+
+    def greedy_clique_packing(order, cap):
+        packed = blocked = 0
+        for i in order:
+            c = classes[i]
+            if blocked & c:
+                continue
+            clique = c
+            nbhd = nbrs(c)
+            common = nbhd & ~blocked
+            size = 1
+            while common and size < cap:
+                d = next(classes[x] for x in order if common & classes[x])
+                clique |= d
+                size += 1
+                common &= nbrs(d)
+                nbhd |= nbrs(d)
+            packed |= clique
+            blocked |= clique | nbhd
+        return packed
+
+    def neighborhood(mask):
+        out = 0
+        sel = mask & reps
+        while sel:
+            b = sel & -sel
+            out |= adj[b.bit_length() - 1]
+            sel ^= b
+        return out & ~mask
+
+    best = None  # (Fraction, |S|, mask)
+
+    def consider(chosen, weight, omega):
+        nonlocal best
+        if omega >= 2:
+            key = (Fraction(weight, omega), weight, chosen)
+            if best is None or key < best:
+                best = key
+
+    steps_per_restart = max(1, budget_steps // max(1, restarts))
+    for r in range(max(1, restarts)):
+        order = list(range(nq))
+        rng.shuffle(order)
+        kind = r % 6
+        if kind == 0:
+            state = full & ~greedy_independent(order)
+        elif kind == 1:
+            state = full & ~greedy_clique_packing(order, 3)
+        elif kind == 2:
+            state = full & ~greedy_clique_packing(order, nq)
+        elif kind == 3:
+            state = neighborhood(greedy_independent(order))
+        elif kind == 4:
+            lo = min(range(nq), key=lambda i: ((nbrs(classes[i]) & reps).bit_count(), i))
+            state = nbrs(classes[lo])
+        else:
+            state = 0
+            for c in classes:
+                if rng.random() < 0.5:
+                    state |= c
+        state, w, om = shrink(state)
+        consider(state, w, om)
+        energy = w / om if om >= 2 else float(g.n * 2)
+        temp = 0.5
+        best_ratio_seen = energy
+        for step in range(steps_per_restart):
+            cand = state ^ classes[rng.randrange(nq)]
+            if rng.random() < 0.25:
+                cand ^= classes[rng.randrange(nq)]
+            if cand in (0, full):
+                continue
+            cw = cand.bit_count()
+            com = count(full ^ cand)
+            ce = cw / com if com >= 2 else float(g.n * 2)
+            if ce <= energy or rng.random() < 2.718281828 ** ((energy - ce) / temp):
+                state, energy = cand, ce
+                if com >= 2:
+                    consider(cand, cw, com)
+                    if ce < best_ratio_seen - 1e-12:
+                        best_ratio_seen = ce
+                        state, cw, com = shrink(cand)
+                        energy = cw / com if com >= 2 else energy
+                        consider(state, cw, com)
+            if step % nq == nq - 1:
+                temp = max(temp * 0.95, 1e-4)
+        state, w, om = shrink(state)
+        consider(state, w, om)
+    if best is not None:
+        return best[0], best[2]
+    cut = next(adj[v] for v in range(g.n) if adj[v] != full ^ (1 << v))
+    return Fraction(cut.bit_count(), count(full ^ cut)), cut

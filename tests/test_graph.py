@@ -14,7 +14,7 @@ from toughgraphs.graph import (
 )
 from toughgraphs.families import gen_planar_chain, gen_knp2_minus_matching
 from toughgraphs.operators import SolidSpec, complete, cycle, path, solid_expand
-from toughgraphs.toughness import twin_classes
+from toughgraphs.toughness import _class_mask, _quotient, _table_counters, twin_classes
 
 
 def count_without(g, cut):
@@ -125,8 +125,10 @@ def test_wide_vertex_sets():
 
 def test_component_count_over_whole_classes_matches_oracle(rng):
     """With reps holding each twin class's lowest member, the count over any
-    union of whole classes equals the full BFS count, including classes of
-    several copies left without an alive neighbor (one component per copy)."""
+    union of whole classes equals the full BFS count, and so does the twin
+    quotient's three-lookup closure on the matching class mask, including
+    classes of several copies left without an alive neighbor (one component
+    per copy); the quotient's weight of a cut is its vertex count."""
     isolated_seen = 0
     for _ in range(40):
         base = random_connected_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.6))
@@ -136,6 +138,8 @@ def test_component_count_over_whole_classes_matches_oracle(rng):
         rng.shuffle(perm)
         g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         classes = twin_classes(g)
+        _, _, w, tables, weights = _quotient(g.adj, classes)
+        closure_count, weigh = _table_counters(tables, weights, w)
         reps = 0
         for c in classes:
             reps |= c & -c
@@ -153,4 +157,6 @@ def test_component_count_over_whole_classes_matches_oracle(rng):
             want = oracle_count(g, cut)
             assert component_count(g.adj, alive, reps) == want
             assert component_count(g.adj, alive, g.full_mask) == want
+            assert closure_count(_class_mask(classes, alive)) == want
+            assert weigh(_class_mask(classes, cut)) == cut.bit_count()
     assert isolated_seen > 0

@@ -80,6 +80,29 @@ class TestIndependence:
             g = random_graph(rng, rng.randint(1, 12), rng.random())
             assert independence_number(g)[0] == brute_alpha(g)
 
+    def test_matches_networkx_clique_of_complement(self, rng):
+        """alpha(g) is the clique number of the complement, found here by an
+        independent branch and bound; the same holds on induced subgraphs,
+        which minimality's alpha(G - e) asks for."""
+        nx = pytest.importorskip("networkx")
+
+        def nx_alpha(g, within):
+            h = nx.Graph()
+            h.add_nodes_from(bits_of(within))
+            h.add_edges_from((u, v) for u, v in g.edges() if within >> u & within >> v & 1)
+            return nx.max_weight_clique(nx.complement(h), weight=None)[1]
+
+        graphs = [random_graph(rng, rng.randint(1, 16), rng.uniform(0.1, 0.9)) for _ in range(80)]
+        graphs += [gen_planar_chain(4).graph, gen_knp3(5).graph, gen_square_lsk4().graph,
+                   solid_expand(SolidSpec(cycle(7), (3, 1, 2, 1, 1, 2, 1)))[0]]
+        for g in graphs:
+            masks = [g.full_mask, mask_of(v for v in range(g.n) if rng.random() < 0.6)]
+            for within in masks:
+                alpha, witness = independence_number(g, within)
+                assert alpha == nx_alpha(g, within)
+                assert witness & ~within == 0 and witness.bit_count() == alpha
+                assert all(not g.adj[v] & witness for v in bits_of(witness))
+
 
 class TestConnectivity:
     def test_known_values(self):

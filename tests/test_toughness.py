@@ -1,14 +1,21 @@
 import math
+import random
 
 import pytest
 
 from conftest import random_connected_graph
-from oracles import brute_first_below, brute_toughness, brute_witness, ratio_of
+from oracles import (
+    brute_first_below,
+    brute_toughness,
+    brute_witness,
+    ratio_of,
+    vertex_mask_anneal,
+)
 
 import toughgraphs.toughness as engine
 from toughgraphs.graph import build_graph, delete_edge, mask_of
 from toughgraphs.graph6 import parse_graph6, write_graph6
-from toughgraphs.invariants import vertex_connectivity
+from toughgraphs.invariants import independence_number, vertex_connectivity
 from toughgraphs.operators import (
     SolidSpec,
     cartesian_product,
@@ -238,6 +245,13 @@ class TestScanOracles:
         assert a.witness == b.witness
 
 
+def relabelled(rng, g):
+    """g with its vertices permuted at random."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def complete_bipartite(a, b):
     return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
@@ -366,6 +380,51 @@ class TestUpperSearch:
             g = parse_graph6(graph)
         cert = toughness_upper_search(g, budget, seed=seed, restarts=restarts)
         assert (cert.ratio, cert.cut) == (ratio, cut)
+
+    # the annealing as it ran on vertex masks, one BFS per step: every RNG
+    # draw and (ratio, |S|, mask) choice carries over to the class masks, so
+    # the results are equal.  Class counts fall on both sides of the 27 up
+    # to which the search counts on the twin quotient's tables.  Budgets run
+    # from 1 to 8000 as c^(u^2) for uniform u, so most are short, and the top
+    # c falls as n grows past 15 (a step costs about n)
+    @pytest.mark.parametrize("kind, cases", [
+        ("blowup-tabled", 200),  # bases of 4-27 vertices, x1-x3
+        ("blowup-untabled", 50),  # bases of 28-31 vertices, x1-x2
+        ("twin-free", 140),  # n = 5-40
+        ("star", 60),  # K_{1,k}: three of them end on the fallback cut
+        ("chain", 50),  # m = 4 (24 classes) and m = 6 (36)
+    ])
+    def test_matches_vertex_mask_oracle(self, kind, cases):
+        rng = random.Random(f"anneal-{kind}")
+        done = 0
+        while done < cases:
+            if kind == "blowup-tabled":
+                base = random_connected_graph(rng, rng.randint(4, 27), rng.uniform(0.1, 0.6))
+                spec = SolidSpec(base, tuple(rng.randint(1, 3) for _ in range(base.n)))
+                g = relabelled(rng, solid_expand(spec)[0])
+            elif kind == "blowup-untabled":
+                base = random_connected_graph(rng, rng.randint(28, 31), rng.uniform(0.1, 0.3))
+                spec = SolidSpec(base, tuple(rng.randint(1, 2) for _ in range(base.n)))
+                g = relabelled(rng, solid_expand(spec)[0])
+            elif kind == "twin-free":
+                g = random_connected_graph(rng, rng.randint(5, 40), rng.uniform(0.1, 0.4))
+            elif kind == "star":
+                k = rng.randint(2, 12)
+                g = relabelled(rng, build_graph(k + 1, [(0, v) for v in range(1, k + 1)]))
+            else:
+                g = relabelled(rng, gen_planar_chain(rng.choice((4, 6))).graph)
+            q = len(twin_classes(g))
+            if g.is_complete() or (kind == "twin-free" and q < g.n):
+                continue
+            if kind.startswith("blowup") and (q == g.n or (q > 27) != kind.endswith("untabled")):
+                continue
+            budget = round(min(8000, 120_000 // g.n) ** rng.random() ** 2)
+            restarts = rng.choice((1, 3, 6, 20))
+            seed = rng.randrange(1 << 16)
+            cert = toughness_upper_search(g, budget, seed=seed, restarts=restarts)
+            want = vertex_mask_anneal(g, budget, seed, restarts)
+            assert (ratio_of(cert.ratio), cert.cut) == want, (write_graph6(g), budget, seed, restarts)
+            done += 1
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -539,10 +598,26 @@ class TestMinimalityRouting:
         def no_scan(*args, **kwargs):
             raise AssertionError("exhaustive scan with allow_exhaustive_edges=False")
 
-        monkeypatch.setattr(engine, "find_cut_below", no_scan)
+        monkeypatch.setattr(engine, "_cut_below", no_scan)
         cfg = EngineConfig(allow_exhaustive_edges=False)
         rep = is_minimally_tough(sc52(), cfg)
         assert {w.source for w in rep.entries} <= {"heuristic", "inconclusive"}
+
+    def test_alpha_of_each_edge_deletion_is_derived_exactly(self, rng):
+        # the scan of G - e caps component counts at alpha(G - e), which
+        # minimality derives from alpha(G) and alpha(G - N[u] - N[v])
+        graphs = [random_connected_graph(rng, rng.randint(3, 14), rng.uniform(0.2, 0.8))
+                  for _ in range(40)]
+        graphs += [random_blowup(rng, rng.randint(3, 8), 3)[1] for _ in range(15)]
+        raised = kept = 0
+        for g in graphs:
+            alpha = independence_number(g)[0]
+            for e in g.edges():
+                want = independence_number(delete_edge(g, e))[0]
+                assert engine._alpha_without(g, e, alpha) == want
+                raised += want > alpha
+                kept += want == alpha
+        assert raised and kept
 
     def test_passed_toughness_gives_the_same_report(self, rng):
         for g in self._corpus(rng)[:6] + [cycle(4), gen_knp3(4).graph]:
