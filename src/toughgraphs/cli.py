@@ -220,7 +220,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    orbits = edge_orbits(_load_graph(args), limit=args.limit)
+    orbits = edge_orbits(_load_graph(args))
     print(f"{len(orbits)} edge orbits")
     for k, orbit in enumerate(orbits):
         members = " ".join(f"{u}-{v}" for u, v in orbit)
@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbits", help="edge orbits under the automorphism group")
     p.add_argument("--g6")
     p.add_argument("--file")
-    p.add_argument("--limit", type=int, default=48)
     p.set_defaults(func=_cmd_orbits)
 
     return parser

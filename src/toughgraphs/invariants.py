@@ -1,5 +1,7 @@
 """Structural invariants: independence number, vertex connectivity,
-claw-freeness, combinatorial-embedding verification, and edge orbits.
+claw-freeness, combinatorial-embedding verification, and the symmetry of a
+graph: its canonical form, automorphism group generators and edge orbits,
+all from one individualisation-refinement search.
 
 Everything here is exact.  Planarity is only ever certified by checking a
 supplied rotation system against Euler's formula; there is deliberately no
@@ -256,6 +258,8 @@ class RotationSystem:
             if not line:
                 continue
             head, _, rest = line.partition(":")
+            if int(head) in rows:
+                raise ValueError(f"rotation file lists vertex {int(head)} more than once")
             rows[int(head)] = tuple(int(tok) for tok in rest.split())
         if set(rows) != set(range(len(rows))):
             raise ValueError("rotation file must cover vertices 0..n-1")
@@ -305,91 +309,165 @@ def verify_embedding(g: Graph, rot: RotationSystem) -> tuple[bool, int]:
 
 
 # ---------------------------------------------------------------------------
-# automorphisms and edge orbits
+# symmetry: one individualisation-refinement search (McKay 1981; McKay & Piperno 2014)
+
+SEARCH_NODE_LIMIT = 200_000  # search-tree nodes before LimitExceeded
 
 
-def refine_colors(g: Graph) -> list[int]:
-    """Stable neighborhood-refinement coloring (isomorphism invariant)."""
-    colors = [g.degree(v) for v in range(g.n)]
-    while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[u] for u in bits_of(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        order = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [order[k] for k in keys]
-        if new == colors:
-            return colors
-        colors = new
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """The coarsest equitable partition finer than the ordered partition
+    ``cells`` (vertex masks), which must be equitable towards every cell not
+    in the stack ``splitters``.  Cells split in place by neighbour counts in
+    a splitter, ordered by count; no step reads a vertex label."""
+    n = len(adj)
+    while splitters and len(cells) < n:
+        w = splitters.pop()
+        near = 0  # the vertices with a neighbour in w
+        for v in bits_of(w):
+            near |= adj[v]
+        out = []
+        for x in cells:
+            touched = x & near
+            if touched and x & (x - 1):
+                parts = {0: x ^ touched} if x != touched else {}
+                for v in bits_of(touched):
+                    k = (adj[v] & w).bit_count()
+                    parts[k] = parts.get(k, 0) | 1 << v
+                if len(parts) > 1:
+                    # counts in the first largest fragment follow from the rest
+                    fragments = [parts[k] for k in sorted(parts)]
+                    largest = max(fragments, key=int.bit_count)
+                    splitters += [f for f in fragments if f != largest]
+                    out += fragments
+                    continue
+            out.append(x)
+        cells = out
+    return cells
 
 
-def _map_vertices(
-    g: Graph, order: list[int], candidates: list[list[int]], i: int,
-    image: list[int], used: list[bool], autos: list[tuple[int, ...]],
-    nodes: int, node_limit: int,
-) -> int:
-    """Extend the partial automorphism ``image`` of ``order[:i]`` in every
-    way, appending each complete one to ``autos``; returns the search-tree
-    node count so far, ``nodes`` being the count before this node."""
-    nodes += 1
-    if nodes > node_limit:
-        raise LimitExceeded(f"automorphism search exceeded {node_limit} nodes")
-    if i == g.n:
-        autos.append(tuple(image))
-        return nodes
-    v = order[i]
-    for w in candidates[v]:
-        if used[w]:
-            continue
-        ok = True
-        for j in range(i):
-            u = order[j]
-            if g.has_edge(v, u) != g.has_edge(w, image[u]):
-                ok = False
-                break
-        if ok:
-            image[v] = w
-            used[w] = True
-            nodes = _map_vertices(g, order, candidates, i + 1, image, used, autos, nodes, node_limit)
-            used[w] = False
-    image[v] = -1
-    return nodes
+def _find(parent, v: int) -> int:
+    """Root of v in the union-find forest ``parent``, halving the path."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
-def automorphisms(g: Graph, node_limit: int = 2_000_000) -> list[tuple[int, ...]]:
-    """All automorphisms of g by backtracking with refinement pruning.
+class _Search:
+    """The individualisation-refinement tree of a graph.  A node is the
+    equitable partition reached by individualising its path's vertices in
+    turn; its children individualise each member of its first cell that is
+    not a twin class, and without one it is a leaf, labelled by its cells in
+    order.  ``best`` keeps the least leaf certificate (adjacency rows).
+    ``found`` holds swaps of consecutive twins and an automorphism per leaf
+    equal to the first or the best one; children are pruned by the orbits of
+    those that fix the path, and a first-leaf match returns to that path."""
 
-    Raises LimitExceeded when the search tree exceeds node_limit; intended for
-    the small, highly structured graphs this package generates.
-    """
-    n = g.n
-    colors = refine_colors(g)
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    # map vertices in an order that keeps candidate lists small
-    order = sorted(range(n), key=lambda v: (len(by_color[colors[v]]), colors[v], v))
-    autos: list[tuple[int, ...]] = []
-    candidates = [by_color[colors[v]] for v in range(n)]
-    _map_vertices(g, order, candidates, 0, [-1] * n, [False] * n, autos, 0, node_limit)
-    return autos
+    def __init__(self, g: Graph):
+        self.g = g
+        classes: dict[int, int] = {}  # no open neighbourhood is a closed one
+        for v, row in enumerate(g.adj):
+            for key in (row, row | 1 << v):
+                classes[key] = classes.get(key, 0) | 1 << v
+        # v's twin class: the vertices with its open or its closed neighbourhood
+        self.twins = [classes[row] | classes[row | 1 << v] for v, row in enumerate(g.adj)]
+        self.nodes = 0
+        self.found: list[tuple[int, ...]] = []
+        for v, twins in enumerate(self.twins):
+            if twins >> (v + 1):
+                w = v + (twins >> (v + 1) & -(twins >> (v + 1))).bit_length()
+                swap = list(range(g.n))
+                swap[v], swap[w] = w, v
+                self.found.append(tuple(swap))
+        self.first = self.best = None  # (labelling, certificate, path)
+        try:
+            self._explore(_refine(g.adj, [g.full_mask] if g.n else [], [g.full_mask]), [])
+        except RecursionError:
+            raise LimitExceeded("automorphism search tree too deep") from None
+
+    def _explore(self, cells: list[int], path: list[int]) -> int:
+        """Search below a node; returns the depth to go back to."""
+        self.nodes += 1
+        if self.nodes > SEARCH_NODE_LIMIT:
+            raise LimitExceeded(f"automorphism search exceeded {SEARCH_NODE_LIMIT} nodes")
+        target = next((x for x in cells if x & ~self.twins[(x & -x).bit_length() - 1]), 0)
+        if not target:
+            return self._leaf([v for x in cells for v in bits_of(x)], path)
+        at = cells.index(target)
+        done, known = 0, -1  # children searched; len(self.found) at the last orbits
+        for v in bits_of(target):
+            if done:
+                if len(self.found) != known:
+                    known, orbit = len(self.found), self._orbits(path)
+                if any(orbit[u] == orbit[v] for u in bits_of(done)):
+                    continue
+            child = cells[:at] + [1 << v, target ^ 1 << v] + cells[at + 1 :]
+            back = self._explore(_refine(self.g.adj, child, [1 << v]), path + [v])
+            if back < len(path):
+                return back
+            done |= 1 << v
+        return len(path)
+
+    def _leaf(self, lab: list[int], path: list[int]) -> int:
+        """Compare the leaf (vertex lab[i] at position i) with the first and the best."""
+        pos = tuple(sorted(range(len(lab)), key=lab.__getitem__))  # position of each vertex
+        cert = self.g.adj if pos == tuple(range(len(lab))) else permute_graph(self.g, pos).adj
+        if self.first is None:
+            self.first = self.best = (lab, cert, path)
+        elif cert == self.first[1] or cert == self.best[1]:
+            other = self.first if cert == self.first[1] else self.best
+            self.found.append(tuple(w for _, w in sorted(zip(lab, other[0]))))
+            if other is self.first:
+                return next(d for d, (a, b) in enumerate(zip(path, other[2])) if a != b)
+        elif cert < self.best[1]:
+            self.best = (lab, cert, path)
+        return len(path)
+
+    def _orbits(self, path: list[int]) -> list[int]:
+        """Per vertex, its orbit's root under the found automorphisms fixing the path."""
+        parent = list(range(self.g.n))
+        for perm in self.found:
+            if all(perm[v] == v for v in path):
+                for v, w in enumerate(perm):
+                    a, b = _find(parent, v), _find(parent, w)
+                    parent[max(a, b)] = min(a, b)
+        return [_find(parent, v) for v in range(self.g.n)]
 
 
-def edge_orbits(g: Graph, limit: int = 48) -> list[list[tuple[int, int]]]:
+def canonical_form(g: Graph) -> Graph:
+    """Canonically relabelled copy of g (isomorphic graphs give equal graphs):
+    the least leaf of the individualisation-refinement search."""
+    return Graph(g.n, _Search(g).best[1])
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Permutations (v maps to perm[v]) generating the automorphism group of
+    g: swaps of consecutive twins, then the automorphisms the search found."""
+    return _Search(g).found
+
+
+def edge_orbits(g: Graph) -> list[list[tuple[int, int]]]:
     """Partition E(g) into orbits under the full automorphism group: each
-    orbit sorted, orbits ordered by their lowest edge."""
-    if g.n > limit:
-        raise ValueError(f"edge_orbits limited to n <= {limit}, got {g.n}")
-    autos = automorphisms(g)
-    orbits: list[list[tuple[int, int]]] = []
-    placed: set[tuple[int, int]] = set()
-    for u, v in g.edges():  # ascending, so each new orbit starts at its lowest edge
-        if (u, v) in placed:
-            continue
-        orbit = sorted({(min(s[u], s[v]), max(s[u], s[v])) for s in autos})
-        placed.update(orbit)
-        orbits.append(orbit)
-    return orbits
+    orbit sorted, orbits ordered by their lowest edge.  Swaps of twins make
+    the edges between two twin classes (or inside one) one block; a
+    union-find joins blocks by the generators and never lists the group."""
+    search = _Search(g)
+    edges = g.edges()
+    # block of edge uv: the mask of the lowest members of the twin classes of u and v
+    low = [(t & -t).bit_length() - 1 for t in search.twins]
+    blocks = [1 << low[u] | 1 << low[v] for u, v in edges]
+    parent = {b: b for b in blocks}
+    for perm in search.found:
+        if all(low[perm[v]] == low[v] for v in range(g.n)):
+            continue  # a swap of twins, which keeps every block
+        for b in list(parent):
+            image = 1 << low[perm[(b & -b).bit_length() - 1]] | 1 << low[perm[b.bit_length() - 1]]
+            i, j = _find(parent, b), _find(parent, image)
+            parent[max(i, j)] = min(i, j)
+    orbits: dict[int, list[tuple[int, int]]] = {}
+    for e, b in zip(edges, blocks):  # ascending, so each orbit is sorted
+        orbits.setdefault(_find(parent, b), []).append(e)
+    return list(orbits.values())
 
 
 def permute_graph(g: Graph, perm: tuple[int, ...]) -> Graph:
@@ -401,4 +479,3 @@ def permute_graph(g: Graph, perm: tuple[int, ...]) -> Graph:
             row |= 1 << perm[u]
         adj[perm[v]] = row
     return Graph(g.n, tuple(adj))
-

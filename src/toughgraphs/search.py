@@ -1,11 +1,10 @@
 """Small-graph enumeration and the counterexample stream filter.
 
 The built-in enumerator produces exactly one representative per isomorphism
-class of connected graphs for n <= 8, deduplicating by a canonical form: the
-lexicographically smallest upper-triangle adjacency bitstring over all vertex
-orders that respect an iterated neighborhood-refinement partition.  The
-restriction is sound because the partition is an isomorphism invariant and
-the minimized bitstring reconstructs the graph.
+class of connected graphs for n <= 8, deduplicating by
+``invariants.canonical_form``: the least leaf certificate of an
+individualisation-refinement search, which isomorphic graphs share and which
+reconstructs the graph.
 
 Streams beyond n = 8 come from external graph6 files; the filter consumes
 newline-delimited graph6, tolerates the ">>graph6<<" header, reports parse
@@ -21,7 +20,7 @@ from typing import Iterator
 
 from .graph import Graph, build_graph, degree_profile
 from .graph6 import graph6_lines, parse_graph6, write_graph6
-from .invariants import permute_graph, refine_colors
+from .invariants import canonical_form
 from .toughness import DEFAULT_CONFIG, DegreeExcessReport, EngineConfig, degree_excess_filter
 
 ENUM_LIMIT = 8
@@ -29,82 +28,6 @@ ENUM_LIMIT = 8
 # connected unlabeled graph counts for n = 1..8, re-derived by this module's
 # own enumeration in the test suite before being trusted
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
-
-
-def _min_adjacency_string(
-    adj: tuple[int, ...],
-    position_class: list[list[int]],
-    placed: list[int],
-    placed_mask: int,
-    cols: list[int],
-    best: tuple[list[int], list[int]] | None,
-) -> tuple[list[int], list[int]] | None:
-    """The smaller of ``best`` and the least (adjacency columns, vertex order)
-    over the completions of the order ``placed``, whose columns are ``cols``
-    (``cols[d-1]`` is the adjacency column of position d); each position
-    takes a vertex of its ``position_class``.  None when ``best`` is None and
-    no completion exists."""
-    depth = len(placed)
-    if depth == len(adj):
-        return (cols[:], placed[:]) if best is None or cols < best[0] else best
-    candidates = [v for v in position_class[depth] if not placed_mask >> v & 1]
-    seen: list[tuple[int, int, int]] = []
-    for w in candidates:
-        col = 0
-        aw = adj[w]
-        for u in placed:
-            col = (col << 1) | (aw >> u & 1)
-        # interchangeable with an already-tried candidate: same column and
-        # same adjacency outside the placed prefix and the pair itself
-        sig = aw & ~placed_mask
-        skip = False
-        for c0, w0, s0 in seen:
-            scrub = ~((1 << w) | (1 << w0))
-            if c0 == col and s0 & scrub == sig & scrub:
-                skip = True
-                break
-        if skip:
-            continue
-        seen.append((col, w, sig))
-        if depth:
-            cols.append(col)
-            # lexicographic branch-and-bound against the incumbent string
-            if best is not None and cols > best[0][:depth]:
-                cols.pop()
-                continue
-        placed.append(w)
-        best = _min_adjacency_string(adj, position_class, placed, placed_mask | 1 << w, cols, best)
-        placed.pop()
-        if depth:
-            cols.pop()
-    return best
-
-
-def canonical_form(g: Graph, limit: int = ENUM_LIMIT + 2) -> Graph:
-    """Canonically relabeled copy of g (isomorphic graphs map to equal graphs).
-
-    Exhaustive minimization of the adjacency bitstring over partition
-    respecting orders, with branch-and-bound pruning and skipping of
-    interchangeable (twin) candidates.
-    """
-    n = g.n
-    if n > limit:
-        raise ValueError(f"canonical_form limited to n <= {limit}, got {n}")
-    if n <= 1:
-        return g
-    colors = refine_colors(g)
-    class_of: dict[int, list[int]] = {}
-    for v in range(n):
-        class_of.setdefault(colors[v], []).append(v)
-    class_sequence: list[list[int]] = [class_of[c] for c in sorted(class_of)]
-    position_class: list[list[int]] = []
-    for cls in class_sequence:
-        position_class.extend([cls] * len(cls))
-
-    best = _min_adjacency_string(g.adj, position_class, [], 0, [], None)
-    assert best is not None
-    # vertex v moves to its position in the best order
-    return permute_graph(g, tuple(best[1].index(v) for v in range(n)))
 
 
 _CONNECTED_LEVELS: dict[int, list[Graph]] = {}

@@ -25,6 +25,14 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.35) -> Graph
             return g
 
 
+def nx_graph(nx, g: Graph):
+    """g as a networkx graph; ``nx`` is the networkx module."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -6,6 +6,8 @@ path with the engines they check.  The exception is ``vertex_mask_anneal``,
 the annealing search on vertex masks as it was before it moved to the twin
 quotient: a seeded heuristic has no independent answer, so its former
 implementation is the reference the current one must match.
+``min_adjacency_form`` is the enumerator's former canonical form, kept as a
+second, independently built one.
 """
 
 from __future__ import annotations
@@ -135,6 +137,88 @@ def brute_vertex_connectivity(g: Graph) -> int:
             if set_components(adj, set(subset)) >= 2:
                 return k
     return n - 1
+
+
+def group_order(n: int, gens, cap: int = 1000) -> int | None:
+    """Order of the permutation group on range(n) generated by ``gens``
+    (perm[v] is the image of v), by listing its elements; None once it has
+    more than ``cap``."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for p in frontier:
+            for s in gens:
+                q = tuple(s[p[v]] for v in range(n))
+                if q not in seen:
+                    if len(seen) == cap:
+                        return None
+                    seen.add(q)
+                    grown.append(q)
+        frontier = grown
+    return len(seen)
+
+
+def _refine_colors(g: Graph) -> list[int]:
+    """Stable neighborhood-refinement coloring (isomorphism invariant)."""
+    adj = adj_sets(g)
+    colors = [len(adj[v]) for v in range(g.n)]
+    while True:
+        keys = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(g.n)]
+        order = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [order[k] for k in keys]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _min_adjacency_string(adj, position_class, placed, placed_mask, cols, best):
+    """The smaller of ``best`` and the least (adjacency columns, vertex order)
+    over the completions of the order ``placed``, whose columns are ``cols``
+    (``cols[d-1]`` is the adjacency column of position d); each position
+    takes a vertex of its ``position_class``."""
+    depth = len(placed)
+    if depth == len(adj):
+        return (cols[:], placed[:]) if best is None or cols < best[0] else best
+    seen: list[tuple[int, int, int]] = []
+    for w in position_class[depth]:
+        if placed_mask >> w & 1:
+            continue
+        col = 0
+        for u in placed:
+            col = (col << 1) | (adj[w] >> u & 1)
+        # interchangeable with an already-tried candidate: same column and
+        # same adjacency outside the placed prefix and the pair itself
+        sig = adj[w] & ~placed_mask
+        if any(c0 == col and (s0 ^ sig) & ~(1 << w | 1 << w0) == 0 for c0, w0, s0 in seen):
+            continue
+        seen.append((col, w, sig))
+        if depth:
+            cols.append(col)
+            if best is not None and cols > best[0][:depth]:
+                cols.pop()
+                continue
+        placed.append(w)
+        best = _min_adjacency_string(adj, position_class, placed, placed_mask | 1 << w, cols, best)
+        placed.pop()
+        if depth:
+            cols.pop()
+    return best
+
+
+def min_adjacency_form(g: Graph) -> Graph:
+    """Relabeled copy of g with the lexicographically least upper-triangle
+    adjacency string over the vertex orders that list the classes of a
+    stable neighborhood-refinement coloring in color order."""
+    if g.n <= 1:
+        return g
+    colors = _refine_colors(g)
+    position_class = [[v for v in range(g.n) if colors[v] == c] for c in sorted(colors)]
+    order = _min_adjacency_string(g.adj, position_class, [], 0, [], None)[1]
+    pos = {v: i for i, v in enumerate(order)}
+    adj = adj_sets(g)
+    return Graph(g.n, tuple(sum(1 << pos[u] for u in adj[v]) for v in order))
 
 
 def ratio_of(cert_ratio) -> Fraction:

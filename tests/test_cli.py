@@ -8,7 +8,7 @@ import toughgraphs.toughness as toughness
 from toughgraphs.cli import main
 from toughgraphs.families import FamilyError
 from toughgraphs.graph6 import parse_graph6, write_graph6
-from toughgraphs.graph import build_graph, degree_profile, delete_edge
+from toughgraphs.graph import Graph, build_graph, degree_profile, delete_edge
 from toughgraphs.operators import SolidSpec, cartesian_product, complete, cycle, path, solid_expand
 from toughgraphs.toughness import CutCertificate, VerifyResult, write_certificate
 
@@ -249,6 +249,32 @@ def test_orbits(capsys):
     assert out.splitlines()[0] == "1 edge orbits"
 
 
+@pytest.mark.parametrize(
+    "graph, count",
+    [
+        (lambda: solid_expand(SolidSpec.uniform(cycle(7), 3))[0], 1),
+        (lambda: families.gen_planar_chain(10).graph, 7),
+        (lambda: build_graph(0, []), 0),
+        (lambda: build_graph(1, []), 0),
+    ],
+    ids=["c7-blown-up-x3", "chain-m10", "n0", "n1"],
+)
+def test_orbits_of_symmetric_graphs(capsys, graph, count):
+    code, out = run(capsys, "orbits", "--g6", write_graph6(graph()))
+    assert code == 0 and out.splitlines()[0] == f"{count} edge orbits"
+    assert len(out.splitlines()) == count + 1
+
+
+@pytest.mark.parametrize("edges", [False, True], ids=["edgeless", "complete"])
+def test_orbits_of_one_large_twin_class(capsys, edges):
+    # one twin class of 1,100 vertices: the search tree is its root alone
+    n = 1100
+    g = Graph(n, tuple((1 << n) - 1 ^ 1 << v if edges else 0 for v in range(n)))
+    code, out = run(capsys, "orbits", "--g6", write_graph6(g))
+    assert code == 0
+    assert out.splitlines()[0] == ("1 edge orbits" if edges else "0 edge orbits")
+
+
 def test_env_threads_fallback(capsys, monkeypatch):
     monkeypatch.setenv("TOUGHNESS_THREADS", "1")
     code, out = run(capsys, "toughness", "--g6", "Dhc", "--exact")
@@ -280,11 +306,12 @@ def test_user_errors_exit_one_without_traceback(capsys, argv):
         ("gen", "square-lsk4", "--seed", "1"),
         ("orbits", "--g6", "Dhc", "--budget-secs", "1"),
         ("orbits", "--g6", "Dhc", "--exhaustive-limit", "5"),
+        ("orbits", "--g6", "Dhc", "--limit", "5"),
         ("minimal", "--g6", "Dhc", "--budget-secs", "1"),
         ("search", "--input", "X", "--budget-secs", "1"),
     ],
     ids=["certify-threads", "gen-seed", "orbits-budget", "orbits-limit",
-         "minimal-budget", "search-budget"],
+         "orbits-node-limit", "minimal-budget", "search-budget"],
 )
 def test_engine_flags_rejected_where_unused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -375,8 +402,7 @@ def test_search_reports_a_headed_line_without_the_space(capsys, tmp_path):
 
 
 def test_automorphism_node_limit_is_a_user_error(capsys, monkeypatch):
-    search = invariants.automorphisms
-    monkeypatch.setattr(invariants, "automorphisms", lambda g: search(g, node_limit=3))
+    monkeypatch.setattr(invariants, "SEARCH_NODE_LIMIT", 3)
     assert_user_error(capsys, ["orbits", "--g6", "Dhc"])
 
 

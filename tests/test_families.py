@@ -146,7 +146,7 @@ class TestKnp3:
     def test_plain_is_cartesian_product(self):
         fam = gen_knp3(4)
         prod, _ = cartesian_product(complete(4), path(3))
-        assert canonical_form(fam.graph, limit=12) == canonical_form(prod, limit=12)
+        assert canonical_form(fam.graph) == canonical_form(prod)
 
     # n/3 and (n+2)/4 coincide at n = 6, so odd n tell the cases apart
     @pytest.mark.parametrize("n,regularized", [(5, False), (5, True), (7, False), (7, True)])

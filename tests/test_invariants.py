@@ -1,9 +1,10 @@
 import gc
+from itertools import islice
 
 import pytest
 
-from conftest import random_connected_graph, random_graph
-from oracles import brute_alpha, brute_max_independent_sets, brute_vertex_connectivity
+from conftest import nx_graph, random_connected_graph, random_graph
+from oracles import brute_alpha, brute_max_independent_sets, brute_vertex_connectivity, group_order
 
 from toughgraphs.families import (
     gen_knp2_minus_matching,
@@ -12,14 +13,16 @@ from toughgraphs.families import (
     gen_square_lsk4,
 )
 from toughgraphs.graph import LimitExceeded, bits_of, build_graph, mask_of
+import toughgraphs.invariants as invariants
 from toughgraphs.invariants import (
     RotationSystem,
     _local_connectivity,
-    automorphisms,
+    automorphism_generators,
     edge_orbits,
     independence_number,
     is_claw_free,
     maximum_independent_sets,
+    permute_graph,
     verify_embedding,
     vertex_connectivity,
 )
@@ -219,6 +222,10 @@ class TestEmbedding:
         assert text == "0: 1 2\n1: 0 2\n2: 0 1\n"
         assert RotationSystem.from_text(text) == rot
 
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="vertex 0 .*more than once"):
+            RotationSystem.from_text("0: 1 2\n0: 2 1\n1: 0\n")
+
 
 class TestOrbits:
     def test_cycle_single_orbit(self):
@@ -234,18 +241,63 @@ class TestOrbits:
         orbits = edge_orbits(g)
         assert len(orbits) == 3
 
-    def test_limit(self):
-        with pytest.raises(ValueError):
-            edge_orbits(complete(5), limit=4)
-
-    def test_node_limit_raises_limit_exceeded(self):
+    def test_node_limit_raises_limit_exceeded(self, monkeypatch):
+        monkeypatch.setattr(invariants, "SEARCH_NODE_LIMIT", 3)
         with pytest.raises(LimitExceeded, match="automorphism search exceeded 3 nodes"):
-            automorphisms(cycle(8), node_limit=3)
+            automorphism_generators(cycle(8))
+
+
+def symmetric_graphs():
+    """Circulants and (mixed) blow-ups: twin-rich and vertex-transitive
+    graphs, where the automorphism search has most to prune."""
+    out = [circulant(n, s) for n in range(4, 10) for s in ({1}, {1, 2}, {1, 3}, {2, 3})
+           if 2 * max(s) <= n]
+    out += [solid_expand(SolidSpec.uniform(base, 2))[0] for base in (cycle(4), cycle(5), path(3))]
+    out += [solid_expand(SolidSpec(path(3), (1, 3, 2)))[0],
+            solid_expand(SolidSpec(cycle(4), (2, 1, 3, 1)))[0]]
+    out += [build_graph(5, []), complete(5), cartesian_product(complete(3), path(3))[0]]
+    return out
+
+
+class TestAutomorphismSearch:
+    def test_generators_are_automorphisms(self, rng):
+        graphs = [random_graph(rng, rng.randint(0, 10), rng.random()) for _ in range(100)]
+        for g in graphs + symmetric_graphs() + [gen_planar_chain(4).graph]:
+            assert all(permute_graph(g, perm) == g for perm in automorphism_generators(g))
+
+    def test_matches_networkx_automorphisms(self, rng):
+        """Where networkx lists at most 1,000 automorphisms, they generate
+        a group of that order, and their edge orbits are ``edge_orbits``.
+        The generators are automorphisms, so a generated group past 1,000
+        elements means a full group past 1,000 too: those are skipped."""
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        graphs = [random_graph(rng, rng.randint(0, 7), rng.uniform(0.2, 0.8)) for _ in range(50)]
+        graphs += symmetric_graphs()
+        checked = 0
+        for g in graphs:
+            order = group_order(g.n, automorphism_generators(g))
+            if order is None:
+                continue
+            h = nx_graph(nx, g)
+            autos = list(islice(GraphMatcher(h, h).isomorphisms_iter(), 1001))
+            assert order == len(autos), g.edges()
+            orbits = {tuple(sorted({tuple(sorted((s[u], s[v]))) for s in autos}))
+                      for u, v in g.edges()}
+            assert sorted(map(tuple, edge_orbits(g))) == sorted(orbits), g.edges()
+            checked += 1
+        assert checked > 60
+
+    def test_chain_group_order(self):
+        # the 60-vertex chain has 20 automorphisms
+        g = gen_planar_chain(10).graph
+        assert group_order(g.n, automorphism_generators(g)) == 20
 
 
 @pytest.mark.parametrize(
     "call",
-    [independence_number, maximum_independent_sets, canonical_form, automorphisms,
+    [independence_number, maximum_independent_sets, canonical_form, automorphism_generators,
      is_minimally_tough],
     ids=lambda f: f.__name__,
 )
@@ -264,6 +316,6 @@ def test_calls_leave_no_reference_cycles(call):
 
 
 def test_automorphism_count_examples():
-    assert len(automorphisms(cycle(5))) == 10
-    assert len(automorphisms(complete(4))) == 24
-    assert len(automorphisms(path(3))) == 2
+    assert group_order(5, automorphism_generators(cycle(5))) == 10
+    assert group_order(4, automorphism_generators(complete(4))) == 24
+    assert group_order(3, automorphism_generators(path(3))) == 2

@@ -3,15 +3,17 @@ import tracemalloc
 
 import pytest
 
-from conftest import random_graph
+from conftest import nx_graph, random_graph
+from oracles import min_adjacency_form
 
 import toughgraphs.toughness as engine
 from toughgraphs.graph import build_graph, is_connected
 from toughgraphs.graph6 import graph6_lines, parse_graph6, write_graph6
 from toughgraphs.invariants import permute_graph
-from toughgraphs.operators import SolidSpec, complete, cycle, solid_expand
+from toughgraphs.operators import SolidSpec, circulant, complete, cycle, path, solid_expand
 from toughgraphs.ratio import Ratio
 from toughgraphs.search import (
+    CONNECTED_COUNTS,
     SearchOptions,
     canonical_form,
     enumerate_connected,
@@ -52,6 +54,16 @@ class TestGraph6:
         assert s.startswith(chr(126))
         assert parse_graph6(s) == g
 
+    def test_matches_networkx(self, rng):
+        nx = pytest.importorskip("networkx")
+        for n in [*range(0, 71, 5), 62, 63, 64, 70]:  # from 63 on, the extended header
+            g = random_graph(rng, n, rng.random())
+            ours = write_graph6(g)
+            assert nx.to_graph6_bytes(nx_graph(nx, g), header=False) == (ours + "\n").encode()
+            h = nx.from_graph6_bytes(ours.encode())
+            assert sorted(h.nodes) == list(range(n))
+            assert sorted(map(sorted, h.edges)) == [list(e) for e in g.edges()]
+
     def test_errors(self):
         with pytest.raises(ValueError):
             parse_graph6("")
@@ -63,19 +75,51 @@ class TestGraph6:
             parse_graph6("A" + chr(63 + 1))  # nonzero padding for K2-size graph
 
 
+def relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return permute_graph(g, tuple(perm))
+
+
 class TestCanonicalForm:
     def test_invariant_under_relabeling(self, rng):
-        for _ in range(150):
-            n = rng.randint(1, 8)
-            g = random_graph(rng, n, rng.random())
-            perm = list(range(n))
-            rng.shuffle(perm)
-            assert canonical_form(permute_graph(g, tuple(perm))) == canonical_form(g)
+        for _ in range(1000):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            assert canonical_form(relabeled(rng, g)) == canonical_form(g)
 
     def test_distinguishes_non_isomorphic(self):
         p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         assert canonical_form(p4) != canonical_form(star)
+
+    def test_agrees_with_networkx_isomorphism(self, rng):
+        nx = pytest.importorskip("networkx")
+        pairs = []
+        for _ in range(150):
+            n, p = rng.randint(1, 9), rng.random()
+            pairs.append((random_graph(rng, n, p), random_graph(rng, n, p)))
+        # twin-rich and vertex-transitive graphs against a relabeled copy and
+        # against every other one with as many vertices and edges
+        symmetric = [circulant(n, s) for n in range(6, 13) for s in ({1, 2}, {1, 3}, {2, 3}, {1, 4})
+                     if 2 * max(s) <= n]
+        for base in (cycle(5), path(4), complete(3)):
+            symmetric.append(solid_expand(SolidSpec.uniform(base, 3))[0])
+            mult = tuple(rng.randint(1, 3) for _ in range(base.n))
+            symmetric.append(solid_expand(SolidSpec(base, mult))[0])
+        for g in symmetric:
+            pairs.append((g, relabeled(rng, g)))
+            for other in symmetric:
+                if other.n == g.n and other.edge_count() == g.edge_count():
+                    pairs.append((relabeled(rng, other), g))
+        for a, b in pairs:
+            if a.edge_count() == b.edge_count():
+                same = canonical_form(a) == canonical_form(b)
+                assert same == nx.is_isomorphic(nx_graph(nx, a), nx_graph(nx, b)), (a.edges(), b.edges())
+
+    def test_former_minimization_gives_the_same_classes(self):
+        for n in range(1, 8):
+            forms = {min_adjacency_form(g) for g in enumerate_connected(n)}
+            assert len(forms) == CONNECTED_COUNTS[n - 1]
 
 
 class TestEnumeration:
