@@ -14,6 +14,7 @@ import argparse
 import os
 import re
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -208,14 +209,16 @@ def _cmd_search(args) -> int:
         workers=cfg.workers,
         config=cfg,
     )
+    started = time.monotonic()
     with open(args.input) as stream:
         report = filter_counterexamples(stream, options)
+    wall_time = time.monotonic() - started
     for entry in report.flagged:
         print(entry.report_line())
     for lineno, msg in report.parse_errors:
         print(f"parse error at line {lineno}: {msg}", file=sys.stderr)
     print(report.summary_line())
-    print(f"wall time: {report.wall_time:.2f}s", file=sys.stderr)
+    print(f"wall time: {wall_time:.2f}s", file=sys.stderr)
     return 0
 
 

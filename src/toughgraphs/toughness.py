@@ -13,10 +13,10 @@ under that order, so enabling them, sharding the space, or reordering shards
 never changes the result.
 
 Prunes used:
-  (a) levels below the vertex connectivity (no cut-set that small exists);
-  (b) a per-level subset bound |S| / min(alpha, n - |S|) measured against the
-      incumbent (omega can never exceed either term);
-  (c) twin closure: a subset splitting a twin class is strictly beaten by
+  (a) a per-level subset bound |S| / min(alpha, n - |S|) measured against the
+      incumbent (omega can never exceed either term); the bound grows with
+      |S|, so no cut at or above the first hopeless size is counted;
+  (b) twin closure: a subset splitting a twin class is strictly beaten by
       the same subset minus the split vertex, so the scan runs over subsets
       of twin classes, not of vertices.  The exhaustive limit counts classes.
 
@@ -32,6 +32,21 @@ until it stops changing, three lookups per round however large it is.  A
 component made of a single class counts one component per member (twins are
 never adjacent).  Classes are ordered by their highest member, so class
 masks order like the vertex masks they stand for.
+
+Most cuts leave G - S connected, so a lane-parallel filter runs first.
+Class subsets go in blocks of 2^L lanes that share their high bits, lane j
+cutting the low L free classes set in j.  Each class gets one big integer
+whose bit j says "alive in lane j" and one for "reached in lane j", seeded
+at the lane's lowest alive class; sweeps over the quotient rows,
+
+    reached[i] |= alive[i] & OR(reached[j] for j adjacent to i),
+
+forward and backward until nothing changes, settle every lane at once.  A
+lane survives when an alive class stays unreached, or when its only alive
+class has two or more members.  Only survivors are counted with the closure
+above, level by level within a block.  Because the minimum under
+(ratio, |S|, mask) does not depend on the order cuts are met, blocks may run
+in any order; only one block's integers are held at a time.
 
 The same scan answers the per-edge question of minimality: the cut with the
 fewest vertices, then the lowest mask, whose ratio is below a target.  There
@@ -55,8 +70,10 @@ seeded with, so the min-merge of shard results is schedule independent.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, replace
 from functools import cache, partial
+from itertools import accumulate
 
 from .graph import (
     Graph,
@@ -69,7 +86,7 @@ from .graph import (
     mask_of,
 )
 from .graph6 import parse_graph6, write_graph6
-from .invariants import independence_number, vertex_connectivity
+from .invariants import independence_number
 from .ratio import INFINITE, Ratio, parse_ratio
 
 
@@ -274,12 +291,101 @@ def _quotient(adj: tuple[int, ...], classes) -> tuple:
     return rows, sizes, w, _chunk_tables(rows, w, int.__or__), _chunk_tables(sizes, w, int.__add__)
 
 
+# Lane bits L of the scan's disconnection filter: a block of 2^L cuts shares
+# one flood over the quotient rows.  Measured with toughness_exact on the
+# first 30 graphs of the exact-random pool (twin-free, n = 17) and on the
+# four 18-vertex low-width graphs of exact-structured, least of three runs
+# (2-vCPU VM, Python 3.11.7): the scan without the filter took 3.45 s and
+# 1.40 s; L = 8 took 1.07 s on the pool, L = 10 0.49-0.52 s and 1.07-1.17 s,
+# L = 12 0.28 s and 0.95-1.15 s, L = 14 0.27-0.28 s and 1.02-1.15 s.  Below
+# 12 the interpreter's cost per big-int operation dominates; 14 gains
+# nothing and holds integers four times as large.
+_LANE_BITS = 12
+
+
+@cache
+def _lane_patterns(bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(alive, levels) for a block of 2^bits lanes, lane j standing for the
+    subset whose low free classes are the set bits of j: bit j of
+    ``alive[b]`` is set iff bit b of j is clear (free class b stays in
+    G - S), and bit j of ``levels[c]`` iff j has c set bits.  Built from
+    the patterns of half the lanes, on first use."""
+    if bits == 0:
+        return (), (1,)
+    alive, levels = _lane_patterns(bits - 1)
+    half = 1 << (bits - 1)
+    return (
+        tuple(a | a << half for a in alive) + ((1 << half) - 1,),
+        tuple(
+            (levels[c] if c < bits else 0) | (levels[c - 1] << half if c else 0)
+            for c in range(bits + 1)
+        ),
+    )
+
+
+def _disconnected_lanes(nbrs, sizes, base: int, pbits: int, bits: int) -> int:
+    """The lanes of the block ``base | j << pbits`` (j < 2^bits) whose cut
+    leaves at least two components, as bit j of the result.
+
+    ``nbrs[i]`` lists the quotient neighbours of class i and ``sizes[i]``
+    its vertex count; ``base`` holds the classes cut in every lane.  Class i
+    gets one integer whose bit j says "alive in lane j", and one more for
+    "reached in lane j", seeded at each lane's lowest alive class.  Forward
+    and backward sweeps over the quotient rows grow the reached lanes until
+    no integer changes.  A lane is then disconnected when some alive class
+    stays unreached, or when its only alive class has two or more members
+    (twins are never adjacent)."""
+    lane_alive, _ = _lane_patterns(bits)
+    ones = (1 << (1 << bits)) - 1
+    alive = [0 if base >> i & 1 else ones for i in range(len(nbrs))]
+    alive[pbits : pbits + bits] = lane_alive
+    order = [i for i, a in enumerate(alive) if a]
+    reached = [0] * len(nbrs)
+    seen = twice = multi = 0
+    for i in order:
+        a = alive[i]
+        reached[i] = a & ~seen
+        twice |= seen & a
+        seen |= a
+        if sizes[i] > 1:
+            multi |= a
+    # alternate directions; a sweep that changes nothing proves the fixpoint
+    sweeps = (order, order[::-1])
+    changed = True
+    d = 0
+    while changed:
+        changed = False
+        for i in sweeps[d]:
+            r = reached[i]
+            grown = 0
+            for j in nbrs[i]:
+                grown |= reached[j]
+            grown = r | alive[i] & grown
+            if grown != r:
+                reached[i] = grown
+                changed = True
+        d ^= 1
+    out = seen & ~twice & multi
+    for i in order:
+        out |= alive[i] ^ reached[i]
+    return out
+
+
+def _hopeless(table, caps) -> int:
+    """The fewest vertices no cut can be recorded with.  A cut of k vertices
+    leaves at most min(alpha, n - k) components, and k / min(alpha, n - k)
+    grows with k, so no larger cut can be recorded either."""
+    for k, (needed, needed_tie, tie_below) in enumerate(table):
+        if needed > caps[k] and (not tie_below or needed_tie > caps[k]):
+            return k
+    return len(table)
+
+
 def _scan(
     adj: tuple[int, ...],
     classes: tuple[int, ...],
     prefix: int,
     pbits: int,
-    kappa: int,
     alpha: int,
     target: tuple[int, int] | None,
     best: tuple[int, int, int, int],
@@ -288,97 +394,88 @@ def _scan(
     ``pbits`` classes is ``prefix``.
 
     The scan runs on the twin quotient: bit i of a subset is class i.
-    Class subsets run by ascending class count and, within a count,
-    ascending value (Gosper).  Classes come in ``twin_classes`` order, so
-    class subsets order like the vertex masks they expand to, and the
-    masks handed in and returned are vertex masks.  Without a target,
-    returns the minimum (p, q, |S|, mask) under (ratio, |S|, mask) over
-    ``best`` and the cuts that beat it, which is independent of the
-    incumbent handed in (it only prunes candidates that cannot beat it).
-    With ``target = (p, q)`` and no incumbent, returns the cut of ratio
-    below p/q that is smallest under (|S|, mask), or ``_NO_INCUMBENT``.
+    Classes come in ``twin_classes`` order, so class subsets order like the
+    vertex masks they expand to, and the masks handed in and returned are
+    vertex masks.  Free class subsets run in blocks of 2^``_LANE_BITS``
+    lanes that share their high bits; ``_disconnected_lanes`` marks the
+    lanes whose cut leaves two or more components, and only those have
+    their components counted, by class count and then ascending value
+    within the block.  Without a target, returns the minimum
+    (p, q, |S|, mask) under (ratio, |S|, mask) over ``best`` and the cuts
+    that beat it, which is independent of the incumbent handed in (it only
+    prunes candidates that cannot beat it).  With ``target = (p, q)`` and
+    no incumbent, returns the cut of ratio below p/q that is smallest under
+    (|S|, mask), or ``_NO_INCUMBENT``.
     """
     n = len(adj)
     nq = len(classes)
-    # twin-free: class masks are vertex masks and a level is a cut size
-    twin_free = nq == n
     full = (1 << nq) - 1
-    _, sizes, w, (T0, T1, T2), (V0, V1, V2) = _quotient(adj, classes)
+    rows, sizes, w, (T0, T1, T2), (V0, V1, V2) = _quotient(adj, classes)
+    nbrs = [list(bits_of(r)) for r in rows]
     m = (1 << w) - 1
     w2 = 2 * w
-    if best[1] and not twin_free:
+    if best[1]:
         best = best[:3] + (_class_mask(classes, best[3]),)
-    ns = nq - pbits
-    top = 1 << ns
-    kbase = V0[prefix & m] + V1[prefix >> w & m] + V2[prefix >> w2]
     # caps[k]: most components a cut of k vertices can leave (0: no cut)
-    caps = [min(alpha, n - k) if kappa <= k <= n - 2 else 0 for k in range(n + 1)]
+    caps = [min(alpha, n - k) if k <= n - 2 else 0 for k in range(n + 1)]
     table = [_thresholds(k, best, target) for k in range(n + 1)]
-    free = sorted(sizes[pbits:])
-    kmin = kmax = kbase
-    for cs in range(ns + 1):
-        if cs:
-            kmin += free[cs - 1]
-            kmax += free[-cs]
-        if kmax < kappa:
+    kstop = _hopeless(table, caps)
+    ns = nq - pbits
+    bits = min(_LANE_BITS, ns)
+    _, levels = _lane_patterns(bits)
+    nwords = -(-(1 << bits) // 64)
+    hshift = pbits + bits
+    # klow[c]: fewest vertices that c lane classes hold
+    klow = list(accumulate(sorted(sizes[pbits:hshift]), initial=0))
+    for high in range(1 << (ns - bits)):
+        base = high << hshift | prefix
+        kbase = V0[base & m] + V1[base >> w & m] + V2[base >> w2]
+        if kbase >= kstop:
             continue
-        if kmin > n - 2:
-            break
-        # level bound: k / min(alpha, n - k) grows with k, so once no cut of
-        # kmin vertices can be recorded, no later one can
-        k = kmin
-        needed0, needed_tie, tie_below = table[k]
-        cap = min(alpha, n - k)
-        if needed0 > cap and (not tie_below or needed_tie > cap):
-            break
-        sub = (1 << cs) - 1
-        while True:
-            s = (sub << pbits) | prefix
-            if not twin_free:
-                k = V0[s & m] + V1[s >> w & m] + V2[s >> w2]
-                needed0, needed_tie, tie_below = table[k]
-                cap = caps[k]
-            needed = needed_tie if (tie_below and s < tie_below) else needed0
-            if needed <= cap:
-                # component count with an early abort once the vertices left
-                # cannot reach the needed component count
-                alive = full ^ s
-                count = 0
-                while alive:
-                    b = comp = alive & -alive
-                    grown = b | (T0[b & m] | T1[b >> w & m] | T2[b >> w2]) & alive
-                    while grown != comp:
-                        comp = grown
-                        grown |= (T0[comp & m] | T1[comp >> w & m] | T2[comp >> w2]) & alive
-                    alive ^= comp
-                    if twin_free or comp != b:
-                        count += 1
-                    else:
-                        # a lone class: its members are pairwise non-adjacent
-                        count += V0[b & m] + V1[b >> w & m] + V2[b >> w2]
-                    left = (
-                        alive.bit_count()
-                        if twin_free
-                        else V0[alive & m] + V1[alive >> w & m] + V2[alive >> w2]
-                    )
-                    if count + left < needed:
-                        count = 0
-                        break
-                if count >= needed:
-                    best = (k, count, k, s)
-                    if twin_free and target is not None:
-                        return best  # the first hit in (|S|, mask) order
-                    table = [_thresholds(j, best, target) for j in range(n + 1)]
+        cut_lanes = _disconnected_lanes(nbrs, sizes, base, pbits, bits)
+        for c, level in enumerate(levels):
+            if kbase + klow[c] >= kstop:
+                break
+            lanes = cut_lanes & level
+            if not lanes:
+                continue
+            # ascending lanes, 64 at a time: O(1) per lane on a small word
+            words = struct.unpack(f"<{nwords}Q", lanes.to_bytes(8 * nwords, "little"))
+            for wi, word in enumerate(words):
+                while word:
+                    low = word & -word
+                    word ^= low
+                    s = (wi << 6 | low.bit_length() - 1) << pbits | base
+                    k = V0[s & m] + V1[s >> w & m] + V2[s >> w2]
                     needed0, needed_tie, tie_below = table[k]
-            if cs == 0:
-                break
-            # Gosper: next suffix with the same popcount
-            c = sub & -sub
-            r = sub + c
-            sub = r | (((sub ^ r) >> 2) // c)
-            if sub >= top:
-                break
-    if best[1] and not twin_free:
+                    needed = needed_tie if (tie_below and s < tie_below) else needed0
+                    if needed > caps[k]:
+                        continue
+                    # component count with an early abort once the vertices
+                    # left cannot reach the needed component count
+                    alive = full ^ s
+                    count = 0
+                    while alive:
+                        b = comp = alive & -alive
+                        grown = b | (T0[b & m] | T1[b >> w & m] | T2[b >> w2]) & alive
+                        while grown != comp:
+                            comp = grown
+                            grown |= (T0[comp & m] | T1[comp >> w & m] | T2[comp >> w2]) & alive
+                        alive ^= comp
+                        if comp != b:
+                            count += 1
+                        else:
+                            # a lone class: its members are pairwise non-adjacent
+                            count += V0[b & m] + V1[b >> w & m] + V2[b >> w2]
+                        left = V0[alive & m] + V1[alive >> w & m] + V2[alive >> w2]
+                        if count + left < needed:
+                            count = 0
+                            break
+                    if count >= needed:
+                        best = (k, count, k, s)
+                        table = [_thresholds(j, best, target) for j in range(n + 1)]
+                        kstop = _hopeless(table, caps)
+    if best[1]:
         best = best[:3] + (sum(classes[i] for i in bits_of(best[3])),)
     return best
 
@@ -397,13 +494,6 @@ def _check_limit(g: Graph, classes: tuple[int, ...], cfg: EngineConfig) -> None:
         )
 
 
-def _connectivity_bound(g: Graph, classes: tuple[int, ...]) -> int:
-    """A lower bound on the vertex connectivity for the scan's level prune:
-    max-flow connectivity pays on twin-free graphs; with twins the scan is
-    short and 0 is still a lower bound."""
-    return vertex_connectivity(g) if len(classes) == g.n else 0
-
-
 def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessResult:
     """Exact toughness with a verified minimizing certificate.
 
@@ -420,7 +510,6 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     classes = tuple(twin_classes(g))
     _check_limit(g, classes, cfg)
     alpha, alpha_set = independence_number(g)
-    kappa = _connectivity_bound(g, classes)
 
     # seed: the complement of a maximum independent set is always a valid cut
     seed_cut = g.full_mask & ~alpha_set
@@ -429,16 +518,22 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
 
     nq = len(classes)
     pbits = 0
-    if cfg.workers > 1 and nq >= 19:
+    # Workers 2 against 1 on two twin-free G(n, 1/2) per n (2-vCPU VM,
+    # Python 3.11.7; seconds, 1 -> 2): n = 19 0.04 -> 0.07 and 0.01 -> 0.07,
+    # n = 20 0.07 -> 0.10 twice, n = 21 0.13 -> 0.20 and 0.12 -> 0.15,
+    # n = 22 0.28 -> 0.21, 0.38 -> 0.25, 0.30 -> 0.37 and 0.24 -> 0.16,
+    # n = 23 0.39 -> 0.24 and 0.77 -> 0.39.  The pool's start-up outweighs
+    # the filtered scan below 22 classes.
+    if cfg.workers > 1 and nq >= 22:
         pbits = min(6, nq - 16)
     if pbits == 0:
-        best = _scan(g.adj, classes, 0, 0, kappa, alpha, None, inc)
+        best = _scan(g.adj, classes, 0, 0, alpha, None, inc)
     else:
         # imported only here: single-worker callers never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         shard_args = [
-            (g.adj, classes, prefix, pbits, kappa, alpha, None)
+            (g.adj, classes, prefix, pbits, alpha, None)
             for prefix in range(1 << pbits)
         ]
         best = inc
@@ -478,8 +573,7 @@ def _cut_below(
     g: Graph, target: Ratio, classes: tuple[int, ...], alpha: int
 ) -> CutCertificate | None:
     """``find_cut_below`` given g's twin classes and independence number."""
-    kappa = _connectivity_bound(g, classes)
-    hit = _scan(g.adj, classes, 0, 0, kappa, alpha, (target.p, target.q), _NO_INCUMBENT)
+    hit = _scan(g.adj, classes, 0, 0, alpha, (target.p, target.q), _NO_INCUMBENT)
     return CutCertificate.from_cut(g, hit[3]) if hit[1] else None
 
 
@@ -780,15 +874,15 @@ class MinimalityReport:
 # twin-class subsets of G-e, is at most this multiple of the annealing step
 # budget.  Measured on G-e of 12 connected G(n, p) per n = 8..14, p in
 # 0.3-0.7, four edges each (2-vCPU VM, Python 3.11.7; medians per n of the
-# per-edge values): one annealing step at this budget costs 3.5-4.4 us, and
-# the quotient scan costs 0.28-0.57 us per predicted subset, a ratio of 6.2
-# to 13.1.  Counting on the quotient's tables made those steps 0-13% cheaper
-# than the BFS count before it, on the same edges; on such small graphs the
-# random draws and bookkeeping of a step cost more than its count.  The
-# multiple sits below the smallest ratio, so a routed edge is predicted to
-# scan faster than annealing alone runs.  Raising it would move edges between
-# routes and so change which certificate `minimal` prints.  At the default
-# budget it routes twin-free graphs with n <= 11 to the scan.
+# per-edge values): one annealing step at this budget costs 3.9-4.6 us, and
+# the filtered quotient scan costs 0.42 us per predicted subset at n = 8,
+# 0.15 at n = 10 and 0.07 from n = 12 on, a ratio of 9.1 to 66 (5.8 to 16
+# before the lane filter, on the same edges).  The scan's fixed cost per call
+# sets the small-n end.  The multiple sits below the smallest ratio, so a
+# routed edge is predicted to scan faster than annealing alone runs.
+# Raising it would move edges between routes and so change which
+# certificate `minimal` prints.  At the default budget it routes twin-free
+# graphs with n <= 11 to the scan.
 SCAN_STEPS_PER_SUBSET = 4
 
 # The annealing budget of one edge is min(MINIMALITY_HEURISTIC_STEPS, 60 n).

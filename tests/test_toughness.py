@@ -1,5 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from concurrent import futures
 
 import pytest
 
@@ -13,7 +18,7 @@ from oracles import (
 )
 
 import toughgraphs.toughness as engine
-from toughgraphs.graph import build_graph, delete_edge, mask_of
+from toughgraphs.graph import bits_of, build_graph, component_count, delete_edge, mask_of
 from toughgraphs.graph6 import parse_graph6, write_graph6
 from toughgraphs.invariants import independence_number, vertex_connectivity
 from toughgraphs.operators import (
@@ -191,6 +196,21 @@ def copy_groups(spec):
     return groups
 
 
+@pytest.fixture
+def shard_prefixes(monkeypatch):
+    """The prefixes of the shards that ``toughness_exact`` hands its pool;
+    22 classes is the least it shards."""
+    submitted = []
+
+    class CountingPool(futures.ProcessPoolExecutor):
+        def submit(self, fn, args):
+            submitted.append(args[2])
+            return super().submit(fn, args)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+    return submitted
+
+
 class TestScanOracles:
     def test_witness_matches_brute_on_blowups(self, rng):
         checked = 0
@@ -236,12 +256,14 @@ class TestScanOracles:
         with pytest.raises(LimitExceeded):
             toughness_exact(cycle(30))
 
-    def test_twin_shards_match_single_worker(self):
-        spec = SolidSpec(cycle(19), tuple(1 + i % 2 for i in range(19)))
+    def test_twin_shards_match_single_worker(self, rng, shard_prefixes):
+        spec = SolidSpec(twin_free_graph(rng, 22), tuple(1 + i % 3 // 2 for i in range(22)))
         g = solid_expand(spec)[0]
+        assert len(twin_classes(g)) == 22 < g.n
         a = toughness_exact(g, EngineConfig(workers=1))
         b = toughness_exact(g, EngineConfig(workers=2))
-        assert a.value == b.value == Ratio(9, 17)
+        assert sorted(shard_prefixes) == list(range(64))
+        assert a.value == b.value
         assert a.witness == b.witness
 
 
@@ -307,14 +329,152 @@ class TestQuotientScan:
                 got = None if cert is None else (cert.cut.bit_count(), cert.cut)
                 assert got == brute_first_below(g, ratio_of(target))
 
-    def test_twin_free_shards_match_single_worker(self, rng):
-        g = random_connected_graph(rng, 19, 0.5)
-        while len(twin_classes(g)) != 19:
-            g = random_connected_graph(rng, 19, 0.5)
+    def test_twin_free_shards_match_single_worker(self, rng, shard_prefixes):
+        g = twin_free_graph(rng, 22)
         a = toughness_exact(g, EngineConfig(workers=1))
+        assert not shard_prefixes
         b = toughness_exact(g, EngineConfig(workers=2))
+        assert sorted(shard_prefixes) == list(range(64))
         assert a.value == b.value
         assert a.witness == b.witness
+
+
+def twin_free_graph(rng, n, p=0.5):
+    """A connected, non-complete twin-free G(n, p)."""
+    while True:
+        g = random_connected_graph(rng, n, p)
+        if len(twin_classes(g)) == n and not g.is_complete():
+            return g
+
+
+def disconnected_lanes(g, base, pbits, bits):
+    """``_disconnected_lanes`` on g's twin quotient."""
+    rows, sizes, *_ = engine._quotient(g.adj, tuple(twin_classes(g)))
+    return engine._disconnected_lanes([list(bits_of(r)) for r in rows], sizes, base, pbits, bits)
+
+
+def lane_oracle(g, base, pbits, bits):
+    """Bit j set iff cutting the classes of ``base | j << pbits`` leaves at
+    least two components, counted on the vertex graph by
+    ``graph.component_count`` (a class left alone is one component per
+    member there)."""
+    classes = twin_classes(g)
+    out = 0
+    for j in range(1 << bits):
+        s = base | j << pbits
+        cut = sum(c for i, c in enumerate(classes) if s >> i & 1)
+        if component_count(g.adj, g.full_mask & ~cut, g.full_mask) >= 2:
+            out |= 1 << j
+    return out
+
+
+class TestLaneFilter:
+    """The scan's disconnection filter floods 2^_LANE_BITS cuts at once and
+    only its marked lanes have their components counted."""
+
+    def _check_blocks(self, g, pbits, prefixes):
+        """Every block of every prefix, as the scan lays them out."""
+        q = len(twin_classes(g))
+        bits = min(engine._LANE_BITS, q - pbits)
+        for prefix in prefixes:
+            for high in range(1 << (q - pbits - bits)):
+                base = high << (pbits + bits) | prefix
+                assert disconnected_lanes(g, base, pbits, bits) == lane_oracle(
+                    g, base, pbits, bits
+                ), (g.edges(), base, pbits)
+
+    @pytest.mark.parametrize("q", [5, 9, 12, 13, 14])
+    def test_twin_free_lanes_match_component_count(self, rng, q):
+        # q < L, q = L and q > L (two and four blocks of 4096 lanes)
+        for p in (0.3, 0.6):
+            self._check_blocks(twin_free_graph(rng, q, p), 0, [0])
+
+    @pytest.mark.parametrize("q", [4, 8, 12])
+    def test_blowup_lanes_match_component_count(self, rng, q):
+        for _ in range(3):
+            g, _ = graph_with_classes(rng, q, twins=True)
+            self._check_blocks(g, 0, [0])
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 2), (2, 5), (4, 3)])
+    def test_lone_class_lanes(self, a, b):
+        # K_{a,b} has two twin classes: cutting one side leaves the other
+        # alone, a class whose members are all components
+        g = complete_bipartite(a, b)
+        assert disconnected_lanes(g, 0, 0, 2) == lane_oracle(g, 0, 0, 2)
+        assert disconnected_lanes(g, 0, 0, 2) >> 0b01 & 1 == (b > 1)
+
+    def test_shard_prefixes(self, rng, monkeypatch):
+        monkeypatch.setattr(engine, "_LANE_BITS", 4)
+        g = twin_free_graph(rng, 11)
+        self._check_blocks(g, 3, range(8))
+        g, _ = graph_with_classes(rng, 9, twins=True)
+        self._check_blocks(g, 2, range(4))
+
+    def test_patterns_are_built_on_demand(self):
+        code = (
+            "import toughgraphs, toughgraphs.toughness as t; "
+            "assert t._lane_patterns.cache_info().currsize == 0"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        alive, levels = engine._lane_patterns(3)
+        assert alive == (0b01010101, 0b00110011, 0b00001111)
+        assert levels == (0b1, 0b10110, 0b1101000, 0b10000000)
+
+    @pytest.mark.parametrize("lane_bits", [1, 3, 5])
+    def test_small_blocks_match_oracles(self, rng, monkeypatch, lane_bits):
+        # many blocks per scan: block order, the per-level stop and the
+        # skipped blocks must leave the witness and target hits unchanged
+        monkeypatch.setattr(engine, "_LANE_BITS", lane_bits)
+        for q in (6, 8, 10):
+            for twins in (False, True):
+                g, groups = graph_with_classes(rng, q, twins)
+                res = toughness_exact(g)
+                assert witness_key(res) == brute_witness(g, groups)
+                t = res.value
+                for target in (t, Ratio(t.p + t.q, t.q)):
+                    cert = find_cut_below(g, target)
+                    got = None if cert is None else (cert.cut.bit_count(), cert.cut)
+                    assert got == brute_first_below(g, ratio_of(target))
+
+    @pytest.mark.parametrize("n", [14, 17, pytest.param(20, marks=pytest.mark.slow)])
+    def test_twin_free_witness_matches_brute(self, rng, n):
+        # one to 256 blocks of 4096 lanes; the oracle takes 12 s at n = 20
+        g = twin_free_graph(rng, n, rng.uniform(0.3, 0.7))
+        assert witness_key(toughness_exact(g)) == brute_witness(g)
+
+    def test_forced_shards_merge_to_the_single_scan(self, rng):
+        # the pool's shard arguments, run here: any prefix split must
+        # min-merge to the unsharded answer, from any incumbent
+        for g in (twin_free_graph(rng, 14), graph_with_classes(rng, 10, True)[0]):
+            classes = tuple(twin_classes(g))
+            alpha, aset = independence_number(g)
+            seed = g.full_mask & ~aset
+            inc = (seed.bit_count(), aset.bit_count(), seed.bit_count(), seed)
+            whole = engine._scan(g.adj, classes, 0, 0, alpha, None, inc)
+            for pbits in (1, 3):
+                best = inc
+                for prefix in range(1 << pbits):
+                    cand = engine._scan(g.adj, classes, prefix, pbits, alpha, None, best)
+                    if cand[1] and engine._better(*cand, best):
+                        best = cand
+                assert best == whole
+
+    def test_peak_memory_is_bounded(self):
+        # a 2^q-bit table of the cuts would take 512 KB at q = 22.  A spider
+        # (ten legs of two vertices, one of three) keeps the scan short
+        # under tracemalloc: cutting its centre leaves ten components
+        legs = [(0, i) for i in range(1, 11)] + [(i, i + 10) for i in range(1, 11)]
+        g = build_graph(22, legs + [(20, 21)])
+        assert len(twin_classes(g)) == 22
+        tracemalloc.start()
+        try:
+            res = toughness_exact(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.value == Ratio(1, 10)
+        assert peak < 256 * 1024, peak
 
 
 class TestUpperSearch:
