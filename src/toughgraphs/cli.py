@@ -11,6 +11,7 @@ on stderr, nothing on stdout.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import re
 import sys
@@ -111,23 +112,15 @@ def _write_family_files(fam: LabeledFamily, args) -> None:
         Path(args.labels).write_text(fam.label_map_text())
 
 
-# the generator keyword arguments each family takes from the command line;
-# all are required except the --regularized switch, which is never None.
-# A family takes no other of these flags.
-_GEN_PARAMS = {
-    "planar-chain": ("m",),
-    "knp2-minus-matching": ("n", "m"),
-    "knp3": ("n", "regularized"),
-    "square-lsk4": (),
-}
-
-
 def _cmd_gen(args) -> int:
-    params = {k: getattr(args, k) for k in _GEN_PARAMS[args.family]}
+    # a family takes its generator's parameters as flags, all required except
+    # the --regularized switch, which is never None, and no other family's
+    taken = {f: inspect.signature(gen).parameters for f, gen in GENERATORS.items()}
+    params = {k: getattr(args, k) for k in taken[args.family]}
     missing = [f"--{k}" for k, value in params.items() if value is None]
     if missing:
         raise ValueError(f"{args.family} needs {' and '.join(missing)}")
-    for k in sorted({k for ks in _GEN_PARAMS.values() for k in ks} - params.keys()):
+    for k in sorted({k for ks in taken.values() for k in ks} - params.keys()):
         value = getattr(args, k)  # unset: None, or False for the switch
         if value is not None and value is not False:
             raise ValueError(f"{args.family} takes no --{k}")

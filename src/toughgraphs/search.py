@@ -14,6 +14,7 @@ errors per line without aborting, and preserves input order in its report.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import chain, islice
 from typing import Iterator
 
@@ -29,9 +30,7 @@ ENUM_LIMIT = 8
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 
 
-_CONNECTED_LEVELS: dict[int, list[Graph]] = {}
-
-
+@cache
 def _connected_graphs(n: int) -> list[Graph]:
     """Canonical representatives of the connected graphs on n vertices, in
     graph6 order.
@@ -42,26 +41,20 @@ def _connected_graphs(n: int) -> list[Graph]:
     (a leaf of a spanning tree), deleting it leaves a connected graph on
     n - 1 vertices, and the vertex has a neighbor.
     """
-    if n in _CONNECTED_LEVELS:
-        return _CONNECTED_LEVELS[n]
     if n == 1:
-        level = [build_graph(1, [])]
-    else:
-        prev = _connected_graphs(n - 1)
-        seen: dict[str, Graph] = {}
-        for g in prev:
-            for nbhd in range(1, 1 << (n - 1)):
-                adj = list(g.adj) + [nbhd]
-                for v in range(n - 1):
-                    if nbhd >> v & 1:
-                        adj[v] |= 1 << (n - 1)
-                cand = canonical_form(Graph(n, tuple(adj)))
-                key = write_graph6(cand)
-                if key not in seen:
-                    seen[key] = cand
-        level = [seen[k] for k in sorted(seen)]
-    _CONNECTED_LEVELS[n] = level
-    return level
+        return [build_graph(1, [])]
+    seen: dict[str, Graph] = {}
+    for g in _connected_graphs(n - 1):
+        for nbhd in range(1, 1 << (n - 1)):
+            adj = list(g.adj) + [nbhd]
+            for v in range(n - 1):
+                if nbhd >> v & 1:
+                    adj[v] |= 1 << (n - 1)
+            cand = canonical_form(Graph(n, tuple(adj)))
+            key = write_graph6(cand)
+            if key not in seen:
+                seen[key] = cand
+    return [seen[k] for k in sorted(seen)]
 
 
 def enumerate_connected(n: int) -> list[Graph]:

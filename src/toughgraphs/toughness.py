@@ -23,8 +23,8 @@ Prunes used:
 The scan works on the twin quotient: bit i of a mask is twin class i, and
 two classes are adjacent when their members are.  A class mask is split into
 three chunks of ceil(q/3) bits, and two tables per chunk, built once per
-scan, hold the union of the chunk's quotient rows and its vertex count.  A
-component grows as
+graph with the quotient, hold the union of the chunk's quotient rows and its
+vertex count.  A component grows as
 
     comp | (T0[chunk 0 of comp] | T1[chunk 1] | T2[chunk 2]) & alive
 
@@ -35,7 +35,7 @@ masks order like the vertex masks they stand for.
 
 Most cuts leave G - S connected, so a lane-parallel filter runs first.
 Class subsets go in blocks of 2^L lanes that share their high bits, lane j
-cutting the low L free classes set in j.  Each class gets one big integer
+cutting the low L classes set in j.  Each class gets one big integer
 whose bit j says "alive in lane j" and one for "reached in lane j", seeded
 at the lane's lowest alive class; sweeps over the quotient rows,
 
@@ -53,7 +53,7 @@ fewest vertices, then the lowest mask, whose ratio is below a target.  There
 the cap on component counts is alpha(G - e), derived exactly from alpha(G)
 as max(alpha(G), 2 + alpha(G - N[u] - N[v])) for e = uv.
 
-The annealing upper-bound search builds the same tables (``_quotient``)
+The annealing upper-bound search builds the same quotient (``_quotient``)
 and, up to 27 twin classes (chunks of at most 9 bits), anneals over class
 masks with the same closure, so a step costs three lookups per round
 however many copies a class has.  Past 27 classes, as on the twin-free
@@ -62,15 +62,17 @@ however many copies a class has.  Past 27 classes, as on the twin-free
 stand for, so the (ratio, |S|, mask) tie-break picks the same certificate
 in either form.
 
-Parallel mode shards the space by fixing the membership pattern of the first
-p twin classes; each shard's answer is independent of the incumbent it was
-seeded with, so the min-merge of shard results is schedule independent.
+Parallel mode splits the single scan's blocks into 64 strided shards, shard
+i taking blocks i, i + 64, i + 128, ...; each shard's answer is independent
+of the incumbent it was seeded with, so the min-merge of shard results is
+schedule independent.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import accumulate
@@ -260,35 +262,47 @@ def _thresholds(
     return max(div + 1, 2), 0, 0
 
 
-def _class_mask(classes: tuple[int, ...], vertices: int) -> int:
-    """Bit i set iff class i meets ``vertices``."""
-    return sum(1 << i for i, c in enumerate(classes) if vertices & c)
-
-
-def _chunk_tables(values: list[int], w: int, combine) -> tuple[list[int], ...]:
+def _chunk_tables(values, w: int, combine) -> tuple[list[int], ...]:
     """Three tables over the w-bit chunks of a class mask: entry x of table j
-    combines ``values[j * w + i]`` over the set bits i of x.  Each entry
-    extends the entry without its lowest bit, one step per entry."""
+    combines ``values[j * w + i]`` over the set bits i of x.  Each value
+    doubles its table, extending every entry so far."""
     out = []
     for lo in (0, w, 2 * w):
-        t = [0] * (1 << max(0, min(w, len(values) - lo)))
-        for x in range(1, len(t)):
-            b = x & -x
-            t[x] = combine(t[x ^ b], values[lo + b.bit_length() - 1])
+        t = [0]
+        for v in values[lo : lo + w]:
+            t += [combine(e, v) for e in t]
         out.append(t)
     return tuple(out)
 
 
-def _quotient(adj: tuple[int, ...], classes) -> tuple:
-    """(rows, sizes, w, T, V) of the twin quotient: ``rows[i]`` is the class
-    mask of class i's neighbours and ``sizes[i]`` its vertex count, and the
-    three chunk tables of each over w = ceil(q/3) bits hold their union (T)
-    and their sum (V), so a closure round and a weight take three lookups
-    each."""
-    rows = [_class_mask(classes, adj[c.bit_length() - 1]) for c in classes]
-    sizes = [c.bit_count() for c in classes]
+# the twin quotient of a graph: ``classes`` in ``twin_classes`` order,
+# ``rows[i]`` the class mask of class i's neighbours, ``sizes[i]`` its vertex
+# count, and the three chunk tables of each over w = ceil(q/3) bits, holding
+# their union (T) and their sum (V), so a closure round and a weight take
+# three lookups each
+_Quotient = namedtuple("_Quotient", "classes rows sizes w T V")
+
+
+def _quotient(g: Graph, classes: tuple[int, ...]) -> _Quotient:
+    """The twin quotient of g over its ``twin_classes``, built once per
+    graph.  A class's row gathers the class bits of one member's
+    neighbours, taking one neighbour per class; when every class is one
+    vertex, the rows are adj."""
+    rows = g.adj
+    if len(classes) < g.n:
+        cbit = {v: 1 << i for i, c in enumerate(classes) for v in bits_of(c)}
+        rows = []
+        for c in classes:
+            nb, row = g.adj[c.bit_length() - 1], 0
+            while nb:
+                b = cbit[(nb & -nb).bit_length() - 1]
+                row |= b
+                nb &= ~classes[b.bit_length() - 1]
+            rows.append(row)
+    sizes = tuple(c.bit_count() for c in classes)
     w = -(-len(classes) // 3)
-    return rows, sizes, w, _chunk_tables(rows, w, int.__or__), _chunk_tables(sizes, w, int.__add__)
+    T = _chunk_tables(rows, w, int.__or__)
+    return _Quotient(classes, tuple(rows), sizes, w, T, _chunk_tables(sizes, w, int.__add__))
 
 
 # Lane bits L of the scan's disconnection filter: a block of 2^L cuts shares
@@ -323,9 +337,9 @@ def _lane_patterns(bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def _disconnected_lanes(nbrs, sizes, base: int, pbits: int, bits: int) -> int:
-    """The lanes of the block ``base | j << pbits`` (j < 2^bits) whose cut
-    leaves at least two components, as bit j of the result.
+def _disconnected_lanes(nbrs, sizes, base: int, bits: int) -> int:
+    """The lanes of the block ``base | j`` (j < 2^bits) whose cut leaves at
+    least two components, as bit j of the result.
 
     ``nbrs[i]`` lists the quotient neighbours of class i and ``sizes[i]``
     its vertex count; ``base`` holds the classes cut in every lane.  Class i
@@ -338,7 +352,7 @@ def _disconnected_lanes(nbrs, sizes, base: int, pbits: int, bits: int) -> int:
     lane_alive, _ = _lane_patterns(bits)
     ones = (1 << (1 << bits)) - 1
     alive = [0 if base >> i & 1 else ones for i in range(len(nbrs))]
-    alive[pbits : pbits + bits] = lane_alive
+    alive[:bits] = lane_alive
     order = [i for i, a in enumerate(alive) if a]
     reached = [0] * len(nbrs)
     seen = twice = multi = 0
@@ -382,57 +396,54 @@ def _hopeless(table, caps) -> int:
 
 
 def _scan(
-    adj: tuple[int, ...],
-    classes: tuple[int, ...],
-    prefix: int,
-    pbits: int,
+    quotient: _Quotient,
     alpha: int,
     target: tuple[int, int] | None,
     best: tuple[int, int, int, int],
+    shard: int = 0,
+    shards: int = 1,
 ) -> tuple[int, int, int, int]:
-    """Scan the cuts made of whole twin classes whose membership on the low
-    ``pbits`` classes is ``prefix``.
+    """Scan the cuts made of whole twin classes, in the blocks whose index
+    is ``shard`` modulo ``shards``.
 
     The scan runs on the twin quotient: bit i of a subset is class i.
     Classes come in ``twin_classes`` order, so class subsets order like the
     vertex masks they expand to, and the masks handed in and returned are
-    vertex masks.  Free class subsets run in blocks of 2^``_LANE_BITS``
-    lanes that share their high bits; ``_disconnected_lanes`` marks the
-    lanes whose cut leaves two or more components, and only those have
-    their components counted, by class count and then ascending value
-    within the block.  Without a target, returns the minimum
-    (p, q, |S|, mask) under (ratio, |S|, mask) over ``best`` and the cuts
-    that beat it, which is independent of the incumbent handed in (it only
-    prunes candidates that cannot beat it).  With ``target = (p, q)`` and
-    no incumbent, returns the cut of ratio below p/q that is smallest under
-    (|S|, mask), or ``_NO_INCUMBENT``.
+    vertex masks.  Class subsets run in blocks of 2^``_LANE_BITS`` lanes,
+    the low classes, that share their high bits, the block's index;
+    ``_disconnected_lanes`` marks the lanes whose cut leaves two or more
+    components, and only those have their components counted, by class
+    count and then ascending value within the block.  Without a target,
+    returns the minimum (p, q, |S|, mask) under (ratio, |S|, mask) over
+    ``best`` and the cuts that beat it, which is independent of the
+    incumbent handed in (it only prunes candidates that cannot beat it).
+    With ``target = (p, q)`` and no incumbent, returns the cut of ratio
+    below p/q that is smallest under (|S|, mask), or ``_NO_INCUMBENT``.
     """
-    n = len(adj)
+    classes, rows, sizes, w, (T0, T1, T2), (V0, V1, V2) = quotient
+    n = sum(sizes)
     nq = len(classes)
     full = (1 << nq) - 1
-    rows, sizes, w, (T0, T1, T2), (V0, V1, V2) = _quotient(adj, classes)
     nbrs = [list(bits_of(r)) for r in rows]
     m = (1 << w) - 1
     w2 = 2 * w
     if best[1]:
-        best = best[:3] + (_class_mask(classes, best[3]),)
+        best = best[:3] + (sum(1 << i for i, c in enumerate(classes) if best[3] & c),)
     # caps[k]: most components a cut of k vertices can leave (0: no cut)
     caps = [min(alpha, n - k) if k <= n - 2 else 0 for k in range(n + 1)]
     table = [_thresholds(k, best, target) for k in range(n + 1)]
     kstop = _hopeless(table, caps)
-    ns = nq - pbits
-    bits = min(_LANE_BITS, ns)
+    bits = min(_LANE_BITS, nq)
     _, levels = _lane_patterns(bits)
     nwords = -(-(1 << bits) // 64)
-    hshift = pbits + bits
     # klow[c]: fewest vertices that c lane classes hold
-    klow = list(accumulate(sorted(sizes[pbits:hshift]), initial=0))
-    for high in range(1 << (ns - bits)):
-        base = high << hshift | prefix
+    klow = list(accumulate(sorted(sizes[:bits]), initial=0))
+    for high in range(shard, 1 << (nq - bits), shards):
+        base = high << bits
         kbase = V0[base & m] + V1[base >> w & m] + V2[base >> w2]
         if kbase >= kstop:
             continue
-        cut_lanes = _disconnected_lanes(nbrs, sizes, base, pbits, bits)
+        cut_lanes = _disconnected_lanes(nbrs, sizes, base, bits)
         for c, level in enumerate(levels):
             if kbase + klow[c] >= kstop:
                 break
@@ -445,7 +456,7 @@ def _scan(
                 while word:
                     low = word & -word
                     word ^= low
-                    s = (wi << 6 | low.bit_length() - 1) << pbits | base
+                    s = wi << 6 | low.bit_length() - 1 | base
                     k = V0[s & m] + V1[s >> w & m] + V2[s >> w2]
                     needed0, needed_tie, tie_below = table[k]
                     needed = needed_tie if (tie_below and s < tie_below) else needed0
@@ -480,10 +491,6 @@ def _scan(
     return best
 
 
-def _shard_worker(args):
-    return _scan(*args)
-
-
 def _check_limit(g: Graph, classes: tuple[int, ...], cfg: EngineConfig) -> None:
     """Raise LimitExceeded when g has more twin classes than the exhaustive
     limit."""
@@ -509,6 +516,7 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
         return ToughnessResult(Ratio(0), CutCertificate.from_cut(g, 0), "exact")
     classes = tuple(twin_classes(g))
     _check_limit(g, classes, cfg)
+    quotient = _quotient(g, classes)
     alpha, alpha_set = independence_number(g)
 
     # seed: the complement of a maximum independent set is always a valid cut
@@ -516,35 +524,32 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     seed_omega = alpha_set.bit_count()  # an independent set: one component each
     inc = (seed_cut.bit_count(), seed_omega, seed_cut.bit_count(), seed_cut)
 
-    nq = len(classes)
-    pbits = 0
-    # Workers 2 against 1 on two twin-free G(n, 1/2) per n (2-vCPU VM,
-    # Python 3.11.7; seconds, 1 -> 2): n = 19 0.04 -> 0.07 and 0.01 -> 0.07,
-    # n = 20 0.07 -> 0.10 twice, n = 21 0.13 -> 0.20 and 0.12 -> 0.15,
-    # n = 22 0.28 -> 0.21, 0.38 -> 0.25, 0.30 -> 0.37 and 0.24 -> 0.16,
-    # n = 23 0.39 -> 0.24 and 0.77 -> 0.39.  The pool's start-up outweighs
-    # the filtered scan below 22 classes.
-    if cfg.workers > 1 and nq >= 22:
-        pbits = min(6, nq - 16)
-    if pbits == 0:
-        best = _scan(g.adj, classes, 0, 0, alpha, None, inc)
+    # Workers 2 against 1 with strided shards on three twin-free G(n, 1/2)
+    # per n (2-vCPU VM, Python 3.11.7; seconds, best of two, 1 -> 2):
+    # n = 19 0.05 -> 0.11, 0.06 -> 0.08 and 0.03 -> 0.07, n = 20 0.06 -> 0.10,
+    # 0.07 -> 0.08 and 0.06 -> 0.10, n = 21 0.17 -> 0.12, 0.09 -> 0.11 and
+    # 0.24 -> 0.13, n = 22 0.44 -> 0.23, 0.19 -> 0.16 and 0.13 -> 0.14,
+    # n = 23 0.29 -> 0.33, 0.55 -> 0.28 and 0.34 -> 0.22.  The pool's
+    # start-up outweighs the filtered scan at 19 and 20 classes; two workers
+    # win on two of three graphs at 21 and on four of six at 22 and 23.
+    if cfg.workers < 2 or len(classes) < 22:
+        best = _scan(quotient, alpha, None, inc)
     else:
         # imported only here: single-worker callers never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        shard_args = [
-            (g.adj, classes, prefix, pbits, alpha, None)
-            for prefix in range(1 << pbits)
-        ]
+        # shard i scans blocks i, i + 64, ... of the single scan; waves of
+        # 4 per worker start from the best cut merged so far
+        shards = 64
         best = inc
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             wave = 4 * cfg.workers
             pending = []
-            i = 0
-            while i < len(shard_args) or pending:
-                while i < len(shard_args) and len(pending) < wave:
-                    pending.append(pool.submit(_shard_worker, shard_args[i] + (best,)))
-                    i += 1
+            shard = 0
+            while shard < shards or pending:
+                while shard < shards and len(pending) < wave:
+                    pending.append(pool.submit(_scan, quotient, alpha, None, best, shard, shards))
+                    shard += 1
                 done = next(as_completed(pending))
                 pending.remove(done)
                 cand = done.result()
@@ -566,14 +571,14 @@ def find_cut_below(
     such cut exists.  Raises LimitExceeded past the exhaustive limit."""
     classes = tuple(twin_classes(g))
     _check_limit(g, classes, cfg)
-    return _cut_below(g, target, classes, independence_number(g)[0])
+    return _cut_below(g, target, _quotient(g, classes), independence_number(g)[0])
 
 
 def _cut_below(
-    g: Graph, target: Ratio, classes: tuple[int, ...], alpha: int
+    g: Graph, target: Ratio, quotient: _Quotient, alpha: int
 ) -> CutCertificate | None:
-    """``find_cut_below`` given g's twin classes and independence number."""
-    hit = _scan(g.adj, classes, 0, 0, alpha, (target.p, target.q), _NO_INCUMBENT)
+    """``find_cut_below`` given g's twin quotient and independence number."""
+    hit = _scan(quotient, alpha, (target.p, target.q), _NO_INCUMBENT)
     return CutCertificate.from_cut(g, hit[3]) if hit[1] else None
 
 
@@ -668,11 +673,11 @@ def toughness_upper_search(
     # classes in the scan's order (by highest member), so class masks order
     # like the vertex masks they stand for, and the (ratio, |S|, mask)
     # tie-break picks the same cut in either form
-    classes = twin_classes(g)
+    classes = tuple(twin_classes(g))
     nq = len(classes)
     tabled = -(-nq // 3) <= _ANNEAL_CHUNK_BITS
     if tabled:
-        rows, sizes, w, T, V = _quotient(adj, classes)
+        _, rows, sizes, w, T, V = _quotient(g, classes)
         units = [1 << i for i in range(nq)]  # bit i is class i
         full = reps = (1 << nq) - 1  # each class is its own representative
         count, weigh = _table_counters(T, V, w)
@@ -936,7 +941,7 @@ def _witness_for_edge(
             return EdgeWitness(edge, cert, "heuristic")
         if not cfg.allow_exhaustive_edges or nq > cfg.exhaustive_limit:
             return EdgeWitness(edge, None, "inconclusive")
-    cert = _cut_below(ge, target, classes, _alpha_without(g, edge, alpha()))
+    cert = _cut_below(ge, target, _quotient(ge, classes), _alpha_without(g, edge, alpha()))
     return EdgeWitness(edge, cert, "exhaustive")
 
 

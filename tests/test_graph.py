@@ -14,7 +14,7 @@ from toughgraphs.graph import (
 )
 from toughgraphs.families import gen_planar_chain, gen_knp2_minus_matching
 from toughgraphs.operators import SolidSpec, complete, cycle, path, solid_expand
-from toughgraphs.toughness import _class_mask, _quotient, _table_counters, twin_classes
+from toughgraphs.toughness import _quotient, _table_counters, twin_classes
 
 
 def count_without(g, cut):
@@ -123,23 +123,37 @@ def test_wide_vertex_sets():
     assert count_without(g, cut) == oracle_count(g, cut) == 2
 
 
+def class_mask(classes, vertices):
+    """Bit i set iff class i meets ``vertices``: O(q) per mask, so O(q^2)
+    for the quotient's rows."""
+    return sum(1 << i for i, c in enumerate(classes) if vertices & c)
+
+
 def test_component_count_over_whole_classes_matches_oracle(rng):
     """With reps holding each twin class's lowest member, the count over any
     union of whole classes equals the full BFS count, and so does the twin
     quotient's three-lookup closure on the matching class mask, including
     classes of several copies left without an alive neighbor (one component
-    per copy); the quotient's weight of a cut is its vertex count."""
-    isolated_seen = 0
-    for _ in range(40):
+    per copy); the quotient's weight of a cut is its vertex count, and its
+    rows are the class masks of each class's neighbours, on twin-free
+    graphs, blow-ups and relabelled mixed blow-ups alike."""
+    isolated_seen = twin_free_seen = 0
+    for i in range(60):
         base = random_connected_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.6))
         mult = tuple(rng.randint(1, 4) for _ in range(base.n))
-        g, _ = solid_expand(SolidSpec(base, mult))
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        classes = twin_classes(g)
-        _, _, w, tables, weights = _quotient(g.adj, classes)
-        closure_count, weigh = _table_counters(tables, weights, w)
+        g = base if i % 3 == 0 else solid_expand(SolidSpec(base, mult))[0]
+        if i % 3 == 2:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        classes = tuple(twin_classes(g))
+        twin_free_seen += len(classes) == g.n
+        quotient = _quotient(g, classes)
+        assert quotient.classes == classes
+        rows = tuple(class_mask(classes, g.adj[c.bit_length() - 1]) for c in classes)
+        assert quotient.rows == rows
+        assert quotient.sizes == tuple(c.bit_count() for c in classes)
+        closure_count, weigh = _table_counters(quotient.T, quotient.V, quotient.w)
         reps = 0
         for c in classes:
             reps |= c & -c
@@ -157,6 +171,6 @@ def test_component_count_over_whole_classes_matches_oracle(rng):
             want = oracle_count(g, cut)
             assert component_count(g.adj, alive, reps) == want
             assert component_count(g.adj, alive, g.full_mask) == want
-            assert closure_count(_class_mask(classes, alive)) == want
-            assert weigh(_class_mask(classes, cut)) == cut.bit_count()
-    assert isolated_seen > 0
+            assert closure_count(class_mask(classes, alive)) == want
+            assert weigh(class_mask(classes, cut)) == cut.bit_count()
+    assert isolated_seen > 0 and twin_free_seen > 0

@@ -197,15 +197,15 @@ def copy_groups(spec):
 
 
 @pytest.fixture
-def shard_prefixes(monkeypatch):
-    """The prefixes of the shards that ``toughness_exact`` hands its pool;
+def submitted_shards(monkeypatch):
+    """The (shard, shards) pairs that ``toughness_exact`` hands its pool;
     22 classes is the least it shards."""
     submitted = []
 
     class CountingPool(futures.ProcessPoolExecutor):
-        def submit(self, fn, args):
-            submitted.append(args[2])
-            return super().submit(fn, args)
+        def submit(self, fn, *args):
+            submitted.append(args[-2:])
+            return super().submit(fn, *args)
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
     return submitted
@@ -256,13 +256,13 @@ class TestScanOracles:
         with pytest.raises(LimitExceeded):
             toughness_exact(cycle(30))
 
-    def test_twin_shards_match_single_worker(self, rng, shard_prefixes):
+    def test_twin_shards_match_single_worker(self, rng, submitted_shards):
         spec = SolidSpec(twin_free_graph(rng, 22), tuple(1 + i % 3 // 2 for i in range(22)))
         g = solid_expand(spec)[0]
         assert len(twin_classes(g)) == 22 < g.n
         a = toughness_exact(g, EngineConfig(workers=1))
         b = toughness_exact(g, EngineConfig(workers=2))
-        assert sorted(shard_prefixes) == list(range(64))
+        assert sorted(submitted_shards) == [(i, 64) for i in range(64)]
         assert a.value == b.value
         assert a.witness == b.witness
 
@@ -329,12 +329,12 @@ class TestQuotientScan:
                 got = None if cert is None else (cert.cut.bit_count(), cert.cut)
                 assert got == brute_first_below(g, ratio_of(target))
 
-    def test_twin_free_shards_match_single_worker(self, rng, shard_prefixes):
+    def test_twin_free_shards_match_single_worker(self, rng, submitted_shards):
         g = twin_free_graph(rng, 22)
         a = toughness_exact(g, EngineConfig(workers=1))
-        assert not shard_prefixes
+        assert not submitted_shards
         b = toughness_exact(g, EngineConfig(workers=2))
-        assert sorted(shard_prefixes) == list(range(64))
+        assert sorted(submitted_shards) == [(i, 64) for i in range(64)]
         assert a.value == b.value
         assert a.witness == b.witness
 
@@ -347,21 +347,25 @@ def twin_free_graph(rng, n, p=0.5):
             return g
 
 
-def disconnected_lanes(g, base, pbits, bits):
+def quotient_of(g):
+    return engine._quotient(g, tuple(twin_classes(g)))
+
+
+def disconnected_lanes(g, base, bits):
     """``_disconnected_lanes`` on g's twin quotient."""
-    rows, sizes, *_ = engine._quotient(g.adj, tuple(twin_classes(g)))
-    return engine._disconnected_lanes([list(bits_of(r)) for r in rows], sizes, base, pbits, bits)
+    quotient = quotient_of(g)
+    nbrs = [list(bits_of(r)) for r in quotient.rows]
+    return engine._disconnected_lanes(nbrs, quotient.sizes, base, bits)
 
 
-def lane_oracle(g, base, pbits, bits):
-    """Bit j set iff cutting the classes of ``base | j << pbits`` leaves at
-    least two components, counted on the vertex graph by
-    ``graph.component_count`` (a class left alone is one component per
-    member there)."""
+def lane_oracle(g, base, bits):
+    """Bit j set iff cutting the classes of ``base | j`` leaves at least two
+    components, counted on the vertex graph by ``graph.component_count`` (a
+    class left alone is one component per member there)."""
     classes = twin_classes(g)
     out = 0
     for j in range(1 << bits):
-        s = base | j << pbits
+        s = base | j
         cut = sum(c for i, c in enumerate(classes) if s >> i & 1)
         if component_count(g.adj, g.full_mask & ~cut, g.full_mask) >= 2:
             out |= 1 << j
@@ -372,43 +376,61 @@ class TestLaneFilter:
     """The scan's disconnection filter floods 2^_LANE_BITS cuts at once and
     only its marked lanes have their components counted."""
 
-    def _check_blocks(self, g, pbits, prefixes):
-        """Every block of every prefix, as the scan lays them out."""
+    def _check_blocks(self, g):
+        """Every block, as the scan lays them out."""
         q = len(twin_classes(g))
-        bits = min(engine._LANE_BITS, q - pbits)
-        for prefix in prefixes:
-            for high in range(1 << (q - pbits - bits)):
-                base = high << (pbits + bits) | prefix
-                assert disconnected_lanes(g, base, pbits, bits) == lane_oracle(
-                    g, base, pbits, bits
-                ), (g.edges(), base, pbits)
+        bits = min(engine._LANE_BITS, q)
+        for high in range(1 << (q - bits)):
+            base = high << bits
+            got = disconnected_lanes(g, base, bits)
+            assert got == lane_oracle(g, base, bits), (g.edges(), base)
 
     @pytest.mark.parametrize("q", [5, 9, 12, 13, 14])
     def test_twin_free_lanes_match_component_count(self, rng, q):
         # q < L, q = L and q > L (two and four blocks of 4096 lanes)
         for p in (0.3, 0.6):
-            self._check_blocks(twin_free_graph(rng, q, p), 0, [0])
+            self._check_blocks(twin_free_graph(rng, q, p))
 
     @pytest.mark.parametrize("q", [4, 8, 12])
     def test_blowup_lanes_match_component_count(self, rng, q):
         for _ in range(3):
             g, _ = graph_with_classes(rng, q, twins=True)
-            self._check_blocks(g, 0, [0])
+            self._check_blocks(g)
 
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 2), (2, 5), (4, 3)])
     def test_lone_class_lanes(self, a, b):
         # K_{a,b} has two twin classes: cutting one side leaves the other
         # alone, a class whose members are all components
         g = complete_bipartite(a, b)
-        assert disconnected_lanes(g, 0, 0, 2) == lane_oracle(g, 0, 0, 2)
-        assert disconnected_lanes(g, 0, 0, 2) >> 0b01 & 1 == (b > 1)
+        assert disconnected_lanes(g, 0, 2) == lane_oracle(g, 0, 2)
+        assert disconnected_lanes(g, 0, 2) >> 0b01 & 1 == (b > 1)
 
-    def test_shard_prefixes(self, rng, monkeypatch):
+    def test_strided_shards_flood_each_block_once(self, rng, monkeypatch):
+        # shard i of k floods blocks i, i + k, ...: a split into any number
+        # of shards, 3 dividing no block count, floods every block of the
+        # single scan once and marks the oracle's lanes.  Without the
+        # hopeless-size stop no block is skipped
         monkeypatch.setattr(engine, "_LANE_BITS", 4)
-        g = twin_free_graph(rng, 11)
-        self._check_blocks(g, 3, range(8))
-        g, _ = graph_with_classes(rng, 9, twins=True)
-        self._check_blocks(g, 2, range(4))
+        monkeypatch.setattr(engine, "_hopeless", lambda table, caps: len(table))
+        flood = engine._disconnected_lanes
+        flooded = []
+
+        def checked(nbrs, sizes, base, bits):
+            flooded.append(base)
+            lanes = flood(nbrs, sizes, base, bits)
+            assert lanes == lane_oracle(g, base, bits), (g.edges(), base)
+            return lanes
+
+        monkeypatch.setattr(engine, "_disconnected_lanes", checked)
+        for g in (twin_free_graph(rng, 11), graph_with_classes(rng, 9, twins=True)[0]):
+            quotient = quotient_of(g)
+            alpha = independence_number(g)[0]
+            q = len(quotient.classes)
+            for shards in (1, 3, 64):
+                flooded.clear()
+                for shard in range(shards):
+                    engine._scan(quotient, alpha, None, engine._NO_INCUMBENT, shard, shards)
+                assert sorted(flooded) == [high << 4 for high in range(1 << (q - 4))]
 
     def test_patterns_are_built_on_demand(self):
         code = (
@@ -443,22 +465,27 @@ class TestLaneFilter:
         g = twin_free_graph(rng, n, rng.uniform(0.3, 0.7))
         assert witness_key(toughness_exact(g)) == brute_witness(g)
 
-    def test_forced_shards_merge_to_the_single_scan(self, rng):
-        # the pool's shard arguments, run here: any prefix split must
-        # min-merge to the unsharded answer, from any incumbent
+    def test_forced_shards_merge_to_the_single_scan(self, rng, monkeypatch):
+        # the pool's shard arguments, run here: any split must min-merge to
+        # the unsharded answer, whatever incumbent each shard starts from.
+        # With 4 lane bits the graphs have 1024 and 64 blocks, which 3 does
+        # not divide
+        monkeypatch.setattr(engine, "_LANE_BITS", 4)
         for g in (twin_free_graph(rng, 14), graph_with_classes(rng, 10, True)[0]):
-            classes = tuple(twin_classes(g))
+            quotient = quotient_of(g)
             alpha, aset = independence_number(g)
             seed = g.full_mask & ~aset
             inc = (seed.bit_count(), aset.bit_count(), seed.bit_count(), seed)
-            whole = engine._scan(g.adj, classes, 0, 0, alpha, None, inc)
-            for pbits in (1, 3):
-                best = inc
-                for prefix in range(1 << pbits):
-                    cand = engine._scan(g.adj, classes, prefix, pbits, alpha, None, best)
-                    if cand[1] and engine._better(*cand, best):
-                        best = cand
-                assert best == whole
+            whole = engine._scan(quotient, alpha, None, inc)
+            assert whole == engine._scan(quotient, alpha, None, engine._NO_INCUMBENT)
+            for start in (inc, engine._NO_INCUMBENT, whole):
+                for shards in (1, 3, 64):
+                    best = start
+                    for shard in range(shards):
+                        cand = engine._scan(quotient, alpha, None, start, shard, shards)
+                        if cand[1] and engine._better(*cand, best):
+                            best = cand
+                    assert best == whole, (start, shards)
 
     def test_peak_memory_is_bounded(self):
         # a 2^q-bit table of the cuts would take 512 KB at q = 22.  A spider
