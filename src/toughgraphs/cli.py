@@ -32,6 +32,7 @@ from .toughness import (
     parse_certificate,
     toughness_exact,
     toughness_upper_search,
+    usable_cpus,
     verify_certificate,
     write_certificate,
 )
@@ -48,7 +49,7 @@ def _default_threads() -> int:
             return max(1, int(env))
         except ValueError:
             print(f"ignoring bad TOUGHNESS_THREADS={env!r}", file=sys.stderr)
-    return os.cpu_count() or 1
+    return usable_cpus()
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

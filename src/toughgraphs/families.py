@@ -15,10 +15,14 @@ Families:
 * ``knp2-minus-matching``: two n-cliques joined by m < n rungs; claw-free,
   toughness m/2.
 * ``knp3`` and ``knp3-regularized``: three n-cliques in a row with rungs;
-  toughness (n+1)/3; the regularized variant removes one middle vertex and
-  re-ties its rung ends, making the graph n-regular.
+  toughness (n+1)/3.  The regularized variant is the plain one with a middle
+  row of n - 1 and a tie edge v_{1,n}v_{3,n}, making the graph n-regular.
 * ``square-lsk4``: the square of the line graph of the subdivided K_4;
   7-regular on 12 vertices, toughness 3.
+
+The three clique families come from one clique-row construction
+(``_clique_row``): cliques in a row, v_{i,p} joined to v_{i+1,p} for each p
+up to the rung count.
 """
 
 from __future__ import annotations
@@ -266,7 +270,28 @@ def gen_planar_chain(m: int) -> LabeledFamily:
 
 
 # ---------------------------------------------------------------------------
-# two cliques joined by a partial matching
+# cliques in a row joined by rungs
+
+
+def _clique_row(sizes: tuple[int, ...], rungs: int, ties: tuple = ()):
+    """Cliques of the given sizes in a row, clique i on v_{i,1}, v_{i,2}, ...,
+    numbered row by row, with rungs v_{i,p}v_{i+1,p} for p <= ``rungs`` and
+    the extra edges ``ties``, each a pair of (i, p).  Returns the graph,
+    ``idx[i, p]``, its inverse ``at[v] = (i, p)`` and the labels."""
+    at = [(i, p) for i, size in enumerate(sizes, 1) for p in range(1, size + 1)]
+    idx = {ip: v for v, ip in enumerate(at)}
+    edges = [
+        (idx[i, a], idx[i, b])
+        for i, size in enumerate(sizes, 1)
+        for a in range(1, size + 1)
+        for b in range(a + 1, size + 1)
+    ]
+    edges += [
+        (idx[i, p], idx[i + 1, p]) for i in range(1, len(sizes)) for p in range(1, rungs + 1)
+    ]
+    edges += [(idx[a], idx[b]) for a, b in ties]
+    labels = {f"v_{{{i},{p}}}": v for v, (i, p) in enumerate(at)}
+    return build_graph(len(at), edges), idx, at, labels
 
 
 def gen_knp2_minus_matching(n: int, m: int) -> LabeledFamily:
@@ -276,35 +301,20 @@ def gen_knp2_minus_matching(n: int, m: int) -> LabeledFamily:
         raise ValueError(f"needs n >= 7, got n={n}")
     if not (2 * n < 3 * m and m < n):
         raise ValueError(f"needs 2n/3 < m < n, got n={n}, m={m}")
-
-    def idx(i: int, j: int) -> int:
-        return (i - 1) * n + (j - 1)
-
-    edges = []
-    for i in (1, 2):
-        edges.extend(
-            (idx(i, a), idx(i, b)) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-        )
-    edges.extend((idx(1, j), idx(2, j)) for j in range(1, m + 1))
-    g = build_graph(2 * n, edges)
-    labels = {f"v_{{{i},{j}}}": idx(i, j) for i in (1, 2) for j in range(1, n + 1)}
+    g, idx, at, labels = _clique_row((n, n), m)
 
     edge_cuts: dict[tuple[int, int], tuple[str, int]] = {}
     for e in g.edges():
-        u, v = e
-        iu, ju = u // n + 1, u % n + 1
-        iv, jv = v // n + 1, v % n + 1
+        (iu, ju), (iv, jv) = at[e[0]], at[e[1]]
         if iu != iv:
-            cut = mask_of(idx(1, p) for p in range(1, m + 1) if p != ju)
+            cut = mask_of(idx[1, p] for p in range(1, m + 1) if p != ju)
             edge_cuts[e] = ("rung", cut)
         else:
-            i = iu
-            cut = mask_of(
-                idx(i, p) for p in range(1, n + 1) if p not in (ju, jv)
-            ) | mask_of((idx(3 - i, ju), idx(3 - i, jv)))
+            cut = mask_of(idx[iu, p] for p in range(1, n + 1) if p not in (ju, jv))
+            cut |= mask_of((idx[3 - iu, ju], idx[3 - iu, jv]))
             edge_cuts[e] = ("clique", cut)
 
-    base = mask_of(idx(1, p) for p in range(1, m + 1))
+    base = mask_of(idx[1, p] for p in range(1, m + 1))
     expected = FamilyExpectation(Ratio(m, 2), n - 1, n, False, True, False)
     case_ratio = {"rung": Ratio(m - 1, 2), "clique": Ratio(n, 3)}
     return _certified(
@@ -312,118 +322,45 @@ def gen_knp2_minus_matching(n: int, m: int) -> LabeledFamily:
     )
 
 
-# ---------------------------------------------------------------------------
-# three cliques in a row
-
-
 def gen_knp3(n: int, regularized: bool = False) -> LabeledFamily:
     """Three n-cliques with rungs v_{1,p}v_{2,p} and v_{2,p}v_{3,p}; toughness
-    (n+1)/3.  The regularized variant removes the last middle vertex and joins
-    its rung ends directly, giving an n-regular graph."""
+    (n+1)/3.  The regularized variant has no v_{2,n} and a tie edge
+    v_{1,n}v_{3,n} in place of its two rungs, giving an n-regular graph; its
+    cuts are the plain ones with v_{1,n} added or v_{2,n} replaced."""
     if n < 3:
         raise ValueError(f"needs n >= 3, got {n}")
     if regularized and n < 4:
         raise ValueError(f"regularized variant needs n >= 4, got {n}")
+    mid = n - 1 if regularized else n
+    ties = (((1, n), (3, n)),) if regularized else ()
+    g, idx, at, labels = _clique_row((n, mid, n), mid, ties)
 
-    if not regularized:
-        def idx(i: int, p: int) -> int:
-            return (i - 1) * n + (p - 1)
+    def base_shape(k: int) -> int:
+        # the middle row below k and the outer ends of rung k
+        return mask_of(idx[2, p] for p in range(1, k)) | mask_of((idx[1, k], idx[3, k]))
 
-        layer_range = {1: range(1, n + 1), 2: range(1, n + 1), 3: range(1, n + 1)}
-    else:
-        def idx(i: int, p: int) -> int:
-            if i == 1:
-                return p - 1
-            if i == 2:
-                if p == n:
-                    raise KeyError("middle vertex n was removed")
-                return n + (p - 1)
-            return 2 * n - 1 + (p - 1)
-
-        layer_range = {1: range(1, n + 1), 2: range(1, n), 3: range(1, n + 1)}
-
-    edges = []
-    for i in (1, 2, 3):
-        ps = list(layer_range[i])
-        edges.extend(
-            (idx(i, a), idx(i, b)) for ai, a in enumerate(ps) for b in ps[ai + 1 :]
-        )
-    for p in layer_range[2]:
-        edges.append((idx(1, p), idx(2, p)))
-        edges.append((idx(2, p), idx(3, p)))
-    if regularized:
-        edges.append((idx(1, n), idx(3, n)))
-    order = 3 * n - (1 if regularized else 0)
-    g = build_graph(order, edges)
-    labels = {
-        f"v_{{{i},{p}}}": idx(i, p) for i in (1, 2, 3) for p in layer_range[i]
-    }
-
-    if not regularized:
-        base = mask_of(idx(2, p) for p in range(1, n)) | mask_of(
-            (idx(1, n), idx(3, n))
-        )
-    else:
-        base = mask_of(idx(2, p) for p in range(1, n - 1)) | mask_of(
-            (idx(1, n - 1), idx(3, n - 1), idx(3, n))
-        )
-
-    pos = {v: lab for lab, v in ((p, idx(i, p)) for i in (1, 2, 3) for p in layer_range[i])}
-    layer = {}
-    for i in (1, 2, 3):
-        for p in layer_range[i]:
-            layer[idx(i, p)] = i
-
+    # regularized rung and middle-clique cuts also take v_{1,n}, cutting the tie
+    tied = 1 << idx[1, n] if regularized else 0
     edge_cuts: dict[tuple[int, int], tuple[str, int]] = {}
     for e in g.edges():
-        u, v = e
-        iu, ju = layer[u], pos[u]
-        iv, jv = layer[v], pos[v]
-        if not regularized:
-            if iu != iv:  # every plain rung has an end in the middle clique
-                i, j = (iv, jv) if iu == 2 else (iu, ju)
-                cut = mask_of(idx(2, p) for p in range(1, n + 1) if p != j)
-                cut |= 1 << idx(4 - i, j)
-                case = "rung"
-            elif iu == 2:
-                cut = mask_of(
-                    idx(2, p) for p in range(1, n + 1) if p not in (ju, jv)
-                ) | mask_of((idx(1, ju), idx(1, jv), idx(3, ju), idx(3, jv)))
-                case = "middle-clique"
-            else:
-                i = iu
-                cut = mask_of(
-                    idx(i, p) for p in range(1, n + 1) if p not in (ju, jv)
-                ) | mask_of((idx(2, ju), idx(2, jv)))
-                case = "outer-clique"
+        (iu, ju), (iv, jv) = at[e[0]], at[e[1]]
+        if (iu, iv) == (1, 3):
+            edge_cuts[e] = ("tie-edge", base_shape(n - 1))
+        elif iu != iv:  # a rung: its middle end is v_{2,ju}
+            i = iu if iv == 2 else iv
+            cut = mask_of(idx[2, p] for p in range(1, mid + 1) if p != ju)
+            edge_cuts[e] = ("rung", cut | 1 << idx[4 - i, ju] | tied)
+        elif iu == 2:
+            cut = mask_of(idx[2, p] for p in range(1, mid + 1) if p not in (ju, jv))
+            cut |= mask_of((idx[1, ju], idx[1, jv], idx[3, ju], idx[3, jv]))
+            edge_cuts[e] = ("middle-clique", cut | tied)
         else:
-            if iu != iv and {iu, iv} == {1, 3}:
-                cut = mask_of(idx(2, p) for p in range(1, n - 1)) | mask_of(
-                    (idx(1, n - 1), idx(3, n - 1))
-                )
-                case = "tie-edge"
-            elif iu != iv:
-                i, j = (iv, jv) if iu == 2 else (iu, ju)
-                cut = mask_of(idx(2, p) for p in range(1, n) if p != j)
-                cut |= mask_of((idx(4 - i, j), idx(1, n)))
-                case = "rung"
-            elif iu == 2:
-                cut = mask_of(
-                    idx(2, p) for p in range(1, n) if p not in (ju, jv)
-                ) | mask_of(
-                    (idx(1, ju), idx(1, jv), idx(3, ju), idx(3, jv), idx(1, n))
-                )
-                case = "middle-clique"
-            else:
-                i = iu
-                j1, j2 = min(ju, jv), max(ju, jv)
-                extra = idx(2, j2) if j2 != n else idx(4 - i, n)
-                cut = mask_of(
-                    idx(i, p) for p in range(1, n + 1) if p not in (j1, j2)
-                ) | mask_of((idx(2, j1), extra))
-                case = "outer-clique"
-        edge_cuts[e] = (case, cut)
+            # ju < jv; v_{4-iu,n} takes the place of a missing v_{2,jv}
+            cut = mask_of(idx[iu, p] for p in range(1, n + 1) if p not in (ju, jv))
+            cut |= 1 << idx[2, ju] | 1 << idx.get((2, jv), idx[4 - iu, n])
+            edge_cuts[e] = ("outer-clique", cut)
 
+    base = base_shape(mid) | (1 << idx[3, n] if regularized else 0)
     tag = "knp3-regularized" if regularized else "knp3"
     expected = FamilyExpectation(
         Ratio(n + 1, 3), n, n if regularized else n + 1, regularized, False, False

@@ -21,7 +21,13 @@ from typing import Iterator
 from .graph import Graph, build_graph, degree_profile
 from .graph6 import graph6_lines, parse_graph6, write_graph6
 from .invariants import canonical_form
-from .toughness import DEFAULT_CONFIG, DegreeExcessReport, EngineConfig, degree_excess_filter
+from .toughness import (
+    DEFAULT_CONFIG,
+    DegreeExcessReport,
+    EngineConfig,
+    degree_excess_filter,
+    usable_cpus,
+)
 
 ENUM_LIMIT = 8
 
@@ -122,7 +128,9 @@ def _screened(work: Iterator, workers: int) -> Iterator[tuple[str, DegreeExcessR
     """``_screen_one`` of each work item, in input order.  A pool takes the
     items in batches of 64 per worker and holds at most two: the next batch
     is queued before the current one is read, so no worker waits on the
-    slowest item of a batch.  A stream of at most one item starts no pool."""
+    slowest item of a batch.  A stream of at most one item starts no pool,
+    and no pool has more workers than ``usable_cpus``."""
+    workers = min(workers, usable_cpus())
     batch = list(islice(work, 64 * workers)) if workers > 1 else []
     if len(batch) < 2:
         yield from map(_screen_one, chain(batch, work))

@@ -70,6 +70,7 @@ schedule independent.
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 from collections import namedtuple
@@ -105,6 +106,15 @@ class EngineConfig:
 
 
 DEFAULT_CONFIG = EngineConfig()
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; every process pool is capped at
+    this, since a fork-started pool forks all its workers at the first
+    submit and a wider pool only oversubscribes the cores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +473,11 @@ def _scan(
                     if needed > caps[k]:
                         continue
                     # component count with an early abort once the vertices
-                    # left cannot reach the needed component count
+                    # left cannot reach the needed component count; inline,
+                    # since calling the annealing's closure instead was no
+                    # faster on exact-random pool graphs and 1.09-1.10x
+                    # slower on the 18-vertex low-width graphs (2 cores,
+                    # Python 3.11.7)
                     alive = full ^ s
                     count = 0
                     while alive:
@@ -532,7 +546,10 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     # n = 23 0.29 -> 0.33, 0.55 -> 0.28 and 0.34 -> 0.22.  The pool's
     # start-up outweighs the filtered scan at 19 and 20 classes; two workers
     # win on two of three graphs at 21 and on four of six at 22 and 23.
-    if cfg.workers < 2 or len(classes) < 22:
+    # More workers than CPUs only oversubscribe: chain m=4 took 12.3 s at 8
+    # workers against 9.1 s at 2 on 2 cores.
+    workers = 1 if len(classes) < 22 else min(cfg.workers, usable_cpus())
+    if workers < 2:
         best = _scan(quotient, alpha, None, inc)
     else:
         # imported only here: single-worker callers never load multiprocessing
@@ -542,8 +559,8 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
         # 4 per worker start from the best cut merged so far
         shards = 64
         best = inc
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            wave = 4 * cfg.workers
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            wave = 4 * workers
             pending = []
             shard = 0
             while shard < shards or pending:
@@ -590,7 +607,12 @@ def _cut_below(
 # chunk has at most this many bits: q <= 27, the scan's own regime, with 512
 # entries per table.  The tables grow as 2^ceil(q/3), to a million entries
 # each on the twin-free 60-vertex chain, so past this annealing counts on the
-# vertex graph with ``component_count``.
+# vertex graph with ``component_count``.  Both sides are measured (2 cores,
+# Python 3.11.7, same certificates either way): 9-bit chunks with ceil(q/9)
+# lookups per round past 27 classes took 0.26, 0.49-0.55 and 0.69-0.78 s on
+# chains m = 6, 8 and 10 against 0.22-0.25, 0.34-0.35 and 0.41-0.47 s for
+# ``component_count``; below it, counting without the tables ran whole
+# ``beyond-limit`` blow-up runs 1.4-2.1x slower.
 _ANNEAL_CHUNK_BITS = 9
 
 
@@ -782,8 +804,8 @@ def toughness_upper_search(
                 cw = weigh(cand)
                 com = count(full ^ cand)
             else:
-                # called directly: on the 36-60 vertex chains a wrapper's
-                # call costs a measurable share of the step
+                # called directly: on the 36-60 vertex chains a ``partial``
+                # wrapper here measured 1.02x slower (median of 5 pairs)
                 cw = cand.bit_count()
                 com = component_count(adj, full ^ cand, reps)
             ce = cw / com if com >= 2 else float(g.n * 2)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 import sys
+from concurrent import futures
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,3 +49,42 @@ def small_corpus() -> list[Graph]:
         for _ in range(6):
             corpus.append(random_connected_graph(r, n, 0.25 + r.random() * 0.5))
     return corpus
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A stand-in for ``ProcessPoolExecutor`` that runs every task in this
+    process.  Returns its record: ``built`` lists each pool's
+    ``max_workers``, ``batches`` the length of each ``map`` call, and
+    ``most_pending`` the most submitted tasks whose result was not yet read."""
+    record = SimpleNamespace(built=[], batches=[], most_pending=0, pending=0)
+
+    class ReadOnce(futures.Future):
+        def result(self, timeout=None):
+            record.pending -= 1
+            return super().result(timeout)
+
+    class FakePool:
+        def __init__(self, max_workers):
+            record.built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            record.pending += 1
+            record.most_pending = max(record.most_pending, record.pending)
+            done = ReadOnce()
+            done.set_result(fn(*args))
+            return done
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            record.batches.append(len(items))
+            return map(fn, items)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", FakePool)
+    return record

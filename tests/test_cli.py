@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import toughgraphs.cli as cli
 import toughgraphs.families as families
 import toughgraphs.invariants as invariants
 import toughgraphs.toughness as toughness
@@ -273,6 +274,12 @@ def test_orbits_of_one_large_twin_class(capsys, edges):
     code, out = run(capsys, "orbits", "--g6", write_graph6(g))
     assert code == 0
     assert out.splitlines()[0] == ("1 edge orbits" if edges else "0 edge orbits")
+
+
+def test_default_threads_are_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("TOUGHNESS_THREADS", raising=False)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    assert cli._default_threads() == 3
 
 
 def test_env_threads_fallback(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import toughgraphs.families as families
@@ -18,6 +20,7 @@ from toughgraphs.toughness import (
     is_minimally_tough,
     toughness_exact,
     verify_certificate,
+    write_certificate,
 )
 
 
@@ -243,3 +246,47 @@ def test_edge_ratio_off_its_case_raises(monkeypatch, make, case, wrong_case):
     monkeypatch.setattr(families, "_certified", mislabel_one_edge)
     with pytest.raises(FamilyError, match=rf"edge \(\d+, \d+\) \({wrong_case}\)"):
         make()
+
+
+# sha256 of the base certificate text, every edge certificate text in edge
+# order and the label map: pins each cut template and label mask
+_FAMILY_DIGESTS = [
+    ("knp3", (3,), "1427838df1f111d2d6a98ca17701da54d2ef5741cc1fd4c49963dc0a08b284bf"),
+    ("knp3", (4,), "7aa8796b0be68759f35ed1dbc5b69346396ae92c45c903e4517c6394bc2cef29"),
+    ("knp3", (5,), "f6962ea2f373925abc8d215d8b0a9f0838a85d0d6df20f889a445502d1bf3275"),
+    ("knp3", (6,), "29083ea9dc3e3ab2b7272f35dcbb6b21f7d1eb0257f3d8e04f723b653856e573"),
+    ("knp3", (7,), "cf5f72c4b1c79292918ee9f8d4b12a47ebebd2d5c4287d5cad9ac57f5c01acc8"),
+    ("knp3", (8,), "8521b03413c8b5882b07c44ee109dc16b7dcf97dc21093a15ed9a942240e6c1c"),
+    ("knp3-regularized", (4,), "7aec69a3ac77e4943ea3159695d9cdf880e9397dabc9b62e41f03a7faa106109"),
+    ("knp3-regularized", (5,), "e2f1fec7321eb0b1ecf5351c4b5e944d4b76e469142b88217c3a955667ffc781"),
+    ("knp3-regularized", (6,), "ce158521836c34c17b2490fbd04bbf7dd1188271b53b1370540d7a245fcad638"),
+    ("knp3-regularized", (7,), "bb2ce6f47fc88356b2c6d09329f81d30932fd65b23c6c65409fddf5df505692e"),
+    ("knp3-regularized", (8,), "698ec3a96331173bd0f37b3340a8ee58dc3a6726cec2f1e82ffede285d0e6a34"),
+    ("knp2-minus-matching", (7, 5), "0f20bb802c65c3e6dad76eaf7b0054af4625c4dd462e38be406c90e81de026eb"),
+    ("knp2-minus-matching", (8, 6), "7b1ee163e6f78c0f4e3cd4991b5361ca86ae4f6c899c455c59d5863ac0d2e87a"),
+    ("knp2-minus-matching", (9, 7), "129da79f1d2da8509840e154ee18dbb7357fb551380ca3d47f44815c35541cbd"),
+    ("knp2-minus-matching", (10, 7), "f5ef4a6a467acff5fe3b7b40d8975bd1846618aaa2f0634deb73c951597a48d9"),
+    ("knp2-minus-matching", (10, 9), "b2a41b7ca4109d9c5f82f72797ea90e268f5d3574c5893274517fdf5a9b5c68d"),
+]
+
+
+def _family_digest(fam) -> str:
+    h = hashlib.sha256(write_certificate(fam.graph, fam.base_certificate).encode())
+    for e, cert in fam.edge_certificates.items():
+        h.update(write_certificate(delete_edge(fam.graph, e), cert).encode())
+    h.update(fam.label_map_text().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "tag,params,want",
+    _FAMILY_DIGESTS,
+    ids=[f"{tag}-{'-'.join(map(str, params))}" for tag, params, _ in _FAMILY_DIGESTS],
+)
+def test_clique_family_bytes_pinned(tag, params, want):
+    make = {
+        "knp3": gen_knp3,
+        "knp3-regularized": lambda n: gen_knp3(n, regularized=True),
+        "knp2-minus-matching": gen_knp2_minus_matching,
+    }[tag]
+    assert _family_digest(make(*params)) == want

@@ -6,6 +6,7 @@ import pytest
 from conftest import nx_graph, random_graph
 from oracles import min_adjacency_form
 
+import toughgraphs.search as search
 import toughgraphs.toughness as engine
 from toughgraphs.graph import build_graph, is_connected
 from toughgraphs.graph6 import graph6_lines, parse_graph6, write_graph6
@@ -250,6 +251,17 @@ class TestFilter:
         assert rep.summary_line() == "0 counterexamples / 2 scanned"
         rep = filter_counterexamples(lines, SearchOptions(config=config))
         assert rep.inconclusive == (write_graph6(cycle(7)),)
+
+    @pytest.mark.parametrize(
+        "cpus,pools,first_batch", [(1, [], []), (2, [2], [128])], ids=["one-cpu", "two-cpus"]
+    )
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, fake_pool, cpus, pools, first_batch):
+        monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+        rep = filter_counterexamples(["Dhc"] * 300, SearchOptions(workers=8))
+        assert rep.scanned == 300
+        assert fake_pool.built == pools
+        # batches of 64 per worker
+        assert fake_pool.batches[:1] == first_batch
 
     def test_pool_workers_run_engines_with_one_worker(self, monkeypatch):
         # the pool forks, so its workers inherit the patched engine

@@ -199,7 +199,9 @@ def copy_groups(spec):
 @pytest.fixture
 def submitted_shards(monkeypatch):
     """The (shard, shards) pairs that ``toughness_exact`` hands its pool;
-    22 classes is the least it shards."""
+    22 classes is the least it shards.  Two usable CPUs are assumed, so a
+    two-worker pool is built however many the machine has."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     submitted = []
 
     class CountingPool(futures.ProcessPoolExecutor):
@@ -337,6 +339,19 @@ class TestQuotientScan:
         assert sorted(submitted_shards) == [(i, 64) for i in range(64)]
         assert a.value == b.value
         assert a.witness == b.witness
+
+    @pytest.mark.parametrize(
+        "cpus,pools,most_pending", [(1, [], 0), (2, [2], 8)], ids=["one-cpu", "two-cpus"]
+    )
+    def test_pool_capped_at_usable_cpus(
+        self, rng, monkeypatch, fake_pool, cpus, pools, most_pending
+    ):
+        monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
+        g = twin_free_graph(rng, 22)
+        res = toughness_exact(g, EngineConfig(workers=8))
+        # a wave holds 4 shards per worker
+        assert (fake_pool.built, fake_pool.most_pending) == (pools, most_pending)
+        assert res.witness == toughness_exact(g).witness
 
 
 def twin_free_graph(rng, n, p=0.5):
