@@ -25,6 +25,7 @@ from .graph6 import graph6_lines, parse_graph6, write_graph6
 from .invariants import edge_orbits
 from .search import SearchOptions, filter_counterexamples
 from .toughness import (
+    DEFAULT_CONFIG,
     CutCertificate,
     EngineConfig,
     LimitExceeded,
@@ -54,8 +55,8 @@ def _default_threads() -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=None, help="worker count")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--exhaustive-limit", type=int, default=26)
+    parser.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed, help="random seed")
+    parser.add_argument("--exhaustive-limit", type=int, default=DEFAULT_CONFIG.exhaustive_limit)
 
 
 def _config(args) -> EngineConfig:

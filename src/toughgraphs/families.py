@@ -28,14 +28,10 @@ up to the rung count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graph import Graph, build_graph, delete_edge, mask_of
-from .invariants import (
-    RotationSystem,
-    independence_number,
-    maximum_independent_sets,
-    verify_embedding,
-)
+from .invariants import RotationSystem, independence_number, verify_embedding
 from .ratio import Ratio
 from .toughness import CutCertificate, verify_certificate
 from .operators import complete, line_graph, square, subdivision
@@ -165,16 +161,13 @@ def gen_planar_chain(m: int) -> LabeledFamily:
     g = build_graph(n, edges)
     labels = {f"v_{{{i},{j}}}": idx(i, j) for i in range(1, m + 1) for j in range(1, 7)}
 
-    # block-shift and reflection relabelings; both must preserve adjacency
+    # block-shift and reflection relabelings; both must preserve adjacency.
+    # tau^2 shifts by two blocks and fixes every label and block parity,
+    # which is all a template reads, so the first match among the shifts and
+    # reflected shifts is always one of identity, tau, rho and tau rho
     tau = tuple(idx(bnum(v // 6 + 2), _PI[v % 6 + 1]) for v in range(n))
     rho = tuple(idx(bnum(2 - (v // 6 + 1)), _PI[v % 6 + 1]) for v in range(n))
-    group = []
-    cur = tuple(range(n))
-    for _ in range(m):
-        group.append(cur)
-        cur = tuple(tau[x] for x in cur)
-    for k in range(m):
-        group.append(tuple(group[k][rho[x]] for x in range(n)))
+    group = (tuple(range(n)), tau, rho, tuple(tau[x] for x in rho))
     for perm in (tau, rho):
         for u, v in g.edges():
             if not g.has_edge(perm[u], perm[v]):
@@ -227,7 +220,7 @@ def gen_planar_chain(m: int) -> LabeledFamily:
         "case4": Ratio(3 * m + 1, 2 * m + 1),
     }
 
-    # the first group element that maps e onto a template wins
+    # the first of the four symmetries that maps e onto a template wins
     inverses = []
     for perm in group:
         inv = [0] * n
@@ -389,7 +382,12 @@ def gen_square_lsk4() -> LabeledFamily:
     h, edge_map = line_graph(subdivision(complete(4)))
     g = square(h)
     labels = {f"e_{{{u}-{v}}}": k for k, (u, v) in enumerate(edge_map)}
-    max_sets = maximum_independent_sets(g)
+    # with alpha = 3 the maximum independent sets are the independent triples
+    max_sets = sorted(
+        mask_of(t)
+        for t in combinations(range(g.n), 3)
+        if not any(g.has_edge(u, v) for u, v in combinations(t, 2))
+    )
     if len(max_sets) != 4 or independence_number(g)[0] != 3:
         raise FamilyError("square family: unexpected independent-set structure")
 

@@ -72,32 +72,6 @@ def independence_number(g: Graph, within: int | None = None) -> tuple[int, int]:
     return _grow_independent(g.adj, g.full_mask if within is None else within, 0, 0, (0, 0))
 
 
-def _extend_to_size(
-    adj: tuple[int, ...], alpha: int, start: int, chosen: int, size: int,
-    forbidden: int, out: list[int],
-) -> None:
-    """Append to ``out`` every independent set of ``alpha`` vertices that
-    extends ``chosen`` (``size`` vertices) by vertices from ``start`` on that
-    are not ``forbidden``."""
-    if size == alpha:
-        out.append(chosen)
-        return
-    # not enough vertices left to reach alpha
-    for v in range(start, len(adj) - (alpha - size) + 1):
-        bit = 1 << v
-        if forbidden & bit:
-            continue
-        _extend_to_size(adj, alpha, v + 1, chosen | bit, size + 1, forbidden | adj[v], out)
-
-
-def maximum_independent_sets(g: Graph) -> list[int]:
-    """All maximum independent sets as masks, ascending.  Exponential; keep n small."""
-    alpha, _ = independence_number(g)
-    out: list[int] = []
-    _extend_to_size(g.adj, alpha, 0, 0, 0, 0, out)
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # vertex connectivity
 

@@ -8,10 +8,12 @@ zero.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from math import gcd
 from typing import Any
 
 
+@total_ordering
 class Ratio:
     """An exact non-negative rational p/q in lowest terms, or infinity."""
 
@@ -48,26 +50,6 @@ class Ratio:
             return self.p < other * self.q
         return NotImplemented
 
-    def __le__(self, other: Any) -> bool:
-        if isinstance(other, _Infinite):
-            return True
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return lt or self == other
-
-    def __gt__(self, other: Any) -> bool:
-        le = self.__le__(other)
-        if le is NotImplemented:
-            return NotImplemented
-        return not le
-
-    def __ge__(self, other: Any) -> bool:
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return not lt
-
     def __hash__(self) -> int:
         return hash((self.p, self.q))
 
@@ -78,6 +60,7 @@ class Ratio:
         return f"Ratio({self.p}, {self.q})"
 
 
+@total_ordering
 class _Infinite:
     """Singleton value strictly greater than every finite Ratio."""
 
@@ -88,15 +71,6 @@ class _Infinite:
 
     def __lt__(self, other: Any) -> bool:
         return False
-
-    def __le__(self, other: Any) -> bool:
-        return isinstance(other, _Infinite)
-
-    def __gt__(self, other: Any) -> bool:
-        return not isinstance(other, _Infinite)
-
-    def __ge__(self, other: Any) -> bool:
-        return True
 
     def __hash__(self) -> int:
         return hash("Ratio.INFINITE")

@@ -58,9 +58,10 @@ and, up to 27 twin classes (chunks of at most 9 bits), anneals over class
 masks with the same closure, so a step costs three lookups per round
 however many copies a class has.  Past 27 classes, as on the twin-free
 36-60 vertex chains, it anneals over vertex masks and counts with
-``graph.component_count``.  Class masks order like the vertex masks they
-stand for, so the (ratio, |S|, mask) tie-break picks the same certificate
-in either form.
+``graph.component_count``.  The regime is chosen once, as a pair of
+functions (count, weigh) that the annealing steps call without knowing
+which it got.  Class masks order like the vertex masks they stand for, so
+the (ratio, |S|, mask) tie-break picks the same certificate in either form.
 
 Parallel mode splits the single scan's blocks into 64 strided shards, shard
 i taking blocks i, i + 64, i + 128, ...; each shard's answer is independent
@@ -74,8 +75,8 @@ import os
 import random
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, replace
-from functools import cache, partial
+from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 from .graph import (
@@ -90,6 +91,7 @@ from .graph import (
 )
 from .graph6 import parse_graph6, write_graph6
 from .invariants import independence_number
+from .operators import solid_expand
 from .ratio import INFINITE, Ratio, parse_ratio
 
 
@@ -208,10 +210,6 @@ def parse_certificate(text: str) -> tuple[Graph, CutCertificate]:
 class ToughnessResult:
     value: object  # Ratio or INFINITE
     witness: CutCertificate | None
-    method: str
-
-    def __str__(self) -> str:
-        return f"t = {self.value} ({self.method})"
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +523,9 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     if g.n == 0:
         raise ValueError("toughness of the empty graph is undefined")
     if g.is_complete():
-        return ToughnessResult(INFINITE, None, "exact")
+        return ToughnessResult(INFINITE, None)
     if not is_connected(g):
-        return ToughnessResult(Ratio(0), CutCertificate.from_cut(g, 0), "exact")
+        return ToughnessResult(Ratio(0), CutCertificate.from_cut(g, 0))
     classes = tuple(twin_classes(g))
     _check_limit(g, classes, cfg)
     quotient = _quotient(g, classes)
@@ -577,7 +575,7 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     check = verify_certificate(g, cert)
     if not check:
         raise AssertionError(f"engine produced an invalid certificate: {check.reason}")
-    return ToughnessResult(cert.ratio, cert, "exact")
+    return ToughnessResult(cert.ratio, cert)
 
 
 def find_cut_below(
@@ -683,9 +681,10 @@ def toughness_upper_search(
     flip one class.  Up to 27 classes a state is a class mask and its
     components close over the twin quotient with the scan's three-lookup
     tables; past that it is a vertex mask counted by ``component_count``.
-    Restarts are seeded from complements and neighborhoods of greedy
-    independent sets followed by a greedy shrink pass, so structured optima
-    are reachable even when annealing alone would wander.
+    Restarts are seeded from complements of greedy clique packings with
+    caps 1, 3 and q classes (cap 1 packs an independent set), neighborhoods
+    and random states, each followed by a greedy shrink pass, so structured
+    optima are reachable even when annealing alone would wander.
     """
     if not is_connected(g):
         raise ValueError("upper search needs a connected graph")
@@ -697,8 +696,7 @@ def toughness_upper_search(
     # tie-break picks the same cut in either form
     classes = tuple(twin_classes(g))
     nq = len(classes)
-    tabled = -(-nq // 3) <= _ANNEAL_CHUNK_BITS
-    if tabled:
+    if -(-nq // 3) <= _ANNEAL_CHUNK_BITS:
         _, rows, sizes, w, T, V = _quotient(g, classes)
         units = [1 << i for i in range(nq)]  # bit i is class i
         full = reps = (1 << nq) - 1  # each class is its own representative
@@ -709,29 +707,24 @@ def toughness_upper_search(
         # the lowest member of each class: a BFS over whole classes expands
         # only these, since twins have the same neighbors
         reps = sum(c & -c for c in classes)
-        count = partial(component_count, adj, reps=reps)
         weigh = int.bit_count
+
+        # a closure: partial(component_count, adj, reps=reps) cost ~1 us more
+        # per call on the 36-vertex chain, ~6 us a count (2 cores, Python 3.11.7)
+        def count(alive: int) -> int:
+            return component_count(adj, alive, reps)
+
     rng = random.Random(seed)
 
     def nbrs(u: int) -> int:
         # twins share their row, so any member gives the class's neighbors
         return rows[u.bit_length() - 1]
 
-    def greedy_independent(order: list[int]) -> int:
-        chosen = 0
-        blocked = 0
-        for i in order:
-            u = units[i]
-            if not blocked & u:
-                chosen |= u
-                blocked |= u | nbrs(u)
-        return chosen
-
     def greedy_clique_packing(order: list[int], cap: int) -> int:
-        """Pairwise non-adjacent cliques of classes, greedily grown; the
-        complement of their union is a cut whose residue components are
-        exactly the packed cliques, which matches the structure of many
-        optimal cuts."""
+        """Pairwise non-adjacent cliques of at most ``cap`` classes, greedily
+        grown (cap 1 packs an independent set); the complement of their
+        union is a cut whose residue components are exactly the packed
+        cliques, which matches the structure of many optimal cuts."""
         packed = 0
         blocked = 0
         for i in order:
@@ -771,14 +764,10 @@ def toughness_upper_search(
         order = base_order[:]
         rng.shuffle(order)
         kind = r % 6
-        if kind == 0:
-            state = full & ~greedy_independent(order)
-        elif kind == 1:
-            state = full & ~greedy_clique_packing(order, cap=3)
-        elif kind == 2:
-            state = full & ~greedy_clique_packing(order, cap=nq)
+        if kind < 3:
+            state = full & ~greedy_clique_packing(order, (1, 3, nq)[kind])
         elif kind == 3:
-            state = neighborhood(greedy_independent(order))
+            state = neighborhood(greedy_clique_packing(order, 1))
         elif kind == 4:
             # the class with the fewest neighbor classes
             lo = min(range(nq), key=lambda i: ((nbrs(units[i]) & reps).bit_count(), i))
@@ -800,14 +789,8 @@ def toughness_upper_search(
                 cand ^= units[rng.randrange(nq)]
             if cand in (0, full):
                 continue
-            if tabled:
-                cw = weigh(cand)
-                com = count(full ^ cand)
-            else:
-                # called directly: on the 36-60 vertex chains a ``partial``
-                # wrapper here measured 1.02x slower (median of 5 pairs)
-                cw = cand.bit_count()
-                com = component_count(adj, full ^ cand, reps)
+            cw = weigh(cand)
+            com = count(full ^ cand)
             ce = cw / com if com >= 2 else float(g.n * 2)
             if ce <= energy or rng.random() < 2.718281828 ** ((energy - ce) / temp):
                 state, energy = cand, ce
@@ -850,10 +833,7 @@ def solid_reduced_toughness(spec, cfg: EngineConfig = DEFAULT_CONFIG) -> Toughne
     is raised when the expansion has more twin classes than the exhaustive
     limit.
     """
-    from .operators import solid_expand  # local import to avoid a cycle
-
-    expanded, _ = solid_expand(spec)
-    return replace(toughness_exact(expanded, cfg), method="reduced-solid")
+    return toughness_exact(solid_expand(spec)[0], cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,16 @@ def test_default_threads_are_the_usable_cpus(monkeypatch):
     assert cli._default_threads() == 3
 
 
+@pytest.mark.parametrize(
+    "argv", [("toughness", "--exact"), ("minimal",), ("search", "--input", "-")]
+)
+def test_engine_flag_defaults_are_the_engine_config_defaults(monkeypatch, argv):
+    # one worker, so that every field of the parsed config is a default
+    monkeypatch.setenv("TOUGHNESS_THREADS", "1")
+    args = cli.build_parser().parse_args(list(argv))
+    assert cli._config(args) == toughness.EngineConfig()
+
+
 def test_env_threads_fallback(capsys, monkeypatch):
     monkeypatch.setenv("TOUGHNESS_THREADS", "1")
     code, out = run(capsys, "toughness", "--g6", "Dhc", "--exact")

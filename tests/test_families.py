@@ -2,6 +2,8 @@ import hashlib
 
 import pytest
 
+from oracles import brute_max_independent_sets
+
 import toughgraphs.families as families
 from toughgraphs.families import (
     FamilyError,
@@ -10,7 +12,7 @@ from toughgraphs.families import (
     gen_planar_chain,
     gen_square_lsk4,
 )
-from toughgraphs.graph import degree_profile, delete_edge
+from toughgraphs.graph import degree_profile, delete_edge, mask_of
 from toughgraphs.invariants import is_claw_free, verify_embedding
 from toughgraphs.operators import cartesian_product, complete, path
 from toughgraphs.ratio import Ratio
@@ -173,6 +175,12 @@ class TestSquareLsk4:
         assert fam.base_certificate.cut.bit_count() == 9
         assert_expected_structure(fam)
 
+    def test_base_cut_spares_the_lowest_of_four_maximum_independent_sets(self):
+        fam = gen_square_lsk4()
+        sets = sorted(mask_of(s) for s in brute_max_independent_sets(fam.graph))
+        assert len(sets) == 4
+        assert fam.base_certificate.cut == fam.graph.full_mask & ~sets[0]
+
     def test_all_edge_certificates_at_eight_thirds(self):
         fam = gen_square_lsk4()
         assert len(fam.edge_certificates) == 42
@@ -249,7 +257,8 @@ def test_edge_ratio_off_its_case_raises(monkeypatch, make, case, wrong_case):
 
 
 # sha256 of the base certificate text, every edge certificate text in edge
-# order and the label map: pins each cut template and label mask
+# order, the label map and any rotation text: pins each cut template, label
+# mask and embedding
 _FAMILY_DIGESTS = [
     ("knp3", (3,), "1427838df1f111d2d6a98ca17701da54d2ef5741cc1fd4c49963dc0a08b284bf"),
     ("knp3", (4,), "7aa8796b0be68759f35ed1dbc5b69346396ae92c45c903e4517c6394bc2cef29"),
@@ -267,6 +276,10 @@ _FAMILY_DIGESTS = [
     ("knp2-minus-matching", (9, 7), "129da79f1d2da8509840e154ee18dbb7357fb551380ca3d47f44815c35541cbd"),
     ("knp2-minus-matching", (10, 7), "f5ef4a6a467acff5fe3b7b40d8975bd1846618aaa2f0634deb73c951597a48d9"),
     ("knp2-minus-matching", (10, 9), "b2a41b7ca4109d9c5f82f72797ea90e268f5d3574c5893274517fdf5a9b5c68d"),
+    ("planar-chain", (4,), "82c917962abf7b9c5581561bddfe2f9190abd75c2e84525eb432309ca5b5465c"),
+    ("planar-chain", (6,), "62d97fa304e1ac97eef3be9675bfe5cb7999a1fc8e4ca0418940601400e960da"),
+    ("planar-chain", (8,), "df5180f8ed2d74b856679149797d4bf002d514f24ce94be2cc3afd0edb3f2805"),
+    ("square-lsk4", (), "f83d9da3477fd573346ea969192cbe056f8a2d8487f9a760962ae777a312e3a8"),
 ]
 
 
@@ -275,18 +288,22 @@ def _family_digest(fam) -> str:
     for e, cert in fam.edge_certificates.items():
         h.update(write_certificate(delete_edge(fam.graph, e), cert).encode())
     h.update(fam.label_map_text().encode())
+    if fam.rotation is not None:
+        h.update(fam.rotation.to_text().encode())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize(
     "tag,params,want",
     _FAMILY_DIGESTS,
-    ids=[f"{tag}-{'-'.join(map(str, params))}" for tag, params, _ in _FAMILY_DIGESTS],
+    ids=["-".join((tag, *map(str, params))) for tag, params, _ in _FAMILY_DIGESTS],
 )
 def test_clique_family_bytes_pinned(tag, params, want):
     make = {
         "knp3": gen_knp3,
         "knp3-regularized": lambda n: gen_knp3(n, regularized=True),
         "knp2-minus-matching": gen_knp2_minus_matching,
+        "planar-chain": gen_planar_chain,
+        "square-lsk4": gen_square_lsk4,
     }[tag]
     assert _family_digest(make(*params)) == want

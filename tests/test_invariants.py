@@ -21,7 +21,6 @@ from toughgraphs.invariants import (
     edge_orbits,
     independence_number,
     is_claw_free,
-    maximum_independent_sets,
     permute_graph,
     verify_embedding,
     vertex_connectivity,
@@ -60,13 +59,7 @@ class TestIndependence:
         g = square_lsk4()
         alpha, witness = independence_number(g)
         assert alpha == 3
-        sets = maximum_independent_sets(g)
-        assert len(sets) == 4
-        assert witness in sets
-        oracle_sets = brute_max_independent_sets(g)
-        assert [set(bits_of(m)) for m in sets] == sorted(
-            oracle_sets, key=lambda s: mask_of(s)
-        )
+        assert set(bits_of(witness)) in brute_max_independent_sets(g)
 
     def test_witness_is_independent(self, rng):
         for _ in range(40):
@@ -297,8 +290,7 @@ class TestAutomorphismSearch:
 
 @pytest.mark.parametrize(
     "call",
-    [independence_number, maximum_independent_sets, canonical_form, automorphism_generators,
-     is_minimally_tough],
+    [independence_number, canonical_form, automorphism_generators, is_minimally_tough],
     ids=lambda f: f.__name__,
 )
 def test_calls_leave_no_reference_cycles(call):
