@@ -118,11 +118,15 @@ def component_count(adj: tuple[int, ...], alive: int, reps: int) -> int:
     With ``reps`` the full vertex mask every vertex is its own class and
     ``alive`` may be any mask.
     """
-    count = 0
+    return len(_components(adj, alive, reps))
+
+
+def _components(adj: tuple[int, ...], alive: int, reps: int) -> list[int]:
+    """The vertex masks of the components ``component_count`` counts, in
+    order of their lowest members."""
+    parts = []
     while alive:
-        count += 1
-        comp = alive & -alive
-        frontier = comp
+        comp = frontier = alive & -alive
         while frontier:
             nxt = 0
             f = frontier & reps
@@ -132,8 +136,9 @@ def component_count(adj: tuple[int, ...], alive: int, reps: int) -> int:
                 f ^= b
             frontier = nxt & alive & ~comp
             comp |= frontier
-        alive &= ~comp
-    return count
+        parts.append(comp)
+        alive ^= comp
+    return parts
 
 
 def is_connected(g: Graph) -> bool:

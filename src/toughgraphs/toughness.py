@@ -56,9 +56,14 @@ as max(alpha(G), 2 + alpha(G - N[u] - N[v])) for e = uv.
 The annealing upper-bound search builds the same quotient (``_quotient``)
 and, up to 27 twin classes (chunks of at most 9 bits), anneals over class
 masks with the same closure, so a step costs three lookups per round
-however many copies a class has.  Past 27 classes, as on the twin-free
-36-60 vertex chains, it anneals over vertex masks and counts with
-``graph.component_count``.  The regime is chosen once, as a pair of
+however many copies a class has; a per-call memo answers repeated states.
+Past 27 classes, as on the twin-free 36-60 vertex chains, it anneals over
+vertex masks.  A move flips one or two classes, so each count is derived
+from a recent state's components: a class that joins merges the parts it
+touches, and a class that leaves re-closes only its own part, by a BFS that
+stops once it has reached all the class's alive neighbours (dynamic
+connectivity in its simplest local form; Holm, de Lichtenberg & Thorup,
+J. ACM 48, 2001).  The regime is chosen once, as a pair of
 functions (count, weigh) that the annealing steps call without knowing
 which it got.  Class masks order like the vertex masks they stand for, so
 the (ratio, |S|, mask) tie-break picks the same certificate in either form.
@@ -82,6 +87,7 @@ from itertools import accumulate
 from .graph import (
     Graph,
     LimitExceeded,
+    _components,
     bits_of,
     component_count,
     degree_profile,
@@ -605,30 +611,48 @@ def _cut_below(
 # chunk has at most this many bits: q <= 27, the scan's own regime, with 512
 # entries per table.  The tables grow as 2^ceil(q/3), to a million entries
 # each on the twin-free 60-vertex chain, so past this annealing counts on the
-# vertex graph with ``component_count``.  Both sides are measured (2 cores,
-# Python 3.11.7, same certificates either way): 9-bit chunks with ceil(q/9)
-# lookups per round past 27 classes took 0.26, 0.49-0.55 and 0.69-0.78 s on
-# chains m = 6, 8 and 10 against 0.22-0.25, 0.34-0.35 and 0.41-0.47 s for
-# ``component_count``; below it, counting without the tables ran whole
-# ``beyond-limit`` blow-up runs 1.4-2.1x slower.
+# vertex graph, deriving each count from a recent one (``_vertex_counter``).
+# Measured on twin-free G(n, p), four graphs per n, 20,000 steps, least of
+# six runs per call (2 cores, Python 3.11.7, same certificates either way):
+# the tables took 50, 59, 56, 66 and 61 ms at n = 20, 22, 24, 26 and 27
+# against 84, 91, 80, 77 and 73 ms on vertex masks.  Past 27 the two are
+# within the noise of each other (n = 28-36 with 12-bit chunks: 72-103 ms
+# against 89-136 ms), and the tables keep growing, so the boundary stays.
 _ANNEAL_CHUNK_BITS = 9
+
+
+# Up to 27 classes ``count`` remembers the counts of at most this many
+# states, and forgets them all when full.  On the 120 beyond-limit blow-ups
+# 78-93% of a 20,000-step call's counts repeat a state, and a call meets at
+# most 4,552 distinct ones, so the cap binds only long runs such as
+# ``--budget-secs 60`` (1.5 M steps).  A full memo takes 5.2 MB under
+# tracemalloc; 200,000 steps on a 27-class blow-up meet 29,500 states and
+# peak at 2.7 MB (tests bound it at 6 MB).
+_COUNT_MEMO_CAP = 1 << 16
 
 
 def _table_counters(T, V, w: int):
     """(count, weigh) on class masks of the twin quotient, from its chunk
     tables: ``count(alive)`` closes components three lookups per round as
     in ``_scan``, a class with no alive neighbour counting one component per
-    member, and ``weigh(s)`` is the number of vertices of s."""
+    member, and remembers its answers; ``weigh(s)`` is the number of
+    vertices of s."""
     T0, T1, T2 = T
     V0, V1, V2 = V
     m = (1 << w) - 1
     w2 = 2 * w
+    memo: dict[int, int] = {}
 
     def weigh(s: int) -> int:
         return V0[s & m] + V1[s >> w & m] + V2[s >> w2]
 
     def count(alive: int) -> int:
-        total = 0
+        total = memo.get(alive)
+        if total is not None:
+            return total
+        if len(memo) >= _COUNT_MEMO_CAP:
+            memo.clear()
+        state, total = alive, 0
         while alive:
             b = comp = alive & -alive
             grown = b | (T0[b & m] | T1[b >> w & m] | T2[b >> w2]) & alive
@@ -637,9 +661,100 @@ def _table_counters(T, V, w: int):
                 grown |= (T0[comp & m] | T1[comp >> w & m] | T2[comp >> w2]) & alive
             alive ^= comp
             total += 1 if comp != b else V0[b & m] + V1[b >> w & m] + V2[b >> w2]
+        memo[state] = total
         return total
 
     return count, weigh
+
+
+def _vertex_counter(adj: tuple[int, ...], classes: tuple[int, ...]):
+    """``count(alive)`` on vertex masks that are unions of whole twin
+    classes, derived from a recent input where it can be.
+
+    It keeps the components (vertex masks) of two recent inputs and starts
+    from one that differs from ``alive`` by at most two classes, flipping
+    them in turn.  A class that joins merges the components it touches, or
+    adds its members as one component each if it touches none.  A class
+    that leaves re-closes only its own component, by BFS from its alive
+    neighbours; the BFS stops once it has reached all of them, and the
+    component then stays one piece.  Any other input is counted from
+    scratch.  The BFS expands only each class's lowest member (``reps``),
+    as ``component_count`` does."""
+    reps = sum(c & -c for c in classes)
+    class_of = {c & -c: c for c in classes}
+
+    def flip(alive: int, parts: list[int], r: int) -> tuple[int, list[int]]:
+        """``alive`` and its components after the class whose lowest member
+        is bit r joins or leaves."""
+        c = class_of[r]
+        nb = adj[r.bit_length() - 1]
+        alive ^= c
+        if alive & c:
+            out = [p for p in parts if not p & nb]
+            if len(out) < len(parts):
+                out.append(alive ^ sum(out))  # c and every part it touches
+            elif c & (c - 1):
+                out += (1 << v for v in bits_of(c))  # twins are never adjacent
+            else:
+                out.append(c)
+            return alive, out
+        out = [p for p in parts if not p & c]
+        touch = nb & alive
+        if not touch:  # a lone class: its members were components each
+            return alive, out
+        rest = alive ^ sum(out)  # c's component, without c
+        while touch:
+            comp = frontier = touch & -touch
+            while touch & ~comp:
+                if not frontier:
+                    break
+                nxt = 0
+                f = frontier & reps
+                while f:
+                    b = f & -f
+                    nxt |= adj[b.bit_length() - 1]
+                    f ^= b
+                frontier = nxt & rest & ~comp
+                comp |= frontier
+            else:
+                # every remaining alive neighbour reached: so is the rest
+                comp = rest
+            out.append(comp)
+            rest ^= comp
+            touch &= ~comp
+        return alive, out
+
+    # the two recent inputs and their components, the newer second
+    old = new = 0
+    old_parts: list[int] = []
+    new_parts: list[int] = []
+
+    def count(alive: int) -> int:
+        nonlocal old, new, old_parts, new_parts
+        flips = (new ^ alive) & reps
+        k = flips.bit_count()
+        if k == 0:
+            return len(new_parts)
+        flips_old = (old ^ alive) & reps
+        if flips_old.bit_count() < k:
+            # derive from the older input and keep it
+            k, flips = flips_old.bit_count(), flips_old
+            if k == 0:
+                return len(old_parts)
+            state, parts = old, old_parts
+        else:
+            state, parts = old, old_parts = new, new_parts
+        if k > 2:
+            parts = _components(adj, alive, reps)
+        else:
+            while flips:
+                r = flips & -flips
+                state, parts = flip(state, parts, r)
+                flips ^= r
+        new, new_parts = alive, parts
+        return len(parts)
+
+    return count
 
 
 def _shrink(
@@ -678,9 +793,12 @@ def toughness_upper_search(
     Never claimed optimal.  Every state is a union of whole twin classes
     (all copies of a blown-up vertex enter or leave the cut together), which
     is lossless for the optimum and shrinks solid graphs dramatically; moves
-    flip one class.  Up to 27 classes a state is a class mask and its
-    components close over the twin quotient with the scan's three-lookup
-    tables; past that it is a vertex mask counted by ``component_count``.
+    flip one or two classes.  Up to 27 classes a state is a class mask and
+    its components close over the twin quotient with the scan's
+    three-lookup tables, each distinct state once (a memo of at most
+    ``_COUNT_MEMO_CAP`` states).  Past that it is a vertex mask whose count
+    is derived from the components of one of the two last states counted,
+    recounting only the part a move changes (``_vertex_counter``).
     Restarts are seeded from complements of greedy clique packings with
     caps 1, 3 and q classes (cap 1 packs an independent set), neighborhoods
     and random states, each followed by a greedy shrink pass, so structured
@@ -708,11 +826,7 @@ def toughness_upper_search(
         # only these, since twins have the same neighbors
         reps = sum(c & -c for c in classes)
         weigh = int.bit_count
-
-        # a closure: partial(component_count, adj, reps=reps) cost ~1 us more
-        # per call on the 36-vertex chain, ~6 us a count (2 cores, Python 3.11.7)
-        def count(alive: int) -> int:
-            return component_count(adj, alive, reps)
+        count = _vertex_counter(adj, classes)
 
     rng = random.Random(seed)
 

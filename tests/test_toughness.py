@@ -545,6 +545,49 @@ class TestLaneFilter:
         assert peak < 256 * 1024, peak
 
 
+# (ratio, cut) of toughness_upper_search recorded from the class-indexed
+# quotient implementation of the annealing; a change to any RNG draw or
+# tie-break shows here
+PINNED_UPPER = [
+    pytest.param("chain6", 20_000, 0, 20, Ratio(17, 11), 57073507984, id="chain6"),
+    pytest.param("chain10", 20_000, 2, 20, Ratio(8, 5), 417088339135905792, id="chain10"),
+    # the beyond-limit benchmark's own calls: 20,000 steps, seed 0
+    pytest.param("chain8", 20_000, 0, 20, Ratio(8, 5), 258537266158857, id="chain8-bench"),
+    pytest.param("chain10", 20_000, 0, 20, Ratio(30, 19), 177157011599301818, id="chain10-bench"),
+    # a random 28-vertex base blown up x1-x2 and relabelled: 38 vertices in
+    # 28 classes, so states are vertex masks
+    pytest.param(
+        "eOaUK_KaIOPC_O@O?EeL?[qoOBC?k@H?[J?DAO?C_EPqSIGHGBhGacGC_??gCOo?AO?A?a[dAaOw?boU?IU?PTvIao??SeA?DPAeOAoGOCRGADEGQ?A?T_?",
+        5_000, 5, 20, Ratio(23, 13), 119904092599, id="untabled-blowup",
+    ),
+    # a random 10-vertex base blown up x3
+    pytest.param(
+        "]Fz_???wF?[?wwww[[?wwFF?[[FFwFFwBb{??~F?Fww?^b_~www~www^{[[?w?~~F?F~w[?^~_",
+        5_000, 4, 20, Ratio(3, 2), 1057198023, id="uniform-blowup",
+    ),
+    # a random 11-vertex base blown up x1-x3 and relabelled, so the classes'
+    # lowest members do not come in class order
+    pytest.param("ToGhpPOIHPOCM?busBG?@_G?Aa@MuD?q_Aa?", 5_000, 7, 6, Ratio(1, 2), 257, id="mixed-blowup"),
+    # two more such blow-ups, where a shrink pass that drops classes in the
+    # order of their lowest members ends elsewhere
+    pytest.param("NzlLa]tlRTzV}NlRhMG", 200, 27, 6, Ratio(2, 1), 9106, id="mixed-blowup-shrink-order-1"),
+    pytest.param("RebEABud{OO@dw?GJvq?cOCa?Gd@R?", 200, 133, 6, Ratio(7, 10), 22275, id="mixed-blowup-shrink-order-2"),
+    pytest.param("K{GOeC\\?gQ?_", 5, 0, 1, Ratio(1, 1), 152, id="tiny0"),
+    pytest.param("KAJ@G^on?C__", 5, 1, 1, Ratio(3, 4), 800, id="tiny1"),
+    pytest.param("K?HC`BKH?EEc", 5, 2, 1, Ratio(3, 4), 292, id="tiny2"),
+    pytest.param("KL\\uPoC\\_kW_", 5, 3, 1, Ratio(6, 5), 2172, id="tiny3"),
+    # the star K1,3: no state of one step leaves two components, so the
+    # result is the fallback cut around a leaf
+    pytest.param("Cs", 1, 0, 1, Ratio(1, 3), 1, id="fallback-star"),
+]
+
+
+def pinned_graph(name):
+    if name.startswith("chain"):
+        return gen_planar_chain(int(name[5:])).graph
+    return parse_graph6(name)
+
+
 class TestUpperSearch:
     def test_cycle_reaches_optimum(self):
         cert = toughness_upper_search(cycle(5), budget_steps=2_000, seed=3)
@@ -571,43 +614,65 @@ class TestUpperSearch:
             assert verify_certificate(g, cert).ok
             assert ratio_of(cert.ratio) >= brute_toughness(g)
 
-    # (ratio, cut) recorded from the class-indexed quotient implementation
-    # of the annealing; a change to any RNG draw or tie-break shows here
-    @pytest.mark.parametrize(
-        "graph, budget, seed, restarts, ratio, cut",
-        [
-            ("chain6", 20_000, 0, 20, Ratio(17, 11), 57073507984),
-            ("chain10", 20_000, 2, 20, Ratio(8, 5), 417088339135905792),
-            # a random 10-vertex base blown up x3
-            (
-                "]Fz_???wF?[?wwww[[?wwFF?[[FFwFFwBb{??~F?Fww?^b_~www~www^{[[?w?~~F?F~w[?^~_",
-                5_000, 4, 20, Ratio(3, 2), 1057198023,
-            ),
-            # a random 11-vertex base blown up x1-x3 and relabelled, so the
-            # classes' lowest members do not come in class order
-            ("ToGhpPOIHPOCM?busBG?@_G?Aa@MuD?q_Aa?", 5_000, 7, 6, Ratio(1, 2), 257),
-            # two more such blow-ups, where a shrink pass that drops classes
-            # in the order of their lowest members ends elsewhere
-            ("NzlLa]tlRTzV}NlRhMG", 200, 27, 6, Ratio(2, 1), 9106),
-            ("RebEABud{OO@dw?GJvq?cOCa?Gd@R?", 200, 133, 6, Ratio(7, 10), 22275),
-            ("K{GOeC\\?gQ?_", 5, 0, 1, Ratio(1, 1), 152),
-            ("KAJ@G^on?C__", 5, 1, 1, Ratio(3, 4), 800),
-            ("K?HC`BKH?EEc", 5, 2, 1, Ratio(3, 4), 292),
-            ("KL\\uPoC\\_kW_", 5, 3, 1, Ratio(6, 5), 2172),
-            # the star K1,3: no state of one step leaves two components, so
-            # the result is the fallback cut around a leaf
-            ("Cs", 1, 0, 1, Ratio(1, 3), 1),
-        ],
-        ids=["chain6", "chain10", "uniform-blowup", "mixed-blowup",
-             "mixed-blowup-shrink-order-1", "mixed-blowup-shrink-order-2", "tiny0", "tiny1", "tiny2", "tiny3", "fallback-star"],
-    )
+    @pytest.mark.parametrize("graph, budget, seed, restarts, ratio, cut", PINNED_UPPER)
     def test_pinned_results(self, graph, budget, seed, restarts, ratio, cut):
-        if graph.startswith("chain"):
-            g = gen_planar_chain(int(graph[5:])).graph
-        else:
-            g = parse_graph6(graph)
+        g = pinned_graph(graph)
         cert = toughness_upper_search(g, budget, seed=seed, restarts=restarts)
         assert (cert.ratio, cert.cut) == (ratio, cut)
+
+    @pytest.mark.parametrize("graph, budget, seed, restarts, ratio, cut", PINNED_UPPER)
+    def test_pinned_results_with_a_tiny_count_memo(self, monkeypatch, graph, budget, seed, restarts, ratio, cut):
+        # the class-mask count memo cleared every 8 states: a memo only
+        # saves work, so the results stay the same
+        monkeypatch.setattr(engine, "_COUNT_MEMO_CAP", 8)
+        g = pinned_graph(graph)
+        cert = toughness_upper_search(g, budget, seed=seed, restarts=restarts)
+        assert (cert.ratio, cert.cut) == (ratio, cut)
+
+    @pytest.mark.parametrize("kind, cases", [("chain", 8), ("twin-free", 24), ("blowup", 24)])
+    def test_vertex_counter_matches_component_count(self, kind, cases):
+        """Random walks of one- and two-class flips, as annealing moves
+        make them, sometimes back to the walk's previous state and now and
+        then a jump of many classes: every count equals the count from
+        scratch.  The blow-ups start with the neighbours of one class of
+        several copies cut away, so that class's copies stand alone."""
+        rng = random.Random(f"vertex-counter-{kind}")
+        lone_seen = 0
+        for case in range(cases):
+            if kind == "chain":
+                g = relabelled(rng, gen_planar_chain(4 + 2 * (case % 4)).graph)
+            elif kind == "twin-free":
+                g = twin_free_graph(rng, rng.randint(28, 40), rng.uniform(0.08, 0.3))
+            else:
+                while True:
+                    base = random_connected_graph(rng, rng.randint(28, 31), rng.uniform(0.08, 0.2))
+                    spec = SolidSpec(base, tuple(rng.randint(1, 3) for _ in range(base.n)))
+                    g = relabelled(rng, solid_expand(spec)[0])
+                    if len(twin_classes(g)) == base.n:
+                        break
+            classes = twin_classes(g)
+            reps = sum(c & -c for c in classes)
+            count = engine._vertex_counter(g.adj, tuple(classes))
+            several = [c for c in classes if c.bit_count() > 1]
+            alive = g.full_mask
+            if several:
+                alive &= ~g.adj[rng.choice(several).bit_length() - 1]
+            previous = alive
+            for step in range(400):
+                roll = rng.random()
+                if roll < 0.05:
+                    nxt = sum(c for c in classes if rng.random() < 0.6)
+                else:
+                    nxt = previous if roll < 0.3 else alive
+                    for _ in range(rng.choice((1, 1, 2))):
+                        nxt ^= rng.choice(classes)
+                lone_seen += any(
+                    c & nxt and not g.adj[c.bit_length() - 1] & nxt for c in several
+                )
+                assert count(nxt) == component_count(g.adj, nxt, reps), (write_graph6(g), step)
+                previous, alive = alive, nxt
+        if kind == "blowup":
+            assert lone_seen > 0
 
     # the annealing as it ran on vertex masks, one BFS per step: every RNG
     # draw and (ratio, |S|, mask) choice carries over to the class masks, so
@@ -653,6 +718,24 @@ class TestUpperSearch:
             want = vertex_mask_anneal(g, budget, seed, restarts)
             assert (ratio_of(cert.ratio), cert.cut) == want, (write_graph6(g), budget, seed, restarts)
             done += 1
+
+    @pytest.mark.slow
+    def test_peak_memory_is_bounded(self):
+        # 200,000 steps on a 27-class blow-up, counted on class masks, meet
+        # about 29,500 distinct states and peaked at 2.7 MB; the count memo
+        # is cleared at _COUNT_MEMO_CAP states, which take 5.2 MB
+        rng = random.Random("memo-bound")
+        base = random_connected_graph(rng, 27, 0.1)
+        g = solid_expand(SolidSpec(base, tuple(rng.randint(1, 2) for _ in range(27))))[0]
+        assert len(twin_classes(g)) == 27 < g.n
+        tracemalloc.start()
+        try:
+            cert = toughness_upper_search(g, 200_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verify_certificate(g, cert).ok
+        assert peak < 6_000_000, peak
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
