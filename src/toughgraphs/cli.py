@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import os
 import re
 import sys
 import time
@@ -43,16 +42,6 @@ from .toughness import (
 STEPS_PER_BUDGET_SECOND = 25_000
 
 
-def _default_threads() -> int:
-    env = os.environ.get("TOUGHNESS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"ignoring bad TOUGHNESS_THREADS={env!r}", file=sys.stderr)
-    return usable_cpus()
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=None, help="worker count")
     parser.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed, help="random seed")
@@ -60,7 +49,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> EngineConfig:
-    threads = args.threads if args.threads is not None else _default_threads()
+    threads = args.threads if args.threads is not None else usable_cpus()
     return EngineConfig(
         exhaustive_limit=args.exhaustive_limit,
         workers=max(1, threads),

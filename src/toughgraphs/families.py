@@ -11,7 +11,9 @@ Families:
 * ``planar-chain``: an even ring of m six-vertex blocks (a pentagon with a
   hub on four of its vertices), blocks joined by three edges per seam.
   4-regular, planar (a rotation system is generated and Euler-checked),
-  toughness 3/2.
+  toughness 3/2.  Its four case templates are stated once per block and
+  pushed through the chain's four symmetries (identity, tau, rho, tau rho);
+  an edge keeps the first cut it receives.
 * ``knp2-minus-matching``: two n-cliques joined by m < n rungs; claw-free,
   toughness m/2.
 * ``knp3`` and ``knp3-regularized``: three n-cliques in a row with rungs;
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, build_graph, delete_edge, mask_of
+from .graph import Graph, bits_of, build_graph, delete_edge, mask_of
 from .invariants import RotationSystem, independence_number, verify_embedding
 from .ratio import Ratio
 from .toughness import CutCertificate, verify_certificate
@@ -140,11 +142,8 @@ def gen_planar_chain(m: int) -> LabeledFamily:
         raise ValueError(f"planar chain needs an even m >= 4, got {m}")
     n = 6 * m
 
-    def bnum(i: int) -> int:
-        return (i - 1) % m + 1
-
     def idx(i: int, j: int) -> int:
-        return 6 * (bnum(i) - 1) + (j - 1)
+        return 6 * ((i - 1) % m) + (j - 1)
 
     edges = []
     for i in range(1, m + 1):
@@ -161,57 +160,50 @@ def gen_planar_chain(m: int) -> LabeledFamily:
     g = build_graph(n, edges)
     labels = {f"v_{{{i},{j}}}": idx(i, j) for i in range(1, m + 1) for j in range(1, 7)}
 
-    # block-shift and reflection relabelings; both must preserve adjacency.
-    # tau^2 shifts by two blocks and fixes every label and block parity,
-    # which is all a template reads, so the first match among the shifts and
-    # reflected shifts is always one of identity, tau, rho and tau rho
-    tau = tuple(idx(bnum(v // 6 + 2), _PI[v % 6 + 1]) for v in range(n))
-    rho = tuple(idx(bnum(2 - (v // 6 + 1)), _PI[v % 6 + 1]) for v in range(n))
-    group = (tuple(range(n)), tau, rho, tuple(tau[x] for x in rho))
-    for perm in (tau, rho):
+    # tau moves block i to i + 1 and rho block i to 2 - i, both relabelling
+    # by _PI; tau^2 shifts by two blocks and fixes every label and block
+    # parity, which is all a template reads.  The inverses of identity, tau,
+    # rho and tau rho, as (block sign, block shift, relabel by _PI):
+    inverses = [
+        tuple(
+            idx(sign * (v // 6 + 1) + shift, _PI[v % 6 + 1] if swap else v % 6 + 1)
+            for v in range(n)
+        )
+        for sign, shift, swap in ((1, 0, False), (1, -1, True), (-1, 2, True), (-1, 3, False))
+    ]
+    for perm in inverses[1:3]:  # tau^-1 and rho^-1: automorphisms iff tau and rho are
         for u, v in g.edges():
             if not g.has_edge(perm[u], perm[v]):
                 raise FamilyError("chain relabeling is not an automorphism")
 
-    base_labels = set()
+    base_mask = mask_of(
+        idx(i, j) for i in range(1, m + 1) for j in ((1, 4) if i % 2 else (2, 3, 5, 6))
+    )
+
+    def cut(minus=(), plus=()) -> int:
+        return base_mask & ~mask_of(idx(*x) for x in minus) | mask_of(idx(*x) for x in plus)
+
+    # the case templates of each block, stated once: (end, end, case, cut)
+    templates = []
     for i in range(1, m + 1):
         if i % 2:
-            base_labels.update({(i, 1), (i, 4)})
+            templates += [
+                ((i, a), (i, b), "case1", cut(plus=[(i, c)]))
+                for a, b, c in ((2, 3, 6), (2, 6, 3), (3, 6, 2))
+            ]
+            s3 = cut([(i - 1, 2), (i, 4), (i + 1, 3)], [(i, 5)])
+            templates.append(((i, 4), (i + 1, 4), "case3", s3))
         else:
-            base_labels.update({(i, 2), (i, 3), (i, 5), (i, 6)})
-    base_mask = mask_of(idx(i, j) for i, j in base_labels)
-
-    def template_cut(i: int, a: int, b: int) -> tuple[str, set[tuple[int, int]]] | None:
-        """Witness cut for the edge (i,a)-(i,b) or (i,a)-(i+1,b) in block
-        coordinates, or None when no template matches this orientation."""
-        sameblock = b < 10
-        if sameblock:
-            pair = {a, b}
-            if i % 2 == 1 and pair <= {2, 3, 6}:
-                (v,) = {2, 3, 6} - pair
-                return "case1", base_labels | {(i, v)}
-            if i % 2 == 0 and pair == {1, 6}:
-                return "case2", base_labels - {(i, 6)}
-            if i % 2 == 0 and pair == {1, 2}:
-                return "case2", base_labels - {(i, 2)}
-            if i % 2 == 0 and pair == {1, 5}:
-                s = base_labels - {(bnum(i - 2), 2), (bnum(i - 1), 4), (i, 3), (i, 5)}
-                s |= {
-                    (bnum(i - 1), 3),
-                    (bnum(i - 1), 6),
-                    (bnum(i - 1), 5),
-                    (i, 4),
-                    (bnum(i + 1), 2),
-                }
-                return "case4", s
-            return None
-        b -= 10
-        if i % 2 == 0 and a == 2 and b == 5:
-            return "case2", base_labels - {(i, 2)}
-        if i % 2 == 1 and a == 4 and b == 4:
-            s = base_labels - {(bnum(i - 1), 2), (i, 4), (bnum(i + 1), 3)}
-            return "case3", s | {(i, 5)}
-        return None
+            templates += [
+                ((i, 1), (i, 6), "case2", cut([(i, 6)])),
+                ((i, 1), (i, 2), "case2", cut([(i, 2)])),
+                ((i, 2), (i + 1, 5), "case2", cut([(i, 2)])),
+            ]
+            s4 = cut(
+                [(i - 2, 2), (i - 1, 4), (i, 3), (i, 5)],
+                [(i - 1, 3), (i - 1, 6), (i - 1, 5), (i, 4), (i + 1, 2)],
+            )
+            templates.append(((i, 1), (i, 5), "case4", s4))
 
     case_ratio = {
         "case1": Ratio(3 * m + 1, 2 * m + 1),
@@ -220,31 +212,14 @@ def gen_planar_chain(m: int) -> LabeledFamily:
         "case4": Ratio(3 * m + 1, 2 * m + 1),
     }
 
-    # the first of the four symmetries that maps e onto a template wins
-    inverses = []
-    for perm in group:
-        inv = [0] * n
-        for x, px in enumerate(perm):
-            inv[px] = x
-        inverses.append(inv)
+    # every template through each inverse in turn; an edge keeps the first
+    # cut it receives, from the first symmetry that maps it onto a template
     edge_cuts: dict[tuple[int, int], tuple[str, int]] = {}
-    for e in g.edges():
-        for perm, inv in zip(group, inverses):
-            iu, iv = perm[e[0]], perm[e[1]]
-            bi, ji = iu // 6 + 1, iu % 6 + 1
-            bv, jv = iv // 6 + 1, iv % 6 + 1
-            if bi == bv:
-                match = template_cut(bi, ji, jv) or template_cut(bi, jv, ji)
-            elif bnum(bi + 1) == bv:
-                match = template_cut(bi, ji, jv + 10)
-            elif bnum(bv + 1) == bi:
-                match = template_cut(bv, jv, ji + 10)
-            else:
-                match = None
-            if match is not None:
-                case, cut_labels = match
-                edge_cuts[e] = (case, mask_of(inv[idx(i, j)] for i, j in cut_labels))
-                break
+    for inv in inverses:
+        for a, b, case, s in templates:
+            u, v = inv[idx(*a)], inv[idx(*b)]
+            e = (min(u, v), max(u, v))
+            edge_cuts.setdefault(e, (case, mask_of(inv[x] for x in bits_of(s))))
 
     rotations = []
     for v in range(n):

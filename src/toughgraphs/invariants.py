@@ -19,38 +19,46 @@ from .graph import Graph, LimitExceeded, bits_of, is_connected
 # independence number
 
 
-def _greedy_clique_cover_count(adj: tuple[int, ...], remaining: int) -> int:
-    """Number of cliques in a greedy sequential cover of the masked subgraph.
+def _clique_cover_bound(adj: tuple[int, ...], weight, remaining: int) -> int:
+    """The summed heaviest ``weight`` of the cliques in a greedy sequential
+    cover of the masked subgraph.
 
-    Any clique cover bounds the independence number from above.  Cliques are
-    seeded at the lowest uncovered index and grown by lowest eligible index.
+    An independent set takes at most one vertex from each clique, so any
+    clique cover bounds its weight from above.  Cliques are seeded at the
+    lowest uncovered index and grown by lowest eligible index.
     """
-    count = 0
+    total = 0
     left = remaining
     while left:
-        count += 1
         v = (left & -left).bit_length() - 1
         left ^= 1 << v
+        top = weight[v]
         common = adj[v] & left
         while common:
             w = (common & -common).bit_length() - 1
             left ^= 1 << w
             common &= adj[w]
-    return count
+            if weight[w] > top:
+                top = weight[w]
+        total += top
+    return total
 
 
-def _grow_independent(
-    adj: tuple[int, ...], remaining: int, chosen: int, size: int, best: tuple[int, int]
+def _heaviest_independent(
+    adj: tuple[int, ...], weight, remaining: int, chosen: int, size: int, best: tuple[int, int]
 ) -> tuple[int, int]:
-    """The larger of ``best`` and the largest (size, set) that extends the
-    independent set ``chosen`` (``size`` vertices) inside ``remaining``.
+    """The heavier of ``best`` and the heaviest (weight, set) that extends
+    the independent set ``chosen`` (of weight ``size``) inside
+    ``remaining``.
 
     Branches on the highest-degree vertex of the remaining subgraph (include
-    first) and bounds by a greedy clique cover; ``best`` wins ties.
+    first) and bounds by a greedy clique cover (``_clique_cover_bound``);
+    ``best`` wins ties.  The recursion is as deep as ``remaining`` has
+    vertices.
     """
     if not remaining:
         return (size, chosen) if size > best[0] else best
-    if size + _greedy_clique_cover_count(adj, remaining) <= best[0]:
+    if size + _clique_cover_bound(adj, weight, remaining) <= best[0]:
         return best
     # highest remaining degree, ties to the lowest index
     pick = -1
@@ -61,15 +69,44 @@ def _grow_independent(
             pick_deg = d
             pick = v
     bit = 1 << pick
-    best = _grow_independent(adj, remaining & ~(bit | adj[pick]), chosen | bit, size + 1, best)
-    return _grow_independent(adj, remaining & ~bit, chosen, size, best)
+    best = _heaviest_independent(
+        adj, weight, remaining & ~(bit | adj[pick]), chosen | bit, size + weight[pick], best
+    )
+    return _heaviest_independent(adj, weight, remaining & ~bit, chosen, size, best)
 
 
 def independence_number(g: Graph, within: int | None = None) -> tuple[int, int]:
     """Exact independence number and one maximum independent set (as a mask)
     of g, or of its subgraph induced on the mask ``within``, by branch and
-    bound (``_grow_independent``)."""
-    return _grow_independent(g.adj, g.full_mask if within is None else within, 0, 0, (0, 0))
+    bound (``_heaviest_independent``).
+
+    False twins of the subgraph (same neighbours in it) always enter a
+    maximum independent set together, so the search runs over one member of
+    each twin class, weighted by the class size.  A twin-free subgraph is
+    searched as it is, with every weight one.
+    """
+    adj = g.adj
+    ones = (1,) * g.n
+    if within is None:
+        if len(set(adj)) == g.n:  # twin-free: every row differs
+            return _heaviest_independent(adj, ones, g.full_mask, 0, 0, (0, 0))
+        within = g.full_mask
+    classes: dict[int, int] = {}  # row in the subgraph -> its twin class
+    left = within
+    while left:
+        b = left & -left
+        row = adj[b.bit_length() - 1] & within
+        classes[row] = classes.get(row, 0) | b
+        left ^= b
+    if len(classes) == within.bit_count():
+        return _heaviest_independent(adj, ones, within, 0, 0, (0, 0))
+    # each class searched through its lowest member
+    weight = [0] * g.n
+    for c in classes.values():
+        weight[(c & -c).bit_length() - 1] = c.bit_count()
+    reps = sum(c & -c for c in classes.values())
+    size, chosen = _heaviest_independent(adj, weight, reps, 0, 0, (0, 0))
+    return size, sum(c for c in classes.values() if chosen & c)
 
 
 # ---------------------------------------------------------------------------

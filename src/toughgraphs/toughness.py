@@ -232,17 +232,18 @@ def twin_classes(g: Graph) -> list[int]:
     return sorted(groups.values())
 
 
-_NO_INCUMBENT = (0, 0, 0, 0)  # q=0 encodes "none"; a real cut has q = omega >= 2
+# an incumbent is (|S|, omega, mask), standing for the cut S of ratio |S|/omega
+_NO_INCUMBENT = (0, 0, 0)  # omega = 0 encodes "none"; a real cut has omega >= 2
 _NEVER = 1 << 62  # a component count no cut reaches
 
 
-def _better(p: int, q: int, k: int, mask: int, inc) -> bool:
-    """(p/q, k, mask) < incumbent in the engine's total order."""
-    ip, iq, ik, imask = inc
+def _better(k: int, q: int, mask: int, inc) -> bool:
+    """(k/q, k, mask) < incumbent in the engine's total order."""
+    ik, iq, imask = inc
     if iq == 0:
         return True
-    lhs = p * iq
-    rhs = ip * q
+    lhs = k * iq
+    rhs = ik * q
     if lhs != rhs:
         return lhs < rhs
     if k != ik:
@@ -251,12 +252,12 @@ def _better(p: int, q: int, k: int, mask: int, inc) -> bool:
 
 
 def _thresholds(
-    k: int, best: tuple[int, int, int, int], target: tuple[int, int] | None
+    k: int, best: tuple[int, int, int], target: tuple[int, int] | None
 ) -> tuple[int, int, int]:
     """(needed, needed_tie, tie_below): the component count a cut of k
     vertices needs to replace ``best``, and the count that suffices instead
     for masks below ``tie_below`` (0: no such masks)."""
-    bp, bq, bk, bm = best
+    bk, bq, bm = best
     if target is not None:
         # below the target; among hits, smallest (|S|, mask) wins
         need = max(k * target[1] // target[0] + 1, 2)
@@ -267,7 +268,7 @@ def _thresholds(
         return _NEVER, 0, 0
     if bq == 0:
         return 2, 0, 0
-    div, rem = divmod(k * bq, bp)
+    div, rem = divmod(k * bq, bk)
     if rem == 0 and k < bk:
         return max(div, 2), 0, 0
     if rem == 0 and k == bk:
@@ -413,10 +414,10 @@ def _scan(
     quotient: _Quotient,
     alpha: int,
     target: tuple[int, int] | None,
-    best: tuple[int, int, int, int],
+    best: tuple[int, int, int],
     shard: int = 0,
     shards: int = 1,
-) -> tuple[int, int, int, int]:
+) -> tuple[int, int, int]:
     """Scan the cuts made of whole twin classes, in the blocks whose index
     is ``shard`` modulo ``shards``.
 
@@ -428,7 +429,7 @@ def _scan(
     ``_disconnected_lanes`` marks the lanes whose cut leaves two or more
     components, and only those have their components counted, by class
     count and then ascending value within the block.  Without a target,
-    returns the minimum (p, q, |S|, mask) under (ratio, |S|, mask) over
+    returns the minimum (|S|, omega, mask) under (ratio, |S|, mask) over
     ``best`` and the cuts that beat it, which is independent of the
     incumbent handed in (it only prunes candidates that cannot beat it).
     With ``target = (p, q)`` and no incumbent, returns the cut of ratio
@@ -442,7 +443,7 @@ def _scan(
     m = (1 << w) - 1
     w2 = 2 * w
     if best[1]:
-        best = best[:3] + (sum(1 << i for i, c in enumerate(classes) if best[3] & c),)
+        best = best[:2] + (sum(1 << i for i, c in enumerate(classes) if best[2] & c),)
     # caps[k]: most components a cut of k vertices can leave (0: no cut)
     caps = [min(alpha, n - k) if k <= n - 2 else 0 for k in range(n + 1)]
     table = [_thresholds(k, best, target) for k in range(n + 1)]
@@ -501,11 +502,11 @@ def _scan(
                             count = 0
                             break
                     if count >= needed:
-                        best = (k, count, k, s)
+                        best = (k, count, s)
                         table = [_thresholds(j, best, target) for j in range(n + 1)]
                         kstop = _hopeless(table, caps)
     if best[1]:
-        best = best[:3] + (sum(classes[i] for i in bits_of(best[3])),)
+        best = best[:2] + (sum(classes[i] for i in bits_of(best[2])),)
     return best
 
 
@@ -540,7 +541,7 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     # seed: the complement of a maximum independent set is always a valid cut
     seed_cut = g.full_mask & ~alpha_set
     seed_omega = alpha_set.bit_count()  # an independent set: one component each
-    inc = (seed_cut.bit_count(), seed_omega, seed_cut.bit_count(), seed_cut)
+    inc = (seed_cut.bit_count(), seed_omega, seed_cut)
 
     # Workers 2 against 1 with strided shards on three twin-free G(n, 1/2)
     # per n (2-vCPU VM, Python 3.11.7; seconds, best of two, 1 -> 2):
@@ -577,7 +578,7 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
                 if cand[1] and _better(*cand, best):
                     best = cand
     # recompute omega rather than trusting the scan's bookkeeping
-    cert = CutCertificate.from_cut(g, best[3])
+    cert = CutCertificate.from_cut(g, best[2])
     check = verify_certificate(g, cert)
     if not check:
         raise AssertionError(f"engine produced an invalid certificate: {check.reason}")
@@ -600,7 +601,7 @@ def _cut_below(
 ) -> CutCertificate | None:
     """``find_cut_below`` given g's twin quotient and independence number."""
     hit = _scan(quotient, alpha, (target.p, target.q), _NO_INCUMBENT)
-    return CutCertificate.from_cut(g, hit[3]) if hit[1] else None
+    return CutCertificate.from_cut(g, hit[2]) if hit[1] else None
 
 
 # ---------------------------------------------------------------------------
@@ -865,12 +866,12 @@ def toughness_upper_search(
             out |= rows[b]
         return out & ~mask
 
-    best = _NO_INCUMBENT  # (|S|, omega, |S|, cut) in the scan's order
+    best = _NO_INCUMBENT  # (|S|, omega, cut) in the scan's order
 
     def consider(chosen: int, weight: int, omega: int) -> None:
         nonlocal best
-        if omega >= 2 and _better(weight, omega, weight, chosen, best):
-            best = (weight, omega, weight, chosen)
+        if omega >= 2 and _better(weight, omega, chosen, best):
+            best = (weight, omega, chosen)
 
     steps_per_restart = max(1, budget_steps // max(1, restarts))
     base_order = list(range(nq))
@@ -923,7 +924,7 @@ def toughness_upper_search(
         consider(state, cw, com)
 
     if best[1]:
-        cut = sum(c for c, u in zip(classes, units) if best[3] & u)
+        cut = sum(c for c, u in zip(classes, units) if best[2] & u)
     else:
         # deterministic fallback: the neighbors of the first vertex with a
         # non-neighbor (g is not complete) cut it off from that non-neighbor

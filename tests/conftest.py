@@ -27,6 +27,15 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.35) -> Graph
             return g
 
 
+def blown_up_c5(k: int) -> Graph:
+    """C5 with every vertex blown up into k false twins, vertices 0..k-1
+    the first class; its rows are written directly, since building its
+    25k^2 edges one by one takes seconds at k = 600."""
+    classes = [((1 << k) - 1) << (k * i) for i in range(5)]
+    rows = (classes[(v // k - 1) % 5] | classes[(v // k + 1) % 5] for v in range(5 * k))
+    return Graph(5 * k, tuple(rows))
+
+
 def nx_graph(nx, g: Graph):
     """g as a networkx graph; ``nx`` is the networkx module."""
     h = nx.Graph()

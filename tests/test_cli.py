@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import blown_up_c5
+
 import toughgraphs.cli as cli
 import toughgraphs.families as families
 import toughgraphs.invariants as invariants
@@ -51,6 +53,14 @@ def test_toughness_from_file(capsys, tmp_path):
     f.write_text(write_graph6(g) + "\n")
     code, out = run(capsys, "toughness", "--file", str(f), "--exact")
     assert code == 0 and out == "t = 2/1\n"
+
+
+def test_toughness_of_a_large_blowup_from_file(capsys, tmp_path):
+    # 3,000 vertices in 5 twin classes, alpha = 1200
+    f = tmp_path / "c5x600.g6"
+    f.write_text(write_graph6(blown_up_c5(600)) + "\n")
+    code, out = run(capsys, "toughness", "--exact", "--file", str(f))
+    assert code == 0 and out == "t = 3/2\n"
 
 
 def test_toughness_parse_error_exit_code(capsys):
@@ -277,9 +287,9 @@ def test_orbits_of_one_large_twin_class(capsys, edges):
 
 
 def test_default_threads_are_the_usable_cpus(monkeypatch):
-    monkeypatch.delenv("TOUGHNESS_THREADS", raising=False)
     monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
-    assert cli._default_threads() == 3
+    args = cli.build_parser().parse_args(["toughness", "--g6", "Dhc", "--exact"])
+    assert cli._config(args).workers == 3
 
 
 @pytest.mark.parametrize(
@@ -287,15 +297,9 @@ def test_default_threads_are_the_usable_cpus(monkeypatch):
 )
 def test_engine_flag_defaults_are_the_engine_config_defaults(monkeypatch, argv):
     # one worker, so that every field of the parsed config is a default
-    monkeypatch.setenv("TOUGHNESS_THREADS", "1")
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
     args = cli.build_parser().parse_args(list(argv))
     assert cli._config(args) == toughness.EngineConfig()
-
-
-def test_env_threads_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("TOUGHNESS_THREADS", "1")
-    code, out = run(capsys, "toughness", "--g6", "Dhc", "--exact")
-    assert code == 0 and out == "t = 1/1\n"
 
 
 @pytest.mark.parametrize(

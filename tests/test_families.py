@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -65,6 +66,29 @@ class TestPlanarChain:
     def test_every_case_occurs(self):
         fam = gen_planar_chain(4)
         assert set(fam.edge_case.values()) == {"case1", "case2", "case3", "case4"}
+
+    @pytest.mark.parametrize(
+        "m,want",
+        [
+            (4, "04aa0f72ac065a312a48b4dfb9decb58addf1e3500601ce55dc2b554a65cd378"),
+            (10, "83313050ee4eb927c79a708338a26c8161078b08c4d328cbaf4691f4d4ab43c6"),
+            (40, "55cd000309338e7711e2f389b52f4c825d15717a9e685b7f1522162b8922535c"),
+        ],
+    )
+    def test_edge_cases_pinned(self, m, want):
+        """The case label of every edge, which the certificate digests do
+        not hash: 3m case1, 6m case2, m case3 and 2m case4 edges."""
+        fam = gen_planar_chain(m)
+        text = "".join(f"{u}-{v} {case}\n" for (u, v), case in sorted(fam.edge_case.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == want
+        counts = Counter(fam.edge_case.values())
+        assert counts == {"case1": 3 * m, "case2": 6 * m, "case3": m, "case4": 2 * m}
+
+    def test_relabeling_must_be_an_automorphism(self, monkeypatch):
+        # swapping the hub with a pentagon vertex breaks tau and rho
+        monkeypatch.setattr(families, "_PI", {1: 4, 4: 1, 2: 3, 3: 2, 5: 6, 6: 5})
+        with pytest.raises(FamilyError, match="not an automorphism"):
+            gen_planar_chain(4)
 
     def test_rotation_certifies_planarity(self):
         for m in (4, 6):
@@ -279,6 +303,8 @@ _FAMILY_DIGESTS = [
     ("planar-chain", (4,), "82c917962abf7b9c5581561bddfe2f9190abd75c2e84525eb432309ca5b5465c"),
     ("planar-chain", (6,), "62d97fa304e1ac97eef3be9675bfe5cb7999a1fc8e4ca0418940601400e960da"),
     ("planar-chain", (8,), "df5180f8ed2d74b856679149797d4bf002d514f24ce94be2cc3afd0edb3f2805"),
+    ("planar-chain", (10,), "9da0c46ac5c67aab2a5395afb91c173e9190da07f695a4f3c51a31ec83d471a6"),
+    ("planar-chain", (40,), "7b8c7462ae23871454753dba418803718c6ca2fe02a52a53daf3428ea44117b5"),
     ("square-lsk4", (), "f83d9da3477fd573346ea969192cbe056f8a2d8487f9a760962ae777a312e3a8"),
 ]
 

@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import nx_graph, random_connected_graph, random_graph
+from conftest import blown_up_c5, nx_graph, random_connected_graph, random_graph
 from oracles import brute_alpha, brute_max_independent_sets, brute_vertex_connectivity, group_order
 
 from toughgraphs.families import (
@@ -98,6 +98,23 @@ class TestIndependence:
                 assert alpha == nx_alpha(g, within)
                 assert witness & ~within == 0 and witness.bit_count() == alpha
                 assert all(not g.adj[v] & witness for v in bits_of(witness))
+
+    @pytest.mark.parametrize(
+        "make,want",
+        [
+            (lambda: build_graph(1001, [(0, i) for i in range(1, 1001)]), 1000),
+            (lambda: build_graph(1002, [(a, i) for a in (0, 1) for i in range(2, 1002)]), 1000),
+            (lambda: blown_up_c5(600), 1200),
+        ],
+        ids=["K1,1000", "K2,1000", "C5x600"],
+    )
+    def test_large_twin_classes(self, make, want):
+        # the search branches over twin classes, so its depth is the class
+        # count, not the independence number
+        g = make()
+        alpha, witness = independence_number(g)
+        assert alpha == want and witness.bit_count() == want
+        assert all(not g.adj[v] & witness for v in bits_of(witness))
 
 
 class TestConnectivity:

@@ -8,7 +8,7 @@ from concurrent import futures
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import blown_up_c5, random_connected_graph
 from oracles import (
     brute_first_below,
     brute_toughness,
@@ -179,6 +179,23 @@ class TestExact:
         g = sc52()
         runs = [toughness_exact(g) for _ in range(3)]
         assert len({(r.witness.cut, r.witness.omega) for r in runs}) == 1
+
+    @pytest.mark.parametrize(
+        "make,want,size,omega",
+        [
+            (lambda: complete_bipartite(1, 1000), Ratio(1, 1000), 1, 1000),
+            (lambda: blown_up_c5(600), Ratio(3, 2), 1800, 1200),
+        ],
+        ids=["K1,1000", "C5x600"],
+    )
+    def test_large_twin_classes(self, make, want, size, omega):
+        # alpha is 1000 and 1200: the seed and the caps take it from a
+        # search over twin classes
+        g = make()
+        res = toughness_exact(g)
+        assert res.value == want
+        assert (res.witness.cut.bit_count(), res.witness.omega) == (size, omega)
+        assert verify_certificate(g, res.witness).ok
 
 
 def witness_key(res):
@@ -516,7 +533,7 @@ class TestLaneFilter:
             quotient = quotient_of(g)
             alpha, aset = independence_number(g)
             seed = g.full_mask & ~aset
-            inc = (seed.bit_count(), aset.bit_count(), seed.bit_count(), seed)
+            inc = (seed.bit_count(), aset.bit_count(), seed)
             whole = engine._scan(quotient, alpha, None, inc)
             assert whole == engine._scan(quotient, alpha, None, engine._NO_INCUMBENT)
             for start in (inc, engine._NO_INCUMBENT, whole):
@@ -843,6 +860,14 @@ class TestMinimality:
         rep = is_minimally_tough(diamond, cfg)
         assert rep.verdict is None
         assert rep.inconclusive_edges
+
+    @pytest.mark.slow
+    def test_large_twin_class_alpha(self):
+        # alpha(G) = 1000 on K_{2,1000}; deleting an edge leaves t = 1/500
+        g = complete_bipartite(2, 1000)
+        t = toughness_exact(g).value
+        assert t == Ratio(1, 500)
+        assert is_minimally_tough(g, toughness=t).verdict is False
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
