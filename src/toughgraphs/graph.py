@@ -107,6 +107,25 @@ def delete_edge(g: Graph, edge: tuple[int, int]) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
+def twin_classes(g: Graph, within: int | None = None) -> list[int]:
+    """The vertices of g's subgraph induced on the mask ``within`` (all of g
+    when None), grouped by their rows ``adj[v] & within``, as class masks in
+    ascending order, which for disjoint masks is by highest member.
+
+    Vertices with identical rows are non-adjacent, so these are the maximal
+    classes of false twins: the scan and the annealing cut whole classes,
+    and a maximum independent set takes every member of a class or none."""
+    adj, within = g.adj, g.full_mask if within is None else within
+    groups: dict[int, int] = {}
+    left = within
+    while left:
+        b = left & -left
+        row = adj[b.bit_length() - 1] & within
+        groups[row] = groups.get(row, 0) | b
+        left ^= b
+    return sorted(groups.values())
+
+
 def component_count(adj: tuple[int, ...], alive: int, reps: int) -> int:
     """Number of connected components of the subgraph induced on alive.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, LimitExceeded, bits_of, is_connected
+from .graph import Graph, LimitExceeded, bits_of, is_connected, twin_classes
 
 
 # ---------------------------------------------------------------------------
@@ -80,33 +80,22 @@ def independence_number(g: Graph, within: int | None = None) -> tuple[int, int]:
     of g, or of its subgraph induced on the mask ``within``, by branch and
     bound (``_heaviest_independent``).
 
-    False twins of the subgraph (same neighbours in it) always enter a
-    maximum independent set together, so the search runs over one member of
-    each twin class, weighted by the class size.  A twin-free subgraph is
-    searched as it is, with every weight one.
+    False twins of the subgraph (its ``twin_classes``) always enter a
+    maximum independent set together, so the search runs over the lowest
+    member of each class, weighted by the class size; its depth is at most
+    the class count.  Raises LimitExceeded when that outgrows the
+    interpreter's recursion limit.
     """
-    adj = g.adj
-    ones = (1,) * g.n
-    if within is None:
-        if len(set(adj)) == g.n:  # twin-free: every row differs
-            return _heaviest_independent(adj, ones, g.full_mask, 0, 0, (0, 0))
-        within = g.full_mask
-    classes: dict[int, int] = {}  # row in the subgraph -> its twin class
-    left = within
-    while left:
-        b = left & -left
-        row = adj[b.bit_length() - 1] & within
-        classes[row] = classes.get(row, 0) | b
-        left ^= b
-    if len(classes) == within.bit_count():
-        return _heaviest_independent(adj, ones, within, 0, 0, (0, 0))
-    # each class searched through its lowest member
+    classes = twin_classes(g, within)
     weight = [0] * g.n
-    for c in classes.values():
+    for c in classes:
         weight[(c & -c).bit_length() - 1] = c.bit_count()
-    reps = sum(c & -c for c in classes.values())
-    size, chosen = _heaviest_independent(adj, weight, reps, 0, 0, (0, 0))
-    return size, sum(c for c in classes.values() if chosen & c)
+    reps = sum(c & -c for c in classes)
+    try:
+        size, chosen = _heaviest_independent(g.adj, weight, reps, 0, 0, (0, 0))
+    except RecursionError:
+        raise LimitExceeded("independence search too deep") from None
+    return size, sum(c for c in classes if chosen & c)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +365,14 @@ class _Search:
 
     def __init__(self, g: Graph):
         self.g = g
-        classes: dict[int, int] = {}  # no open neighbourhood is a closed one
-        for v, row in enumerate(g.adj):
-            for key in (row, row | 1 << v):
-                classes[key] = classes.get(key, 0) | 1 << v
-        # v's twin class: the vertices with its open or its closed neighbourhood
-        self.twins = [classes[row] | classes[row | 1 << v] for v, row in enumerate(g.adj)]
+        # v's twin class: the vertices with its open neighbourhood, or with
+        # its closed one, which are its open twins in the complement
+        co = Graph(g.n, tuple(g.full_mask ^ row ^ 1 << v for v, row in enumerate(g.adj)))
+        self.twins = [1 << v for v in range(g.n)]
+        for c in twin_classes(g) + twin_classes(co):
+            if c & (c - 1):  # a vertex has open twins or closed ones, not both
+                for v in bits_of(c):
+                    self.twins[v] = c
         self.nodes = 0
         self.found: list[tuple[int, ...]] = []
         for v, twins in enumerate(self.twins):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, build_graph
+from .graph import Graph, bits_of, build_graph
 
 
 def complete(n: int) -> Graph:
@@ -135,21 +135,18 @@ def solid_expand(spec: SolidSpec) -> tuple[Graph, list[tuple[int, int]]]:
 
     Copies of v are pairwise non-adjacent; a copy of v and a copy of w are
     adjacent iff vw is a base edge.  Returns the expanded graph and the map
-    from expanded index to (base vertex, copy number).
-    """
+    from expanded index to (base vertex, copy number).  The graph is built
+    row by row: each copy of v gets the OR of the copy blocks of v's base
+    neighbours."""
     base = spec.base
-    offsets = []
+    blocks = []
     total = 0
-    for v in range(base.n):
-        offsets.append(total)
-        total += spec.multiplicity[v]
+    for m in spec.multiplicity:
+        blocks.append(((1 << m) - 1) << total)
+        total += m
     index_map = []
-    for v in range(base.n):
-        for c in range(spec.multiplicity[v]):
-            index_map.append((v, c))
-    edges = []
-    for u, v in base.edges():
-        for cu in range(spec.multiplicity[u]):
-            for cv in range(spec.multiplicity[v]):
-                edges.append((offsets[u] + cu, offsets[v] + cv))
-    return build_graph(total, edges), index_map
+    adj = []
+    for v, m in enumerate(spec.multiplicity):
+        index_map += [(v, c) for c in range(m)]
+        adj += [sum(blocks[u] for u in bits_of(base.adj[v]))] * m
+    return Graph(total, tuple(adj)), index_map

@@ -1,7 +1,8 @@
 """Exact toughness with verifiable certificates.
 
 The exhaustive engine enumerates cut-sets made of whole twin classes (maximal
-sets of non-adjacent vertices with identical neighborhoods) and keeps the
+sets of non-adjacent vertices with identical neighborhoods, grouped by
+``graph.twin_classes``, which the independence number shares) and keeps the
 best candidate under the total order
 
     (ratio, |S|, mask)   (lexicographic, exact rational comparison)
@@ -94,6 +95,7 @@ from .graph import (
     delete_edge,
     is_connected,
     mask_of,
+    twin_classes,
 )
 from .graph6 import parse_graph6, write_graph6
 from .invariants import independence_number
@@ -219,17 +221,7 @@ class ToughnessResult:
 
 
 # ---------------------------------------------------------------------------
-# twin classes and the subset scan over them
-
-
-def twin_classes(g: Graph) -> list[int]:
-    """Masks of maximal classes of non-adjacent vertices with identical
-    neighborhoods (identical adjacency rows force non-adjacency), ascending,
-    which for disjoint masks is by highest member."""
-    groups: dict[int, int] = {}
-    for v in range(g.n):
-        groups[g.adj[v]] = groups.get(g.adj[v], 0) | (1 << v)
-    return sorted(groups.values())
+# the subset scan over twin classes
 
 
 # an incumbent is (|S|, omega, mask), standing for the cut S of ratio |S|/omega

@@ -10,7 +10,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from toughgraphs.families import (
+    gen_knp2_minus_matching,
+    gen_knp3,
+    gen_planar_chain,
+    gen_square_lsk4,
+)
 from toughgraphs.graph import Graph, build_graph, is_connected
+from toughgraphs.invariants import permute_graph
+from toughgraphs.operators import SolidSpec, solid_expand
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -29,11 +37,39 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.35) -> Graph
 
 def blown_up_c5(k: int) -> Graph:
     """C5 with every vertex blown up into k false twins, vertices 0..k-1
-    the first class; its rows are written directly, since building its
-    25k^2 edges one by one takes seconds at k = 600."""
+    the first class; its rows are written out here, independently of
+    ``operators.solid_expand``, so it can serve as that function's oracle."""
     classes = [((1 << k) - 1) << (k * i) for i in range(5)]
     rows = (classes[(v // k - 1) % 5] | classes[(v // k + 1) % 5] for v in range(5 * k))
     return Graph(5 * k, tuple(rows))
+
+
+def twin_corpus() -> list[tuple[Graph, int | None]]:
+    """Seeded (graph, within) pairs over twin-free and twin-rich random
+    graphs, blow-ups, relabelled blow-ups, the four families and the empty
+    graph, each with ``within`` None, the empty mask and two random masks.
+    The digests of the independence number and the twin classes over it are
+    pinned in the tests."""
+    r = random.Random(20261019)
+    graphs = [build_graph(0, [])]
+    graphs += [random_graph(r, r.randint(1, 16), r.uniform(0.1, 0.9)) for _ in range(60)]
+    for _ in range(20):
+        base = random_connected_graph(r, r.randint(3, 8), r.uniform(0.25, 0.6))
+        g = solid_expand(SolidSpec(base, tuple(r.randint(1, 3) for _ in range(base.n))))[0]
+        perm = list(range(g.n))
+        r.shuffle(perm)
+        graphs += [g, permute_graph(g, tuple(perm))]
+    graphs += [
+        gen_planar_chain(4).graph,
+        gen_knp3(5).graph,
+        gen_knp2_minus_matching(9, 7).graph,
+        gen_square_lsk4().graph,
+    ]
+    out = []
+    for g in graphs:
+        out += [(g, None), (g, 0)]
+        out += [(g, sum(1 << v for v in range(g.n) if r.random() < 0.6)) for _ in range(2)]
+    return out
 
 
 def nx_graph(nx, g: Graph):

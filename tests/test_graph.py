@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_graph, twin_corpus
 from oracles import adj_sets, set_components
 
 from toughgraphs.graph import (
@@ -11,10 +13,12 @@ from toughgraphs.graph import (
     delete_edge,
     is_connected,
     mask_of,
+    twin_classes,
 )
 from toughgraphs.families import gen_planar_chain, gen_knp2_minus_matching
 from toughgraphs.operators import SolidSpec, complete, cycle, path, solid_expand
-from toughgraphs.toughness import _quotient, _table_counters, twin_classes
+from toughgraphs.invariants import permute_graph
+from toughgraphs.toughness import _quotient, _table_counters
 
 
 def count_without(g, cut):
@@ -121,6 +125,48 @@ def test_wide_vertex_sets():
     assert degree_profile(g)[:3] == (2, 2, True)
     cut = mask_of((0, 256))
     assert count_without(g, cut) == oracle_count(g, cut) == 2
+
+
+def brute_twin_classes(g, within):
+    """Each vertex of ``within`` with every vertex whose row, cut to
+    ``within``, equals its own, compared pair by pair."""
+    classes = set()
+    for v in bits_of(within):
+        classes.add(mask_of(w for w in bits_of(within) if g.adj[w] & within == g.adj[v] & within))
+    return sorted(classes)
+
+
+def test_twin_classes_match_pairwise_rows(rng):
+    """On random graphs, blow-ups and relabelled blow-ups, with the whole
+    vertex set, random masks and the empty mask, and on n = 0."""
+    graphs = [build_graph(0, [])]
+    graphs += [random_graph(rng, rng.randint(1, 12), rng.random()) for _ in range(30)]
+    for _ in range(20):
+        base = random_connected_graph(rng, rng.randint(3, 7), rng.uniform(0.2, 0.6))
+        g = solid_expand(SolidSpec(base, tuple(rng.randint(1, 4) for _ in range(base.n))))[0]
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs += [g, permute_graph(g, tuple(perm))]
+    twins_seen = 0
+    for g in graphs:
+        assert twin_classes(g) == twin_classes(g, g.full_mask) == brute_twin_classes(g, g.full_mask)
+        assert twin_classes(g, 0) == []
+        for _ in range(4):
+            within = mask_of(v for v in range(g.n) if rng.random() < 0.6)
+            classes = twin_classes(g, within)
+            assert classes == brute_twin_classes(g, within)
+            assert sum(classes) == within
+            twins_seen += len(classes) < within.bit_count()
+    assert twins_seen > 0
+
+
+def test_twin_classes_digest():
+    """Pinned over the seeded corpus: the partition every engine works on."""
+    h = hashlib.sha256()
+    for g, within in twin_corpus():
+        if within is None:
+            h.update((" ".join(f"{c:x}" for c in twin_classes(g)) + "\n").encode())
+    assert h.hexdigest() == "fb61655f182cd08d602f8aa956387f224dbaad5d8a5626caa94164fefd082b60"
 
 
 def class_mask(classes, vertices):

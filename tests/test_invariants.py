@@ -1,9 +1,10 @@
 import gc
+import hashlib
 from itertools import islice
 
 import pytest
 
-from conftest import blown_up_c5, nx_graph, random_connected_graph, random_graph
+from conftest import blown_up_c5, nx_graph, random_connected_graph, random_graph, twin_corpus
 from oracles import brute_alpha, brute_max_independent_sets, brute_vertex_connectivity, group_order
 
 from toughgraphs.families import (
@@ -115,6 +116,21 @@ class TestIndependence:
         alpha, witness = independence_number(g)
         assert alpha == want and witness.bit_count() == want
         assert all(not g.adj[v] & witness for v in bits_of(witness))
+
+    def test_deep_search_raises_limit_exceeded(self):
+        # a path is twin-free, so the search is as deep as its branched vertices
+        assert independence_number(path(900))[0] == 450
+        with pytest.raises(LimitExceeded, match="independence search too deep"):
+            independence_number(path(1500))
+
+    def test_digest(self):
+        """(alpha, set) over the seeded corpus, within masks included: one
+        search path for twin-free and twin-rich subgraphs alike."""
+        h = hashlib.sha256()
+        for g, within in twin_corpus():
+            alpha, chosen = independence_number(g, within)
+            h.update(f"{alpha} {chosen:x}\n".encode())
+        assert h.hexdigest() == "55beca37570eb3cb6ffa0b121cb2ea8d6e52086a172c3b287430d4ad4c4d7341"
 
 
 class TestConnectivity:

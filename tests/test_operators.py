@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import random_graph
+from conftest import blown_up_c5, random_graph
 
 from toughgraphs.graph import bits_of, build_graph, degree_profile
 from toughgraphs.operators import (
@@ -152,6 +152,23 @@ def test_solid_expand_degrees(rng):
         for idx, (v, _) in enumerate(imap):
             want = sum(mult[w] for w in bits_of(base.adj[v]))
             assert h.degree(idx) == want
+
+
+def test_solid_expand_matches_an_edge_list(rng):
+    """The rows equal the graph built from every pair of copies of the ends
+    of every base edge, and the index map lists copies by base vertex."""
+    for _ in range(60):
+        base = random_graph(rng, rng.randint(1, 8), rng.random())
+        mult = tuple(rng.randint(1, 4) for _ in range(base.n))
+        h, imap = solid_expand(SolidSpec(base, mult))
+        assert imap == [(v, c) for v in range(base.n) for c in range(mult[v])]
+        copies = [[i for i, (w, _) in enumerate(imap) if w == v] for v in range(base.n)]
+        edges = [(a, b) for u, v in base.edges() for a in copies[u] for b in copies[v]]
+        assert h == build_graph(sum(mult), edges)
+
+
+def test_solid_expand_large_blowup():
+    assert solid_expand(SolidSpec.uniform(cycle(5), 600))[0] == blown_up_c5(600)
 
 
 def test_solid_copies_are_nonadjacent_twins():
