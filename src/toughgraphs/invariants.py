@@ -86,7 +86,13 @@ def independence_number(g: Graph, within: int | None = None) -> tuple[int, int]:
     the class count.  Raises LimitExceeded when that outgrows the
     interpreter's recursion limit.
     """
-    classes = twin_classes(g, within)
+    return _independent_classes(g, twin_classes(g, within))
+
+
+def _independent_classes(g: Graph, classes) -> tuple[int, int]:
+    """``independence_number`` of g on the union of ``classes``, the
+    ``twin_classes`` of that subgraph, for callers that already hold
+    them."""
     weight = [0] * g.n
     for c in classes:
         weight[(c & -c).bit_length() - 1] = c.bit_count()

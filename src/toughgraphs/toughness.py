@@ -57,14 +57,16 @@ as max(alpha(G), 2 + alpha(G - N[u] - N[v])) for e = uv.
 The annealing upper-bound search builds the same quotient (``_quotient``)
 and, up to 27 twin classes (chunks of at most 9 bits), anneals over class
 masks with the same closure, so a step costs three lookups per round
-however many copies a class has; a per-call memo answers repeated states.
-Past 27 classes, as on the twin-free 36-60 vertex chains, it anneals over
-vertex masks.  A move flips one or two classes, so each count is derived
-from a recent state's components: a class that joins merges the parts it
-touches, and a class that leaves re-closes only its own part, by a BFS that
-stops once it has reached all the class's alive neighbours (dynamic
-connectivity in its simplest local form; Holm, de Lichtenberg & Thorup,
-J. ACM 48, 2001).  The regime is chosen once, as a pair of
+however many copies a class has.  There the step loop keeps a per-call memo
+of each state's (|S|, omega, energy), so a repeated state costs one dict
+lookup and no count.  Past 27 classes, as on the twin-free 36-60 vertex
+chains, it anneals over vertex masks and remembers nothing, since only 2-5%
+of those states repeat.  A move flips one or two classes, so each count
+is derived from a recent state's components: a class that joins merges the
+parts it touches, and a class that leaves re-closes only its own part, by a
+BFS that stops once it has reached all the class's alive neighbours
+(dynamic connectivity in its simplest local form; Holm, de Lichtenberg &
+Thorup, J. ACM 48, 2001).  The regime is chosen once, as a pair of
 functions (count, weigh) that the annealing steps call without knowing
 which it got.  Class masks order like the vertex masks they stand for, so
 the (ratio, |S|, mask) tie-break picks the same certificate in either form.
@@ -98,7 +100,7 @@ from .graph import (
     twin_classes,
 )
 from .graph6 import parse_graph6, write_graph6
-from .invariants import independence_number
+from .invariants import _independent_classes, independence_number
 from .operators import solid_expand
 from .ratio import INFINITE, Ratio, parse_ratio
 
@@ -528,7 +530,7 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     classes = tuple(twin_classes(g))
     _check_limit(g, classes, cfg)
     quotient = _quotient(g, classes)
-    alpha, alpha_set = independence_number(g)
+    alpha, alpha_set = _independent_classes(g, classes)
 
     # seed: the complement of a maximum independent set is always a valid cut
     seed_cut = g.full_mask & ~alpha_set
@@ -585,7 +587,7 @@ def find_cut_below(
     such cut exists.  Raises LimitExceeded past the exhaustive limit."""
     classes = tuple(twin_classes(g))
     _check_limit(g, classes, cfg)
-    return _cut_below(g, target, _quotient(g, classes), independence_number(g)[0])
+    return _cut_below(g, target, _quotient(g, classes), _independent_classes(g, classes)[0])
 
 
 def _cut_below(
@@ -614,38 +616,35 @@ def _cut_below(
 _ANNEAL_CHUNK_BITS = 9
 
 
-# Up to 27 classes ``count`` remembers the counts of at most this many
-# states, and forgets them all when full.  On the 120 beyond-limit blow-ups
-# 78-93% of a 20,000-step call's counts repeat a state, and a call meets at
+# Up to 27 classes the annealing remembers (|S|, omega, energy) of at most
+# this many states, and forgets them all when full.  On the 120 beyond-limit
+# blow-ups 78-93% of a 20,000-step call's states repeat, and a call meets at
 # most 4,552 distinct ones, so the cap binds only long runs such as
-# ``--budget-secs 60`` (1.5 M steps).  A full memo takes 5.2 MB under
-# tracemalloc; 200,000 steps on a 27-class blow-up meet 29,500 states and
-# peak at 2.7 MB (tests bound it at 6 MB).
-_COUNT_MEMO_CAP = 1 << 16
+# ``--budget-secs 60`` (1.5 M steps).  Under tracemalloc, with fresh 27-bit
+# keys, a full memo takes 2.46 MB, its states sharing a tuple per
+# (|S|, omega); one tuple per state would take 5.06 MB,
+# and the memo of counts alone that it replaced took 4.72 MB at its cap of
+# 2^16.  200,000 steps on a 27-class blow-up meet 29,500 states and peak at
+# 2.7 MB, as with that memo (tests bound it at 6 MB).
+_COUNT_MEMO_CAP = 1 << 15
 
 
 def _table_counters(T, V, w: int):
     """(count, weigh) on class masks of the twin quotient, from its chunk
     tables: ``count(alive)`` closes components three lookups per round as
     in ``_scan``, a class with no alive neighbour counting one component per
-    member, and remembers its answers; ``weigh(s)`` is the number of
-    vertices of s."""
+    member; ``weigh(s)`` is the number of vertices of s.  Neither remembers
+    anything: the annealing's memo sits in front of both."""
     T0, T1, T2 = T
     V0, V1, V2 = V
     m = (1 << w) - 1
     w2 = 2 * w
-    memo: dict[int, int] = {}
 
     def weigh(s: int) -> int:
         return V0[s & m] + V1[s >> w & m] + V2[s >> w2]
 
     def count(alive: int) -> int:
-        total = memo.get(alive)
-        if total is not None:
-            return total
-        if len(memo) >= _COUNT_MEMO_CAP:
-            memo.clear()
-        state, total = alive, 0
+        total = 0
         while alive:
             b = comp = alive & -alive
             grown = b | (T0[b & m] | T1[b >> w & m] | T2[b >> w2]) & alive
@@ -654,7 +653,6 @@ def _table_counters(T, V, w: int):
                 grown |= (T0[comp & m] | T1[comp >> w & m] | T2[comp >> w2]) & alive
             alive ^= comp
             total += 1 if comp != b else V0[b & m] + V1[b >> w & m] + V2[b >> w2]
-        memo[state] = total
         return total
 
     return count, weigh
@@ -750,24 +748,19 @@ def _vertex_counter(adj: tuple[int, ...], classes: tuple[int, ...]):
     return count
 
 
-def _shrink(
-    chosen: int, units: list[int], sizes: list[int], full: int, count, weigh
-) -> tuple[int, int, int]:
-    """Greedy removal pass: drop classes (``units``, of ``sizes`` vertices),
-    in class order, while the exact ratio improves; ``count`` and ``weigh``
-    give the components left by a state and its vertex count.  Returns
-    (chosen, weight, omega)."""
-    weight = weigh(chosen)
-    omega = count(full ^ chosen)
+def _shrink(chosen: int, units: list[int], measure) -> tuple[int, int, int]:
+    """Greedy removal pass: drop classes (``units``), in class order, while
+    the exact ratio improves; ``measure`` gives a state's (vertex count,
+    components left, energy).  Returns (chosen, weight, omega)."""
+    weight, omega, _ = measure(chosen)
     improved = True
     while improved:
         improved = False
-        for u, size in zip(units, sizes):
+        for u in units:
             if not chosen & u:
                 continue
             cand = chosen ^ u
-            w = weight - size
-            om = count(full ^ cand)
+            w, om, _ = measure(cand)
             if om >= 2 and w * omega < weight * om:
                 chosen, weight, omega = cand, w, om
                 improved = True
@@ -788,8 +781,9 @@ def toughness_upper_search(
     is lossless for the optimum and shrinks solid graphs dramatically; moves
     flip one or two classes.  Up to 27 classes a state is a class mask and
     its components close over the twin quotient with the scan's
-    three-lookup tables, each distinct state once (a memo of at most
-    ``_COUNT_MEMO_CAP`` states).  Past that it is a vertex mask whose count
+    three-lookup tables, each distinct state once: the step loop and the
+    shrink pass read one memo of (|S|, omega, energy) per call, of at most
+    ``_COUNT_MEMO_CAP`` states.  Past that it is a vertex mask whose count
     is derived from the components of one of the two last states counted,
     recounting only the part a move changes (``_vertex_counter``).
     Restarts are seeded from complements of greedy clique packings with
@@ -807,21 +801,48 @@ def toughness_upper_search(
     # tie-break picks the same cut in either form
     classes = tuple(twin_classes(g))
     nq = len(classes)
-    if -(-nq // 3) <= _ANNEAL_CHUNK_BITS:
-        _, rows, sizes, w, T, V = _quotient(g, classes)
+    tabled = -(-nq // 3) <= _ANNEAL_CHUNK_BITS
+    if tabled:
+        _, rows, _, w, T, V = _quotient(g, classes)
         units = [1 << i for i in range(nq)]  # bit i is class i
         full = reps = (1 << nq) - 1  # each class is its own representative
         count, weigh = _table_counters(T, V, w)
     else:
         rows, units, full = adj, classes, g.full_mask
-        sizes = [c.bit_count() for c in classes]
         # the lowest member of each class: a BFS over whole classes expands
         # only these, since twins have the same neighbors
         reps = sum(c & -c for c in classes)
         weigh = int.bit_count
         count = _vertex_counter(adj, classes)
 
+    # the energy of a state that leaves fewer than two components
+    dead = float(g.n * 2)
+    # state -> (|S|, omega, energy), on class masks only: there 78-93% of
+    # a call's states repeat, and on vertex masks (the chains) 2-5%.  States
+    # with equal (|S|, omega) share one tuple, so the memo holds no more
+    # objects than a memo of counts would
+    memo: dict[int, tuple[int, int, float]] = {}
+    shared: dict[tuple[int, int, float], tuple[int, int, float]] = {}
+
+    def measure(cut: int) -> tuple[int, int, float]:
+        hit = memo.get(cut)
+        if hit is None:
+            weight = weigh(cut)
+            omega = count(full ^ cut)
+            hit = (weight, omega, weight / omega if omega >= 2 else dead)
+            if tabled:
+                if len(memo) >= _COUNT_MEMO_CAP:
+                    memo.clear()
+                memo[cut] = hit = shared.setdefault(hit, hit)
+        return hit
+
     rng = random.Random(seed)
+    # rng.randrange(nq) is getrandbits(nq.bit_length()), redrawn while it is
+    # nq or more (CPython's Random._randbelow); the loop below draws its
+    # moves the same way inline, so the stream and the results are unchanged
+    getrandbits = rng.getrandbits
+    uniform = rng.random
+    kq = nq.bit_length()
 
     def nbrs(u: int) -> int:
         # twins share their row, so any member gives the class's neighbors
@@ -882,37 +903,42 @@ def toughness_upper_search(
         else:
             state = 0
             for u in units:
-                if rng.random() < 0.5:
+                if uniform() < 0.5:
                     state |= u
-        state, cw, com = _shrink(state, units, sizes, full, count, weigh)
+        state, cw, com = _shrink(state, units, measure)
         consider(state, cw, com)
-        energy = cw / com if com >= 2 else float(g.n * 2)
+        energy = cw / com if com >= 2 else dead
         # one long geometric cooling arc per restart: 0.95 per sweep of moves
         temp = 0.5
         best_ratio_seen = energy
         for step in range(steps_per_restart):
-            cand = state ^ units[rng.randrange(nq)]
-            if rng.random() < 0.25:
-                cand ^= units[rng.randrange(nq)]
+            i = getrandbits(kq)
+            while i >= nq:
+                i = getrandbits(kq)
+            cand = state ^ units[i]
+            if uniform() < 0.25:
+                i = getrandbits(kq)
+                while i >= nq:
+                    i = getrandbits(kq)
+                cand ^= units[i]
             if cand in (0, full):
                 continue
-            cw = weigh(cand)
-            com = count(full ^ cand)
-            ce = cw / com if com >= 2 else float(g.n * 2)
-            if ce <= energy or rng.random() < 2.718281828 ** ((energy - ce) / temp):
+            # a repeated state costs this one lookup, with no call
+            cw, com, ce = memo.get(cand) or measure(cand)
+            if ce <= energy or uniform() < 2.718281828 ** ((energy - ce) / temp):
                 state, energy = cand, ce
                 if com >= 2:
                     consider(cand, cw, com)
                     if ce < best_ratio_seen - 1e-12:
                         best_ratio_seen = ce
-                        state, cw, com = _shrink(cand, units, sizes, full, count, weigh)
+                        state, cw, com = _shrink(cand, units, measure)
                         energy = cw / com if com >= 2 else energy
                         consider(state, cw, com)
             if step % nq == nq - 1:
                 temp *= 0.95
                 if temp < 1e-4:
                     temp = 1e-4
-        state, cw, com = _shrink(state, units, sizes, full, count, weigh)
+        state, cw, com = _shrink(state, units, measure)
         consider(state, cw, com)
 
     if best[1]:

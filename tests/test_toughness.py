@@ -571,6 +571,10 @@ PINNED_UPPER = [
     # the beyond-limit benchmark's own calls: 20,000 steps, seed 0
     pytest.param("chain8", 20_000, 0, 20, Ratio(8, 5), 258537266158857, id="chain8-bench"),
     pytest.param("chain10", 20_000, 0, 20, Ratio(30, 19), 177157011599301818, id="chain10-bench"),
+    # and two of its blow-ups, "<base graph6> x<copies>" from its pool:
+    # 42 vertices in 14 classes and 32 in 16, so states are class masks
+    pytest.param("MWUfV}}fTzRHtCeT? x3", 20_000, 0, 20, Ratio(5, 2), 61201448959, id="blowup14x3-bench"),
+    pytest.param("OHWo@AAgLKgKQhPsBWTC{ x2", 20_000, 0, 20, Ratio(2, 1), 805309488, id="blowup16x2-bench"),
     # a random 28-vertex base blown up x1-x2 and relabelled: 38 vertices in
     # 28 classes, so states are vertex masks
     pytest.param(
@@ -602,7 +606,9 @@ PINNED_UPPER = [
 def pinned_graph(name):
     if name.startswith("chain"):
         return gen_planar_chain(int(name[5:])).graph
-    return parse_graph6(name)
+    text, _, copies = name.partition(" x")
+    g = parse_graph6(text)
+    return solid_expand(SolidSpec.uniform(g, int(copies)))[0] if copies else g
 
 
 class TestUpperSearch:
@@ -645,6 +651,22 @@ class TestUpperSearch:
         g = pinned_graph(graph)
         cert = toughness_upper_search(g, budget, seed=seed, restarts=restarts)
         assert (cert.ratio, cert.cut) == (ratio, cut)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2025])
+    def test_inline_move_draw_is_randrange(self, seed):
+        """The step loop draws a move as getrandbits(nq.bit_length()),
+        redrawn while it is nq or more, in place of rng.randrange(nq); the
+        two must give the same values and leave the stream in the same
+        place, between the random() calls the loop makes."""
+        want, got = random.Random(seed), random.Random(seed)
+        for nq in range(1, 71):
+            k = nq.bit_length()
+            for _ in range(50):
+                i = got.getrandbits(k)
+                while i >= nq:
+                    i = got.getrandbits(k)
+                assert i == want.randrange(nq), (seed, nq)
+                assert got.random() == want.random()
 
     @pytest.mark.parametrize("kind, cases", [("chain", 8), ("twin-free", 24), ("blowup", 24)])
     def test_vertex_counter_matches_component_count(self, kind, cases):
@@ -740,7 +762,7 @@ class TestUpperSearch:
     def test_peak_memory_is_bounded(self):
         # 200,000 steps on a 27-class blow-up, counted on class masks, meet
         # about 29,500 distinct states and peaked at 2.7 MB; the count memo
-        # is cleared at _COUNT_MEMO_CAP states, which take 5.2 MB
+        # is cleared at _COUNT_MEMO_CAP states, which take 2.5 MB
         rng = random.Random("memo-bound")
         base = random_connected_graph(rng, 27, 0.1)
         g = solid_expand(SolidSpec(base, tuple(rng.randint(1, 2) for _ in range(27))))[0]
