@@ -44,8 +44,15 @@ at the lane's lowest alive class; sweeps over the quotient rows,
 
 forward and backward until nothing changes, settle every lane at once.  A
 lane survives when an alive class stays unreached, or when its only alive
-class has two or more members.  Only survivors are counted with the closure
-above, level by level within a block.  Because the minimum under
+class has two or more members.  The same flood bounds each survivor's
+component count: the seed's component counts one (one per member when it
+is the seed class alone) and every other component lies in the unreached
+classes, so omega(G - S) <= 1 + U + (size of the seed class - 1), U the
+vertices of the unreached alive classes.  A bitsliced saturating counter
+holds that sum per lane, and each level of a block keeps the survivors
+whose bound reaches the fewest components any cut of the level needs.
+Only those are counted with the closure above, level by level within a
+block.  Because the minimum under
 (ratio, |S|, mask) does not depend on the order cuts are met, blocks may run
 in any order; only one block's integers are held at a time.
 
@@ -133,7 +140,7 @@ def usable_cpus() -> int:
 # certificates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutCertificate:
     """A cut-set claim: removing ``cut`` leaves ``omega`` components.
 
@@ -154,7 +161,7 @@ class CutCertificate:
         return list(bits_of(self.cut))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyResult:
     ok: bool
     reason: str = ""
@@ -216,7 +223,7 @@ def parse_certificate(text: str) -> tuple[Graph, CutCertificate]:
     return g, CutCertificate(cut, int(fields["omega"]), parse_ratio(fields["ratio"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToughnessResult:
     value: object  # Ratio or INFINITE
     witness: CutCertificate | None
@@ -326,6 +333,20 @@ def _quotient(g: Graph, classes: tuple[int, ...]) -> _Quotient:
 _LANE_BITS = 12
 
 
+# A block builds its bound on component counts (``_lane_bound``) at the
+# first level that holds more than this many surviving lanes per twin class,
+# since a small scan pays more to build it than it saves.  Measured in one
+# process, alternating calls with the scan that has no bound (2 cores,
+# Python 3.11.7): on the first 1,560 search-stream lines (n = 8-10, one
+# partial block per scan) filter_counterexamples took 1.09-1.10x as long
+# with the bound built at every block's first level, 1.015-1.04x past 8
+# lanes, 1.02-1.04x past q/2 or q lanes, and 0.999-1.006x past 2q (the same
+# comparison of the old scan with itself read 1.000-1.004x).  On the first
+# 120 exact-random graphs toughness_exact took 0.68-0.69x as long past 2q
+# lanes, and 0.63-0.64x past 8 lanes or at every level.
+_BOUND_LANES_PER_CLASS = 2
+
+
 @cache
 def _lane_patterns(bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(alive, levels) for a block of 2^bits lanes, lane j standing for the
@@ -346,9 +367,10 @@ def _lane_patterns(bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def _disconnected_lanes(nbrs, sizes, base: int, bits: int) -> int:
+def _disconnected_lanes(nbrs, sizes, base: int, bits: int) -> tuple[int, list[int], list[int]]:
     """The lanes of the block ``base | j`` (j < 2^bits) whose cut leaves at
-    least two components, as bit j of the result.
+    least two components, as bit j of the first result, then each class's
+    alive and reached lanes, for ``_lane_bound``.
 
     ``nbrs[i]`` lists the quotient neighbours of class i and ``sizes[i]``
     its vertex count; ``base`` holds the classes cut in every lane.  Class i
@@ -391,7 +413,76 @@ def _disconnected_lanes(nbrs, sizes, base: int, bits: int) -> int:
     out = seen & ~twice & multi
     for i in order:
         out |= alive[i] ^ reached[i]
-    return out
+    return out, alive, reached
+
+
+def _lane_bound(sizes, alive, reached) -> tuple[int, int, int, int]:
+    """A ``_lane_counter`` of U + (size of the seed class - 1) per lane,
+    from ``_disconnected_lanes``' alive and reached lanes, where U counts
+    the vertices of the alive classes the flood did not reach.
+
+    A lane leaves at most 1 + that many components: the seed's component
+    counts one, or one per member when it is the seed class alone, and
+    each component among the unreached classes holds at least one vertex.
+    In the scan's closure this is ``count + left`` after the first
+    component, exactly so on a twin-free graph."""
+    terms = [(a ^ r, size) for a, r, size in zip(alive, reached, sizes)]
+    seen = 0
+    for a, size in zip(alive, sizes):
+        if size > 1:
+            terms.append((a & ~seen, size - 1))  # the lanes class a seeds
+        seen |= a
+    return _lane_counter(terms)
+
+
+def _lane_counter(terms) -> tuple[int, int, int, int]:
+    """The per-lane sums of ``terms``, (lanes, weight) pairs, bitsliced: three
+    bit-planes (bit j of plane p is bit p of lane j's sum) and a mask of the
+    lanes whose sum reached 8, where the planes stop meaning anything."""
+    planes = [0, 0, 0]
+    sat = 0
+    for lanes, weight in terms:
+        if weight > 7:
+            sat |= lanes
+            continue
+        for p in range(3):
+            if weight >> p & 1:
+                carry = lanes
+                for j in range(p, 3):
+                    planes[j], carry = planes[j] ^ carry, planes[j] & carry
+                sat |= carry
+    return planes[0], planes[1], planes[2], sat
+
+
+def _viable_lanes(lanes: int, counter, thresholds) -> int:
+    """The lanes of ``lanes`` whose component bound in ``counter`` reaches
+    the fewest components that ``thresholds``, a ``_thresholds`` entry,
+    lets a cut be recorded with; all of them without a counter.  A
+    saturated lane stays whatever the threshold.
+
+    A level's lanes take the entry at the level's fewest vertices.  A lane
+    with more vertices, or one met after the incumbent improves, faces a
+    threshold at least as high, so the lanes dropped here stay dropped."""
+    if counter is None:
+        return lanes
+    needed, needed_tie, tie_below = thresholds
+    if tie_below:
+        needed = min(needed, needed_tie)
+    v = needed - 1  # a lane leaves at most 1 + its sum components
+    *planes, sat = counter
+    if v > 7:
+        return lanes & sat
+    # compare the 3-bit sums with v from the top bit down: ``eq`` holds
+    # the lanes equal to v so far, ``above`` those already above it
+    above = lanes & sat
+    eq = lanes
+    for p in (2, 1, 0):
+        if v >> p & 1:
+            eq &= planes[p]
+        else:
+            above |= eq & planes[p]
+            eq &= ~planes[p]
+    return above | eq
 
 
 def _hopeless(table, caps) -> int:
@@ -421,8 +512,10 @@ def _scan(
     vertex masks.  Class subsets run in blocks of 2^``_LANE_BITS`` lanes,
     the low classes, that share their high bits, the block's index;
     ``_disconnected_lanes`` marks the lanes whose cut leaves two or more
-    components, and only those have their components counted, by class
-    count and then ascending value within the block.  Without a target,
+    components and bounds their component counts (``_lane_bound``); only
+    the marked lanes whose bound reaches their level's threshold
+    (``_viable_lanes``) have their components counted, by class count and
+    then ascending value within the block.  Without a target,
     returns the minimum (|S|, omega, mask) under (ratio, |S|, mask) over
     ``best`` and the cuts that beat it, which is independent of the
     incumbent handed in (it only prunes candidates that cannot beat it).
@@ -452,11 +545,18 @@ def _scan(
         kbase = V0[base & m] + V1[base >> w & m] + V2[base >> w2]
         if kbase >= kstop:
             continue
-        cut_lanes = _disconnected_lanes(nbrs, sizes, base, bits)
+        cut_lanes, alive_lanes, reached_lanes = _disconnected_lanes(nbrs, sizes, base, bits)
+        counter = None
         for c, level in enumerate(levels):
-            if kbase + klow[c] >= kstop:
+            k = kbase + klow[c]
+            if k >= kstop:
                 break
             lanes = cut_lanes & level
+            if not lanes:
+                continue
+            if counter is None and lanes.bit_count() > _BOUND_LANES_PER_CLASS * nq:
+                counter = _lane_bound(sizes, alive_lanes, reached_lanes)
+            lanes = _viable_lanes(lanes, counter, table[k])
             if not lanes:
                 continue
             # ascending lanes, 64 at a time: O(1) per lane on a small word
@@ -1118,7 +1218,7 @@ def is_minimally_tough(
 # degree-excess filter (minimum degree above the 2t ceiling)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeExcessReport:
     """Outcome of screening one graph for the minimum-degree excess property:
     connected, non-complete, minimally tough, and delta > ceil(2t).

@@ -1,10 +1,12 @@
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
 import tracemalloc
 from concurrent import futures
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +96,13 @@ class TestCertificates:
         cut = mask_of(range(5))  # v_{1,1..5}
         cert = CutCertificate(cut, 2, Ratio(5, 2))
         assert verify_certificate(fam.graph, cert).ok
+
+    def test_records_hold_no_instance_dict(self):
+        # slotted records: a kept result or certificate carries no __dict__
+        g = sc52()
+        res = toughness_exact(g)
+        for record in (res, res.witness, verify_certificate(g, res.witness)):
+            assert not hasattr(record, "__dict__")
 
     def test_text_round_trip_byte_exact(self):
         fam = gen_planar_chain(4)
@@ -410,10 +419,10 @@ def quotient_of(g):
 
 
 def disconnected_lanes(g, base, bits):
-    """``_disconnected_lanes`` on g's twin quotient."""
+    """The lanes ``_disconnected_lanes`` marks on g's twin quotient."""
     quotient = quotient_of(g)
     nbrs = [list(bits_of(r)) for r in quotient.rows]
-    return engine._disconnected_lanes(nbrs, quotient.sizes, base, bits)
+    return engine._disconnected_lanes(nbrs, quotient.sizes, base, bits)[0]
 
 
 def lane_oracle(g, base, bits):
@@ -475,9 +484,9 @@ class TestLaneFilter:
 
         def checked(nbrs, sizes, base, bits):
             flooded.append(base)
-            lanes = flood(nbrs, sizes, base, bits)
-            assert lanes == lane_oracle(g, base, bits), (g.edges(), base)
-            return lanes
+            out = flood(nbrs, sizes, base, bits)
+            assert out[0] == lane_oracle(g, base, bits), (g.edges(), base)
+            return out
 
         monkeypatch.setattr(engine, "_disconnected_lanes", checked)
         for g in (twin_free_graph(rng, 11), graph_with_classes(rng, 9, twins=True)[0]):
@@ -560,6 +569,156 @@ class TestLaneFilter:
             tracemalloc.stop()
         assert res.value == Ratio(1, 10)
         assert peak < 256 * 1024, peak
+
+
+def lone_seed_blowup(rng):
+    """A blow-up of a twin-free base, at most 11 vertices, whose class 0 has
+    two or three members and is not adjacent to every other class: the
+    lane that cuts exactly its neighbours seeds its flood at class 0, left
+    alone, so the bound's seed term counts."""
+    while True:
+        base = random_connected_graph(rng, rng.randint(5, 7), rng.uniform(0.3, 0.7))
+        if len(twin_classes(base)) == base.n and base.adj[0] != base.full_mask ^ 1:
+            break
+    mult = [rng.randint(2, 3)] + [rng.randint(1, 2) for _ in range(base.n - 1)]
+    while sum(mult) > 11:
+        mult[mult.index(2, 1)] = 1
+    spec = SolidSpec(base, tuple(mult))
+    g = solid_expand(spec)[0]
+    assert twin_classes(g)[0].bit_count() == mult[0] > 1
+    return g, copy_groups(spec)
+
+
+def seed_reach(g, alive):
+    """The lowest alive vertex's twin class and every alive vertex joined
+    to it: a class left alone reaches only itself."""
+    seed = next(c for c in twin_classes(g) if c & alive & -alive)
+    reach = frontier = seed
+    while frontier:
+        grown = 0
+        for v in bits_of(frontier):
+            grown |= g.adj[v]
+        frontier = grown & alive & ~reach
+        reach |= frontier
+    return seed, reach
+
+
+class TestLaneBound:
+    """The flood's unreached lanes bound each lane's component count in a
+    bitsliced saturating counter, and the scan visits only the lanes whose
+    bound reaches their level's threshold."""
+
+    def test_counter_matches_per_lane_sums(self, rng):
+        weights = [1, 1, 1, 2, 3, 5, 7, 8, 12]
+        for bits in (0, 3, 6, 9):
+            ones = (1 << (1 << bits)) - 1
+            for _ in range(15):
+                terms = [
+                    (rng.getrandbits(1 << bits) & ones, rng.choice(weights))
+                    for _ in range(rng.randint(0, 12))
+                ]
+                *planes, sat = counter = engine._lane_counter(terms)
+                sums = [sum(w for lanes, w in terms if lanes >> j & 1) for j in range(1 << bits)]
+                for j, total in enumerate(sums):
+                    assert sat >> j & 1 == (total >= 8)
+                    if total < 8:
+                        assert sum((p >> j & 1) << i for i, p in enumerate(planes)) == total
+                for v in range(11):
+                    lanes = rng.getrandbits(1 << bits)
+                    # a saturated lane may hold any count from 8 up
+                    want = sum(
+                        1 << j
+                        for j, total in enumerate(sums)
+                        if lanes >> j & 1 and min(total, 8) >= min(v, 8)
+                    )
+                    # the thresholds of a level whose cuts need v + 1
+                    got = engine._viable_lanes(lanes, counter, (v + 1, 0, 0))
+                    assert got == want, (terms, v)
+
+    def _check_bound(self, g):
+        """On every disconnected lane of every block, the counter holds
+        U + (size of the seed class - 1), computed here on the vertex graph,
+        and 1 + that bounds ``graph.component_count``."""
+        quotient = quotient_of(g)
+        classes, sizes = quotient.classes, quotient.sizes
+        nbrs = [list(bits_of(r)) for r in quotient.rows]
+        q = len(classes)
+        bits = min(engine._LANE_BITS, q)
+        for high in range(1 << (q - bits)):
+            base = high << bits
+            lanes, alive_lanes, reached_lanes = engine._disconnected_lanes(nbrs, sizes, base, bits)
+            *planes, sat = engine._lane_bound(sizes, alive_lanes, reached_lanes)
+            for j in bits_of(lanes):
+                alive = g.full_mask & ~sum(classes[i] for i in bits_of(base | j))
+                seed, reach = seed_reach(g, alive)
+                want = (alive & ~reach).bit_count() + seed.bit_count() - 1
+                got = 8 if sat >> j & 1 else sum((p >> j & 1) << i for i, p in enumerate(planes))
+                assert got == min(want, 8), (g.edges(), base | j)
+                assert component_count(g.adj, alive, g.full_mask) <= 1 + want
+
+    @pytest.mark.parametrize("q", [5, 9, 13])
+    def test_twin_free_bound(self, rng, q):
+        for p in (0.3, 0.6):
+            self._check_bound(twin_free_graph(rng, q, p))
+
+    def test_blowup_bound(self, rng):
+        for _ in range(3):
+            self._check_bound(graph_with_classes(rng, 8, twins=True)[0])
+            self._check_bound(lone_seed_blowup(rng)[0])
+        for a, b in ((1, 2), (2, 5), (4, 3)):
+            self._check_bound(complete_bipartite(a, b))
+
+    @pytest.mark.parametrize("lane_bits", [1, 3, 5, None], ids=["L1", "L3", "L5", "default"])
+    def test_witness_and_cuts_below_match_oracles(self, rng, monkeypatch, lane_bits):
+        # each graph runs with the counter built as the scan decides, which
+        # with 5 or fewer lane bits is never (a level holds at most 10
+        # lanes), and built at every block's first level
+        if lane_bits is not None:
+            monkeypatch.setattr(engine, "_LANE_BITS", lane_bits)
+        graphs = [twin_free_graph(rng, n) for n in (8, 10, 11)] + [complete_bipartite(3, 7)]
+        graphs = [(g, [[v] for v in range(g.n)]) for g in graphs]
+        graphs += [lone_seed_blowup(rng) for _ in range(2)]
+        for g, groups in graphs:
+            want = brute_witness(g, groups)
+            t = want[0]
+            # below t on every G - e, and below t + 1 on g, where cutting
+            # K_{3,7}'s smaller side leaves the other a lone class of 7
+            cases = [(delete_edge(g, e), t) for e in g.edges()] + [(g, t + 1)]
+            firsts = [brute_first_below(h, target) for h, target in cases]
+            for per_class in (engine._BOUND_LANES_PER_CLASS, -1):
+                monkeypatch.setattr(engine, "_BOUND_LANES_PER_CLASS", per_class)
+                assert witness_key(toughness_exact(g)) == want
+                for (h, target), first in zip(cases, firsts):
+                    cert = find_cut_below(h, Ratio(target.numerator, target.denominator))
+                    assert (None if cert is None else (cert.cut.bit_count(), cert.cut)) == first
+
+    @pytest.mark.parametrize(
+        "g6,lanes",
+        [
+            # C18(1,2), one of exact-structured's low-width graphs
+            ("QzKWWKB?W@_B?B?@_?W?B_?N??W", (179_826, 106_048)),
+            # the first graph of the exact-random pool: twin-free, n = 17
+            ("P[[j`N@~wufQvEO{?lVQi?MO", (3_095, 725)),
+        ],
+        ids=["C18(1,2)", "exact-random-0"],
+    )
+    def test_lanes_reaching_the_closure_are_pinned(self, monkeypatch, g6, lanes):
+        # (lanes the flood leaves disconnected, lanes the bound lets through)
+        # summed over every level the scan visits; a lost prune shows here
+        # even when timing noise hides it
+        seen = [0, 0]
+        viable = engine._viable_lanes
+
+        def counted(level, counter, thresholds):
+            out = viable(level, counter, thresholds)
+            seen[0] += level.bit_count()
+            seen[1] += out.bit_count()
+            return out
+
+        monkeypatch.setattr(engine, "_viable_lanes", counted)
+        g = parse_graph6(g6)
+        toughness_exact(g)
+        assert tuple(seen) == lanes
 
 
 # (ratio, cut) of toughness_upper_search recorded from the class-indexed
@@ -1050,3 +1209,11 @@ class TestDegreeExcess:
     def test_degree_screen(self):
         rep = degree_excess_filter(cycle(5), min_delta=3)
         assert not rep.is_hit and rep.reason == "degree screen"
+
+    def test_report_survives_pickle(self):
+        # the search's process pool sends reports back pickled, and slotted
+        # frozen records need dataclasses' own state methods for that
+        rep = replace(degree_excess_filter(sc52()), graph6="I]~~~~~~w")
+        back = pickle.loads(pickle.dumps(rep))
+        assert back == rep and back.report_line() == rep.report_line()
+        assert not hasattr(back, "__dict__")
