@@ -126,23 +126,22 @@ def twin_classes(g: Graph, within: int | None = None) -> list[int]:
     return sorted(groups.values())
 
 
-def component_count(adj: tuple[int, ...], alive: int, reps: int) -> int:
-    """Number of connected components of the subgraph induced on alive.
+def component_count(adj: tuple[int, ...], alive: int) -> int:
+    """Number of connected components of the subgraph induced on alive."""
+    return len(_components(adj, alive, alive))
+
+
+def _components(adj: tuple[int, ...], alive: int, reps: int) -> list[int]:
+    """The vertex masks of the components of the subgraph induced on alive,
+    in order of their lowest members.
 
     ``reps`` holds the lowest member of each class of a partition into
     twin classes (vertices with identical adjacency rows), and ``alive``
     must be a union of whole classes; the BFS then expands only the members
     of reps, since a twin adds no neighbor its class's lowest member lacks.
-    A class with no alive neighbor still counts one component per member.
-    With ``reps`` the full vertex mask every vertex is its own class and
-    ``alive`` may be any mask.
+    A class with no alive neighbor is one component per member.  With
+    ``reps`` covering ``alive``, ``alive`` may be any mask.
     """
-    return len(_components(adj, alive, reps))
-
-
-def _components(adj: tuple[int, ...], alive: int, reps: int) -> list[int]:
-    """The vertex masks of the components ``component_count`` counts, in
-    order of their lowest members."""
     parts = []
     while alive:
         comp = frontier = alive & -alive
@@ -163,7 +162,7 @@ def _components(adj: tuple[int, ...], alive: int, reps: int) -> list[int]:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return False
-    return component_count(g.adj, g.full_mask, g.full_mask) == 1
+    return component_count(g.adj, g.full_mask) == 1
 
 
 def degree_profile(g: Graph) -> tuple[int, int, bool, tuple[int, ...]]:

@@ -78,10 +78,10 @@ functions (count, weigh) that the annealing steps call without knowing
 which it got.  Class masks order like the vertex masks they stand for, so
 the (ratio, |S|, mask) tie-break picks the same certificate in either form.
 
-Parallel mode splits the single scan's blocks into 64 strided shards, shard
-i taking blocks i, i + 64, i + 128, ...; each shard's answer is independent
-of the incumbent it was seeded with, so the min-merge of shard results is
-schedule independent.
+Both kinds of scan run in ``_certified_scan``.  From 22 twin classes on it
+deals the blocks to 64 strided shards (shard i takes blocks i, i + 64, ...);
+a shard's answer does not depend on the incumbent it starts from, so the
+min-merge is schedule independent.  Every answer is re-verified on the graph.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class CutCertificate:
 
     @classmethod
     def from_cut(cls, g: Graph, cut: int) -> "CutCertificate":
-        count = component_count(g.adj, g.full_mask & ~cut, g.full_mask)
+        count = component_count(g.adj, g.full_mask & ~cut)
         return cls(cut, count, Ratio(cut.bit_count(), count) if count else Ratio(0))
 
     def vertices(self) -> list[int]:
@@ -174,7 +174,7 @@ def verify_certificate(g: Graph, cert: CutCertificate) -> VerifyResult:
     """Recompute the certificate's claims against g."""
     if cert.cut & ~g.full_mask:
         return VerifyResult(False, "cut contains out-of-range vertices")
-    count = component_count(g.adj, g.full_mask & ~cert.cut, g.full_mask)
+    count = component_count(g.adj, g.full_mask & ~cert.cut)
     if count != cert.omega:
         return VerifyResult(
             False, f"component mismatch: claimed {cert.omega}, recomputed {count}"
@@ -252,16 +252,14 @@ def _better(k: int, q: int, mask: int, inc) -> bool:
     return mask < imask
 
 
-def _thresholds(
-    k: int, best: tuple[int, int, int], target: tuple[int, int] | None
-) -> tuple[int, int, int]:
+def _thresholds(k: int, best: tuple[int, int, int], target: Ratio | None) -> tuple[int, int, int]:
     """(needed, needed_tie, tie_below): the component count a cut of k
     vertices needs to replace ``best``, and the count that suffices instead
     for masks below ``tie_below`` (0: no such masks)."""
     bk, bq, bm = best
     if target is not None:
         # below the target; among hits, smallest (|S|, mask) wins
-        need = max(k * target[1] // target[0] + 1, 2)
+        need = max(k * target.q // target.p + 1, 2)
         if bq == 0 or k < bk:
             return need, 0, 0
         if k == bk:
@@ -498,7 +496,7 @@ def _hopeless(table, caps) -> int:
 def _scan(
     quotient: _Quotient,
     alpha: int,
-    target: tuple[int, int] | None,
+    target: Ratio | None,
     best: tuple[int, int, int],
     shard: int = 0,
     shards: int = 1,
@@ -519,8 +517,8 @@ def _scan(
     returns the minimum (|S|, omega, mask) under (ratio, |S|, mask) over
     ``best`` and the cuts that beat it, which is independent of the
     incumbent handed in (it only prunes candidates that cannot beat it).
-    With ``target = (p, q)`` and no incumbent, returns the cut of ratio
-    below p/q that is smallest under (|S|, mask), or ``_NO_INCUMBENT``.
+    With a ``target``, returns the minimum under (|S|, mask) over ``best``
+    and the cuts of ratio below it, else ``_NO_INCUMBENT``, just as freely.
     """
     classes, rows, sizes, w, (T0, T1, T2), (V0, V1, V2) = quotient
     n = sum(sizes)
@@ -604,14 +602,67 @@ def _scan(
     return best
 
 
-def _check_limit(g: Graph, classes: tuple[int, ...], cfg: EngineConfig) -> None:
-    """Raise LimitExceeded when g has more twin classes than the exhaustive
-    limit."""
+def _certified_scan(
+    g: Graph, classes, alpha: int, cfg: EngineConfig, target=None, best=_NO_INCUMBENT
+) -> CutCertificate | None:
+    """``_scan`` of g, given its ``twin_classes`` and alpha, from the
+    incumbent ``best``, sharded over ``cfg.workers``, as a certificate whose
+    omega is recomputed and verified on g and, with a target, whose ratio
+    is checked below it; a failure raises AssertionError."""
+    quotient = _quotient(g, classes)
+    # Workers 2 against 1 with strided shards on three twin-free G(n, 1/2)
+    # per n (2-vCPU VM, Python 3.11.7; seconds, best of two, 1 -> 2):
+    # n = 19 0.05 -> 0.11, 0.06 -> 0.08 and 0.03 -> 0.07, n = 20 0.06 -> 0.10,
+    # 0.07 -> 0.08 and 0.06 -> 0.10, n = 21 0.17 -> 0.12, 0.09 -> 0.11 and
+    # 0.24 -> 0.13, n = 22 0.44 -> 0.23, 0.19 -> 0.16 and 0.13 -> 0.14,
+    # n = 23 0.29 -> 0.33, 0.55 -> 0.28 and 0.34 -> 0.22.  The pool's
+    # start-up outweighs the filtered scan at 19 and 20 classes; two workers
+    # win on two of three graphs at 21 and on four of six at 22 and 23.
+    # More workers than CPUs only oversubscribe: chain m=4 took 12.3 s at 8
+    # workers against 9.1 s at 2 on 2 cores.
+    workers = 1 if len(classes) < 22 else min(cfg.workers, usable_cpus())
+    if workers < 2:
+        best = _scan(quotient, alpha, target, best)
+    else:
+        # imported only here: single-worker callers never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        # shard i of 64 scans blocks i, i + 64, ... of the single scan;
+        # waves of 4 per worker start from the best cut merged so far
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pending, shard = [], 0
+            while shard < 64 or pending:
+                while shard < 64 and len(pending) < 4 * workers:
+                    pending.append(pool.submit(_scan, quotient, alpha, target, best, shard, 64))
+                    shard += 1
+                done = next(as_completed(pending))
+                pending.remove(done)
+                cand = done.result()
+                if not cand[1]:
+                    continue
+                # below a target, the smallest (|S|, mask) wins
+                if cand[::2] < best[::2] or not best[1] if target else _better(*cand, best):
+                    best = cand
+    if not best[1]:
+        return None
+    cert = CutCertificate.from_cut(g, best[2])  # omega recomputed, not trusted
+    check = verify_certificate(g, cert)
+    if check and target is not None and not cert.ratio < target:
+        check = VerifyResult(False, f"ratio {cert.ratio} is not below {target}")
+    if not check:
+        raise AssertionError(f"engine produced an invalid certificate: {check.reason}")
+    return cert
+
+
+def _scan_classes(g: Graph, cfg: EngineConfig) -> tuple[int, ...]:
+    """g's twin classes; LimitExceeded when they exceed the exhaustive limit."""
+    classes = tuple(twin_classes(g))
     if len(classes) > cfg.exhaustive_limit:
         raise LimitExceeded(
             f"{len(classes)} twin classes (n={g.n}) exceed exhaustive limit "
             f"{cfg.exhaustive_limit}; use the heuristic upper-bound search"
         )
+    return classes
 
 
 def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessResult:
@@ -627,55 +678,11 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
         return ToughnessResult(INFINITE, None)
     if not is_connected(g):
         return ToughnessResult(Ratio(0), CutCertificate.from_cut(g, 0))
-    classes = tuple(twin_classes(g))
-    _check_limit(g, classes, cfg)
-    quotient = _quotient(g, classes)
+    classes = _scan_classes(g, cfg)
     alpha, alpha_set = _independent_classes(g, classes)
-
-    # seed: the complement of a maximum independent set is always a valid cut
+    # seed: the complement of a maximum independent set, alpha components
     seed_cut = g.full_mask & ~alpha_set
-    seed_omega = alpha_set.bit_count()  # an independent set: one component each
-    inc = (seed_cut.bit_count(), seed_omega, seed_cut)
-
-    # Workers 2 against 1 with strided shards on three twin-free G(n, 1/2)
-    # per n (2-vCPU VM, Python 3.11.7; seconds, best of two, 1 -> 2):
-    # n = 19 0.05 -> 0.11, 0.06 -> 0.08 and 0.03 -> 0.07, n = 20 0.06 -> 0.10,
-    # 0.07 -> 0.08 and 0.06 -> 0.10, n = 21 0.17 -> 0.12, 0.09 -> 0.11 and
-    # 0.24 -> 0.13, n = 22 0.44 -> 0.23, 0.19 -> 0.16 and 0.13 -> 0.14,
-    # n = 23 0.29 -> 0.33, 0.55 -> 0.28 and 0.34 -> 0.22.  The pool's
-    # start-up outweighs the filtered scan at 19 and 20 classes; two workers
-    # win on two of three graphs at 21 and on four of six at 22 and 23.
-    # More workers than CPUs only oversubscribe: chain m=4 took 12.3 s at 8
-    # workers against 9.1 s at 2 on 2 cores.
-    workers = 1 if len(classes) < 22 else min(cfg.workers, usable_cpus())
-    if workers < 2:
-        best = _scan(quotient, alpha, None, inc)
-    else:
-        # imported only here: single-worker callers never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        # shard i scans blocks i, i + 64, ... of the single scan; waves of
-        # 4 per worker start from the best cut merged so far
-        shards = 64
-        best = inc
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            wave = 4 * workers
-            pending = []
-            shard = 0
-            while shard < shards or pending:
-                while shard < shards and len(pending) < wave:
-                    pending.append(pool.submit(_scan, quotient, alpha, None, best, shard, shards))
-                    shard += 1
-                done = next(as_completed(pending))
-                pending.remove(done)
-                cand = done.result()
-                if cand[1] and _better(*cand, best):
-                    best = cand
-    # recompute omega rather than trusting the scan's bookkeeping
-    cert = CutCertificate.from_cut(g, best[2])
-    check = verify_certificate(g, cert)
-    if not check:
-        raise AssertionError(f"engine produced an invalid certificate: {check.reason}")
+    cert = _certified_scan(g, classes, alpha, cfg, best=(seed_cut.bit_count(), alpha, seed_cut))
     return ToughnessResult(cert.ratio, cert)
 
 
@@ -684,18 +691,15 @@ def find_cut_below(
 ) -> CutCertificate | None:
     """The cut of g with ratio strictly below target that has the fewest
     vertices and, among those, the lowest mask; None when the scan proves no
-    such cut exists.  Raises LimitExceeded past the exhaustive limit."""
-    classes = tuple(twin_classes(g))
-    _check_limit(g, classes, cfg)
-    return _cut_below(g, target, _quotient(g, classes), _independent_classes(g, classes)[0])
-
-
-def _cut_below(
-    g: Graph, target: Ratio, quotient: _Quotient, alpha: int
-) -> CutCertificate | None:
-    """``find_cut_below`` given g's twin quotient and independence number."""
-    hit = _scan(quotient, alpha, (target.p, target.q), _NO_INCUMBENT)
-    return CutCertificate.from_cut(g, hit[2]) if hit[1] else None
+    such cut exists, as for target 0.  Raises ValueError for a target that
+    is not a finite Ratio, and LimitExceeded past the exhaustive limit."""
+    if not isinstance(target, Ratio):
+        raise ValueError(f"target must be a finite Ratio, got {target!r}")
+    if not target.p:
+        return None
+    classes = _scan_classes(g, cfg)
+    alpha = _independent_classes(g, classes)[0]
+    return _certified_scan(g, classes, alpha, cfg, target)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +774,7 @@ def _vertex_counter(adj: tuple[int, ...], classes: tuple[int, ...]):
     neighbours; the BFS stops once it has reached all of them, and the
     component then stays one piece.  Any other input is counted from
     scratch.  The BFS expands only each class's lowest member (``reps``),
-    as ``component_count`` does."""
+    as ``graph._components`` does."""
     reps = sum(c & -c for c in classes)
     class_of = {c & -c: c for c in classes}
 
@@ -1164,19 +1168,15 @@ def _witness_for_edge(
     classes = tuple(twin_classes(ge))
     nq = len(classes)
     # past the exhaustive limit the scan cannot run, so annealing goes first
-    scan_first = (
-        cfg.allow_exhaustive_edges
-        and nq <= cfg.exhaustive_limit
-        and 1 << nq <= SCAN_STEPS_PER_SUBSET * steps
-    )
-    if not scan_first:
+    scannable = cfg.allow_exhaustive_edges and nq <= cfg.exhaustive_limit
+    if not scannable or 1 << nq > SCAN_STEPS_PER_SUBSET * steps:
         # g-e lacks the edge, so it is never complete
         cert = toughness_upper_search(ge, steps, seed=cfg.seed * 7919 + edge_index, restarts=3)
         if cert.ratio < target:
             return EdgeWitness(edge, cert, "heuristic")
-        if not cfg.allow_exhaustive_edges or nq > cfg.exhaustive_limit:
+        if not scannable:
             return EdgeWitness(edge, None, "inconclusive")
-    cert = _cut_below(ge, target, _quotient(ge, classes), _alpha_without(g, edge, alpha()))
+    cert = _certified_scan(ge, classes, _alpha_without(g, edge, alpha()), cfg, target)
     return EdgeWitness(edge, cert, "exhaustive")
 
 

@@ -118,10 +118,16 @@ class TestIndependence:
         assert all(not g.adj[v] & witness for v in bits_of(witness))
 
     def test_deep_search_raises_limit_exceeded(self):
-        # a path is twin-free, so the search is as deep as its branched vertices
-        assert independence_number(path(900))[0] == 450
+        # a perfect matching is twin-free, and each level of the search takes
+        # one end of an edge, so it is as deep as the matching has edges: 600
+        # stays well below the default recursion limit of 1,000, and 1,200
+        # goes past it
+        def matching(k):
+            return build_graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+        assert independence_number(matching(600))[0] == 600
         with pytest.raises(LimitExceeded, match="independence search too deep"):
-            independence_number(path(1500))
+            independence_number(matching(1200))
 
     def test_digest(self):
         """(alpha, set) over the seeded corpus, within masks included: one

@@ -21,6 +21,7 @@ from oracles import (
 
 import toughgraphs.toughness as engine
 from toughgraphs.graph import (
+    _components,
     bits_of,
     build_graph,
     component_count,
@@ -232,8 +233,8 @@ def copy_groups(spec):
 
 @pytest.fixture
 def submitted_shards(monkeypatch):
-    """The (shard, shards) pairs that ``toughness_exact`` hands its pool;
-    22 classes is the least it shards.  Two usable CPUs are assumed, so a
+    """The (shard, shards) pairs that the scan runner hands its pool; 22
+    classes is the least it shards.  Two usable CPUs are assumed, so a
     two-worker pool is built however many the machine has."""
     monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
     submitted = []
@@ -297,6 +298,21 @@ class TestScanOracles:
                     assert got == brute_first_below(ge, ratio_of(target))
                     if cert is not None:
                         assert verify_certificate(ge, cert).ok
+
+    @pytest.mark.parametrize("g", [cycle(5), build_graph(4, [(0, 1), (2, 3)])],
+                             ids=["C5", "disconnected"])
+    def test_target_zero_or_infinite(self, g):
+        # no ratio lies below 0; a target that is not a finite Ratio is an error
+        assert find_cut_below(g, Ratio(0)) is None
+        with pytest.raises(ValueError, match="target must be a finite Ratio, got INFINITE"):
+            find_cut_below(g, INFINITE)
+
+    def test_cut_at_or_above_the_target_is_refused(self, monkeypatch):
+        # the runner re-checks each target-mode cut below the target; C5 has
+        # t = 1 and {0, 2} leaves two components, a ratio of exactly 1
+        monkeypatch.setattr(engine, "_scan", lambda *args: (2, 2, 0b101))
+        with pytest.raises(AssertionError, match="ratio 1/1 is not below 1/1"):
+            find_cut_below(cycle(5), Ratio(1))
 
     def test_large_blowup_goes_through_exact(self, rng):
         spec, g = random_blowup(rng, 10, 4)
@@ -392,6 +408,30 @@ class TestQuotientScan:
         assert a.value == b.value
         assert a.witness == b.witness
 
+    def test_target_scans_shard_alike(self, rng, submitted_shards):
+        # find_cut_below and minimality's per-edge scans share the pool of
+        # toughness_exact.  The second graph is a twin-free tree on 22
+        # vertices plus the edge 0-2, which closes a cycle of 8 (t = 1/3):
+        # its bridges and annealing resolve every edge but 0-2, whose one
+        # scan proves that no cut of G - e lies below 1/3
+        g = twin_free_graph(rng, 22)
+        t = toughness_exact(g).value
+        target = Ratio(t.p + t.q, t.q)
+        a = find_cut_below(g, target, EngineConfig(workers=1))
+        assert a is not None and not submitted_shards
+        assert find_cut_below(g, target, EngineConfig(workers=2)) == a
+        assert sorted(submitted_shards) == [(i, 64) for i in range(64)]
+        submitted_shards.clear()
+        g = parse_graph6("UsC`C?GG??__?G?@?G??C@????OC??CC???_?G??")
+        assert len(twin_classes(g)) == 22
+        t = toughness_exact(g).value
+        assert t == Ratio(1, 3)
+        one = is_minimally_tough(g, EngineConfig(workers=1), toughness=t)
+        assert not submitted_shards
+        two = is_minimally_tough(g, EngineConfig(workers=2), toughness=t)
+        assert sorted(submitted_shards) == [(i, 64) for i in range(64)]
+        assert one == two and one.failing_edges == [(0, 2)]
+
     @pytest.mark.parametrize(
         "cpus,pools,most_pending", [(1, [], 0), (2, [2], 8)], ids=["one-cpu", "two-cpus"]
     )
@@ -434,7 +474,7 @@ def lane_oracle(g, base, bits):
     for j in range(1 << bits):
         s = base | j
         cut = sum(c for i, c in enumerate(classes) if s >> i & 1)
-        if component_count(g.adj, g.full_mask & ~cut, g.full_mask) >= 2:
+        if component_count(g.adj, g.full_mask & ~cut) >= 2:
             out |= 1 << j
     return out
 
@@ -553,6 +593,21 @@ class TestLaneFilter:
                         if cand[1] and engine._better(*cand, best):
                             best = cand
                     assert best == whole, (start, shards)
+            # below a target the shards min-merge under (|S|, mask); t has no
+            # cut below it, t + 1 has
+            t = Ratio(*whole[:2])
+            for target in (t, Ratio(t.p + t.q, t.q)):
+                first = engine._scan(quotient, alpha, target, engine._NO_INCUMBENT)
+                got = (first[0], first[2]) if first[1] else None
+                assert got == brute_first_below(g, ratio_of(target))
+                for start in (engine._NO_INCUMBENT, first):
+                    for shards in (1, 3, 64):
+                        best = start
+                        for shard in range(shards):
+                            cand = engine._scan(quotient, alpha, target, start, shard, shards)
+                            if cand[1] and (not best[1] or cand[::2] < best[::2]):
+                                best = cand
+                        assert best == first, (target, start, shards)
 
     def test_peak_memory_is_bounded(self):
         # a 2^q-bit table of the cuts would take 512 KB at q = 22.  A spider
@@ -654,7 +709,7 @@ class TestLaneBound:
                 want = (alive & ~reach).bit_count() + seed.bit_count() - 1
                 got = 8 if sat >> j & 1 else sum((p >> j & 1) << i for i, p in enumerate(planes))
                 assert got == min(want, 8), (g.edges(), base | j)
-                assert component_count(g.adj, alive, g.full_mask) <= 1 + want
+                assert component_count(g.adj, alive) <= 1 + want
 
     @pytest.mark.parametrize("q", [5, 9, 13])
     def test_twin_free_bound(self, rng, q):
@@ -867,7 +922,7 @@ class TestUpperSearch:
                 lone_seen += any(
                     c & nxt and not g.adj[c.bit_length() - 1] & nxt for c in several
                 )
-                assert count(nxt) == component_count(g.adj, nxt, reps), (write_graph6(g), step)
+                assert count(nxt) == len(_components(g.adj, nxt, reps)), (write_graph6(g), step)
                 previous, alive = alive, nxt
         if kind == "blowup":
             assert lone_seen > 0
@@ -1114,9 +1169,10 @@ class TestMinimalityRouting:
         def no_scan(*args, **kwargs):
             raise AssertionError("exhaustive scan with allow_exhaustive_edges=False")
 
-        monkeypatch.setattr(engine, "_cut_below", no_scan)
+        t = toughness_exact(sc52()).value
+        monkeypatch.setattr(engine, "_certified_scan", no_scan)
         cfg = EngineConfig(allow_exhaustive_edges=False)
-        rep = is_minimally_tough(sc52(), cfg)
+        rep = is_minimally_tough(sc52(), cfg, toughness=t)
         assert {w.source for w in rep.entries} <= {"heuristic", "inconclusive"}
 
     def test_alpha_of_each_edge_deletion_is_derived_exactly(self, rng):
