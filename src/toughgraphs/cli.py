@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import re
 import sys
 import time
@@ -284,7 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout closed early (``| head``): quiet now and at shutdown's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, LimitExceeded) as exc:
         # user errors only: any other exception is a defect and keeps its
         # traceback

@@ -38,20 +38,10 @@ def write_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    bits = []
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        body.append(chr(val + 63))
-    return head + "".join(body)
+    # column j holds x(0,j) .. x(j-1,j): bits 0..j-1 of adj[j], lowest first
+    bits = "".join([format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)])
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6)])
 
 
 def parse_graph6(line: str) -> Graph:

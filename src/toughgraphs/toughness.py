@@ -81,7 +81,8 @@ the (ratio, |S|, mask) tie-break picks the same certificate in either form.
 Both kinds of scan run in ``_certified_scan``.  From 22 twin classes on it
 deals the blocks to 64 strided shards (shard i takes blocks i, i + 64, ...);
 a shard's answer does not depend on the incumbent it starts from, so the
-min-merge is schedule independent.  Every answer is re-verified on the graph.
+min-merge is schedule independent.  Each engine's own (|S|, omega, mask)
+leaves through ``_engine_certificate``; ``verify_certificate`` recounts omega.
 """
 
 from __future__ import annotations
@@ -188,6 +189,20 @@ def verify_certificate(g: Graph, cert: CutCertificate) -> VerifyResult:
             f"actual {cert.cut.bit_count()}/{cert.omega}",
         )
     return VerifyResult(True)
+
+
+def _engine_certificate(g: Graph, best, target: Ratio | None = None) -> CutCertificate:
+    """The one exit for an engine's answer ``best``, (|S|, omega, mask) on
+    g: ``verify_certificate`` recounts the engine's omega with an independent
+    BFS, and the ratio must lie below a target; failures raise AssertionError."""
+    k, omega, cut = best
+    cert = CutCertificate(cut, omega, Ratio(k, omega))
+    check = verify_certificate(g, cert)
+    if check and target is not None and not cert.ratio < target:
+        check = VerifyResult(False, f"ratio {cert.ratio} is not below {target}")
+    if not check:
+        raise AssertionError(f"engine produced an invalid certificate: {check.reason}")
+    return cert
 
 
 def write_certificate(g: Graph, cert: CutCertificate) -> str:
@@ -606,9 +621,9 @@ def _certified_scan(
     g: Graph, classes, alpha: int, cfg: EngineConfig, target=None, best=_NO_INCUMBENT
 ) -> CutCertificate | None:
     """``_scan`` of g, given its ``twin_classes`` and alpha, from the
-    incumbent ``best``, sharded over ``cfg.workers``, as a certificate whose
-    omega is recomputed and verified on g and, with a target, whose ratio
-    is checked below it; a failure raises AssertionError."""
+    incumbent ``best``, sharded over ``cfg.workers``; None when no cut beats
+    it.  The scan's own (|S|, omega, mask) leaves through
+    ``_engine_certificate``, where ``verify_certificate`` recounts omega."""
     quotient = _quotient(g, classes)
     # Workers 2 against 1 with strided shards on three twin-free G(n, 1/2)
     # per n (2-vCPU VM, Python 3.11.7; seconds, best of two, 1 -> 2):
@@ -643,15 +658,7 @@ def _certified_scan(
                 # below a target, the smallest (|S|, mask) wins
                 if cand[::2] < best[::2] or not best[1] if target else _better(*cand, best):
                     best = cand
-    if not best[1]:
-        return None
-    cert = CutCertificate.from_cut(g, best[2])  # omega recomputed, not trusted
-    check = verify_certificate(g, cert)
-    if check and target is not None and not cert.ratio < target:
-        check = VerifyResult(False, f"ratio {cert.ratio} is not below {target}")
-    if not check:
-        raise AssertionError(f"engine produced an invalid certificate: {check.reason}")
-    return cert
+    return _engine_certificate(g, best, target) if best[1] else None
 
 
 def _scan_classes(g: Graph, cfg: EngineConfig) -> tuple[int, ...]:
@@ -852,11 +859,12 @@ def _vertex_counter(adj: tuple[int, ...], classes: tuple[int, ...]):
     return count
 
 
-def _shrink(chosen: int, units: list[int], measure) -> tuple[int, int, int]:
+def _shrink(chosen: int, units: list[int], measure) -> tuple[int, int, int, float]:
     """Greedy removal pass: drop classes (``units``), in class order, while
     the exact ratio improves; ``measure`` gives a state's (vertex count,
-    components left, energy).  Returns (chosen, weight, omega)."""
-    weight, omega, _ = measure(chosen)
+    components left, energy).  Returns (chosen, weight, omega, energy), with
+    omega >= 2 whenever the pass starts there."""
+    weight, omega, energy = measure(chosen)
     improved = True
     while improved:
         improved = False
@@ -864,12 +872,12 @@ def _shrink(chosen: int, units: list[int], measure) -> tuple[int, int, int]:
             if not chosen & u:
                 continue
             cand = chosen ^ u
-            w, om, _ = measure(cand)
+            w, om, e = measure(cand)
             if om >= 2 and w * omega < weight * om:
-                chosen, weight, omega = cand, w, om
+                chosen, weight, omega, energy = cand, w, om, e
                 improved = True
                 break
-    return chosen, weight, omega
+    return chosen, weight, omega, energy
 
 
 def toughness_upper_search(
@@ -893,7 +901,8 @@ def toughness_upper_search(
     Restarts are seeded from complements of greedy clique packings with
     caps 1, 3 and q classes (cap 1 packs an independent set), neighborhoods
     and random states, each followed by a greedy shrink pass, so structured
-    optima are reachable even when annealing alone would wander.
+    optima are reachable even when annealing alone would wander.  The best
+    state's own omega is what ``verify_certificate`` recounts.
     """
     if not is_connected(g):
         raise ValueError("upper search needs a connected graph")
@@ -1005,13 +1014,9 @@ def toughness_upper_search(
             lo = min(range(nq), key=lambda i: ((nbrs(units[i]) & reps).bit_count(), i))
             state = nbrs(units[lo])
         else:
-            state = 0
-            for u in units:
-                if uniform() < 0.5:
-                    state |= u
-        state, cw, com = _shrink(state, units, measure)
+            state = sum(u for u in units if uniform() < 0.5)
+        state, cw, com, energy = _shrink(state, units, measure)
         consider(state, cw, com)
-        energy = cw / com if com >= 2 else dead
         # one long geometric cooling arc per restart: 0.95 per sweep of moves
         temp = 0.5
         best_ratio_seen = energy
@@ -1035,27 +1040,21 @@ def toughness_upper_search(
                     consider(cand, cw, com)
                     if ce < best_ratio_seen - 1e-12:
                         best_ratio_seen = ce
-                        state, cw, com = _shrink(cand, units, measure)
-                        energy = cw / com if com >= 2 else energy
+                        state, cw, com, energy = _shrink(cand, units, measure)
                         consider(state, cw, com)
             if step % nq == nq - 1:
-                temp *= 0.95
-                if temp < 1e-4:
-                    temp = 1e-4
-        state, cw, com = _shrink(state, units, measure)
+                temp = max(temp * 0.95, 1e-4)
+        state, cw, com, _ = _shrink(state, units, measure)
         consider(state, cw, com)
 
-    if best[1]:
-        cut = sum(c for c, u in zip(classes, units) if best[2] & u)
-    else:
-        # deterministic fallback: the neighbors of the first vertex with a
-        # non-neighbor (g is not complete) cut it off from that non-neighbor
-        cut = next(adj[v] for v in range(g.n) if adj[v] != g.full_mask ^ (1 << v))
-    cert = CutCertificate.from_cut(g, cut)
-    check = verify_certificate(g, cert)
-    if not check:
-        raise AssertionError(f"upper search produced invalid certificate: {check.reason}")
-    return cert
+    if not best[1]:
+        # deterministic fallback: the neighbors (whole classes) of the first
+        # vertex with a non-neighbor (g is not complete) cut the two apart
+        v = next(v for v in range(g.n) if adj[v] != g.full_mask ^ (1 << v))
+        state = nbrs(next(u for c, u in zip(classes, units) if c >> v & 1))
+        consider(state, *measure(state)[:2])
+    cut = sum(c for c, u in zip(classes, units) if best[2] & u)
+    return _engine_certificate(g, best[:2] + (cut,))
 
 
 # ---------------------------------------------------------------------------

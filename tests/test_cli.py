@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -447,3 +450,32 @@ def test_file_header_line_reads_like_a_bare_line(capsys, tmp_path, argv):
     want = run(capsys, *argv, "--file", str(bare))
     assert want[0] == 0
     assert run(capsys, *argv, "--file", str(headed)) == want
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["toughness", "--g6", "Dhc", "--exact"], False),
+        (["toughness", "--g6", "Dhc", "--exact"], True),
+        (["gen", "planar-chain", "--m", "60"], False),  # 10,775 bytes
+    ],
+    ids=["flushed-at-exit", "unbuffered", "past-the-buffer"],
+)
+def test_closed_stdout_exits_1_quietly(argv, unbuffered):
+    # the child's stdout is a pipe whose read end is already closed, as under
+    # ``| head -1`` once head has exited: exit 1, and nothing on stderr, not
+    # even from the interpreter's last flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "toughgraphs.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")

@@ -314,6 +314,19 @@ class TestScanOracles:
         with pytest.raises(AssertionError, match="ratio 1/1 is not below 1/1"):
             find_cut_below(cycle(5), Ratio(1))
 
+    @pytest.mark.parametrize(
+        "run",
+        [lambda: toughness_exact(cycle(5)), lambda: find_cut_below(cycle(5), Ratio(3, 2))],
+        ids=["exact", "target"],
+    )
+    def test_scan_that_overcounts_is_refused(self, monkeypatch, run):
+        # the scan's own omega is what the certificate claims: {0, 2} leaves
+        # two components of C5, and a scan that counts three must not turn
+        # into a recounted certificate
+        monkeypatch.setattr(engine, "_scan", lambda *args: (2, 3, 0b101))
+        with pytest.raises(AssertionError, match="component mismatch: claimed 3, recomputed 2"):
+            run()
+
     def test_large_blowup_goes_through_exact(self, rng):
         spec, g = random_blowup(rng, 10, 4)
         while g.n <= 30:
@@ -865,6 +878,31 @@ class TestUpperSearch:
         g = pinned_graph(graph)
         cert = toughness_upper_search(g, budget, seed=seed, restarts=restarts)
         assert (cert.ratio, cert.cut) == (ratio, cut)
+
+    @pytest.mark.parametrize("n", [8, 30], ids=["class-masks", "vertex-masks"])
+    def test_annealing_that_overcounts_is_refused(self, monkeypatch, n):
+        """A count one too high from two components on: a cut of two
+        vertices of C_n then claims ratio 2/3, below any honest one, and the
+        recount of the annealing's own omega refuses it.  C8 anneals over
+        class masks, C30 over vertex masks."""
+
+        def overcounting(count):
+            def wrong(alive):
+                c = count(alive)
+                return c + 1 if c >= 2 else c
+
+            return wrong
+
+        tables, vertices = engine._table_counters, engine._vertex_counter
+
+        def wrong_tables(*args):
+            count, weigh = tables(*args)
+            return overcounting(count), weigh
+
+        monkeypatch.setattr(engine, "_table_counters", wrong_tables)
+        monkeypatch.setattr(engine, "_vertex_counter", lambda *args: overcounting(vertices(*args)))
+        with pytest.raises(AssertionError, match="component mismatch: claimed 3, recomputed 2"):
+            toughness_upper_search(cycle(n), budget_steps=2_000, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2025])
     def test_inline_move_draw_is_randrange(self, seed):
