@@ -91,6 +91,7 @@ import os
 import random
 import struct
 from collections import namedtuple
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -242,6 +243,7 @@ def parse_certificate(text: str) -> tuple[Graph, CutCertificate]:
 class ToughnessResult:
     value: object  # Ratio or INFINITE
     witness: CutCertificate | None
+    alpha: int | None = None  # alpha(g), the scan's cap on omega; None when no scan ran
 
 
 # ---------------------------------------------------------------------------
@@ -267,56 +269,42 @@ def _better(k: int, q: int, mask: int, inc) -> bool:
     return mask < imask
 
 
-def _thresholds(k: int, best: tuple[int, int, int], target: Ratio | None) -> tuple[int, int, int]:
-    """(needed, needed_tie, tie_below): the component count a cut of k
-    vertices needs to replace ``best``, and the count that suffices instead
-    for masks below ``tie_below`` (0: no such masks)."""
-    bk, bq, bm = best
-    if target is not None:
-        # below the target; among hits, smallest (|S|, mask) wins
-        need = max(k * target.q // target.p + 1, 2)
-        if bq == 0 or k < bk:
-            return need, 0, 0
-        if k == bk:
-            return _NEVER, need, bm
-        return _NEVER, 0, 0
-    if bq == 0:
-        return 2, 0, 0
-    div, rem = divmod(k * bq, bk)
-    if rem == 0 and k < bk:
-        return max(div, 2), 0, 0
-    if rem == 0 and k == bk:
-        # ties beat the incumbent only on a smaller mask
-        return max(div + 1, 2), max(div, 2), bm
-    return max(div + 1, 2), 0, 0
-
-
-def _chunk_tables(values, w: int, combine) -> tuple[list[int], ...]:
+def _chunk_tables(values, w: int, add: bool = False, zero=0) -> tuple[list[int], ...]:
     """Three tables over the w-bit chunks of a class mask: entry x of table j
-    combines ``values[j * w + i]`` over the set bits i of x.  Each value
-    doubles its table, extending every entry so far."""
+    is the union (with ``add``, the sum) of ``values[j * w + i]`` over the
+    set bits i of x.  Each value doubles its table, extending every entry."""
     out = []
     for lo in (0, w, 2 * w):
-        t = [0]
+        t = [zero]
         for v in values[lo : lo + w]:
-            t += [combine(e, v) for e in t]
+            t += [e + v for e in t] if add else [e | v for e in t]
         out.append(t)
     return tuple(out)
 
 
+@cache
+def _unit_tables(w: int) -> tuple[tuple, tuple]:
+    """Chunk tables that depend only on the width: vertex counts when every
+    class is one vertex, and class indices (j * w + i for the bits i of x)."""
+    indices = _chunk_tables([(i,) for i in range(3 * w)], w, True, ())
+    return _chunk_tables([1] * 3 * w, w, True), indices
+
+
 # the twin quotient of a graph: ``classes`` in ``twin_classes`` order,
-# ``rows[i]`` the class mask of class i's neighbours, ``sizes[i]`` its vertex
-# count, and the three chunk tables of each over w = ceil(q/3) bits, holding
-# their union (T) and their sum (V), so a closure round and a weight take
-# three lookups each
-_Quotient = namedtuple("_Quotient", "classes rows sizes w T V")
+# ``rows[i]`` the class mask of class i's neighbours and ``nbrs[i]`` their
+# indices, ``sizes[i]`` its vertex count, and the three chunk tables of rows
+# and sizes over w = ceil(q/3) bits, holding their union (T) and their sum
+# (V), so a closure round and a weight take three lookups each
+_Quotient = namedtuple("_Quotient", "classes rows nbrs sizes w T V")
 
 
 def _quotient(g: Graph, classes: tuple[int, ...]) -> _Quotient:
     """The twin quotient of g over its ``twin_classes``, built once per
-    graph.  A class's row gathers the class bits of one member's
-    neighbours, taking one neighbour per class; when every class is one
-    vertex, the rows are adj."""
+    graph with everything the scan reads.  A class's row gathers the class
+    bits of one member's neighbours, taking one neighbour per class; when
+    every class is one vertex, the rows are adj and ``_unit_tables`` counts."""
+    w = -(-len(classes) // 3)
+    units, (I0, I1, I2) = _unit_tables(w)
     rows = g.adj
     if len(classes) < g.n:
         cbit = {v: 1 << i for i, c in enumerate(classes) for v in bits_of(c)}
@@ -329,9 +317,10 @@ def _quotient(g: Graph, classes: tuple[int, ...]) -> _Quotient:
                 nb &= ~classes[b.bit_length() - 1]
             rows.append(row)
     sizes = tuple(c.bit_count() for c in classes)
-    w = -(-len(classes) // 3)
-    T = _chunk_tables(rows, w, int.__or__)
-    return _Quotient(classes, tuple(rows), sizes, w, T, _chunk_tables(sizes, w, int.__add__))
+    m = (1 << w) - 1
+    nbrs = [I0[r & m] + I1[r >> w & m] + I2[r >> 2 * w] for r in rows]
+    V = units if len(classes) == g.n else _chunk_tables(sizes, w, add=True)
+    return _Quotient(classes, tuple(rows), nbrs, sizes, w, _chunk_tables(rows, w), V)
 
 
 # Lane bits L of the scan's disconnection filter: a block of 2^L cuts shares
@@ -469,7 +458,7 @@ def _lane_counter(terms) -> tuple[int, int, int, int]:
 
 def _viable_lanes(lanes: int, counter, thresholds) -> int:
     """The lanes of ``lanes`` whose component bound in ``counter`` reaches
-    the fewest components that ``thresholds``, a ``_thresholds`` entry,
+    the fewest components that ``thresholds``, a ``_threshold_table`` entry,
     lets a cut be recorded with; all of them without a counter.  A
     saturated lane stays whatever the threshold.
 
@@ -498,14 +487,35 @@ def _viable_lanes(lanes: int, counter, thresholds) -> int:
     return above | eq
 
 
-def _hopeless(table, caps) -> int:
-    """The fewest vertices no cut can be recorded with.  A cut of k vertices
-    leaves at most min(alpha, n - k) components, and k / min(alpha, n - k)
-    grows with k, so no larger cut can be recorded either."""
-    for k, (needed, needed_tie, tie_below) in enumerate(table):
-        if needed > caps[k] and (not tie_below or needed_tie > caps[k]):
-            return k
-    return len(table)
+def _threshold_table(n: int, alpha: int, best, target: Ratio | None) -> tuple[list, int]:
+    """(table, kstop): ``table[k]`` holds the components a cut of k vertices
+    needs to replace ``best``, then those that suffice below the mask in its
+    third entry (0: none); ``_NEVER`` past min(alpha, n - k), the most it can
+    leave, and, as k / min(alpha, n - k) grows with k, from kstop on."""
+    (bk, bq, bm), table = best, []
+    for k in range(n - 1):
+        tie = 0
+        if target is not None:
+            # below the target; among hits, smallest (|S|, mask) wins
+            needed = max(k * target.q // target.p + 1, 2)
+            if bq and k >= bk:
+                if k > bk:
+                    break
+                needed, tie = _NEVER, needed
+        elif not bq:
+            needed = 2
+        else:
+            div, rem = divmod(k * bq, bk)
+            needed = max(div + (rem > 0 or k >= bk), 2)
+            # ties beat the incumbent only on a smaller mask; div = bq >= 2
+            tie = div if not rem and k == bk else 0
+        cap = min(alpha, n - k)
+        if needed > cap:
+            if not tie or tie > cap:
+                break
+            needed = _NEVER
+        table.append((needed, tie, bm if tie else 0))
+    return table + [(_NEVER, 0, 0)] * (n + 1 - len(table)), len(table)
 
 
 def _scan(
@@ -528,26 +538,23 @@ def _scan(
     components and bounds their component counts (``_lane_bound``); only
     the marked lanes whose bound reaches their level's threshold
     (``_viable_lanes``) have their components counted, by class count and
-    then ascending value within the block.  Without a target,
+    then ascending value within the block.  Per call and per improvement of
+    the incumbent it builds only ``_threshold_table``.  Without a target,
     returns the minimum (|S|, omega, mask) under (ratio, |S|, mask) over
     ``best`` and the cuts that beat it, which is independent of the
     incumbent handed in (it only prunes candidates that cannot beat it).
     With a ``target``, returns the minimum under (|S|, mask) over ``best``
     and the cuts of ratio below it, else ``_NO_INCUMBENT``, just as freely.
     """
-    classes, rows, sizes, w, (T0, T1, T2), (V0, V1, V2) = quotient
+    classes, _, nbrs, sizes, w, (T0, T1, T2), (V0, V1, V2) = quotient
     n = sum(sizes)
     nq = len(classes)
     full = (1 << nq) - 1
-    nbrs = [list(bits_of(r)) for r in rows]
     m = (1 << w) - 1
     w2 = 2 * w
-    if best[1]:
+    if best[1] and nq < n:  # else class masks are vertex masks
         best = best[:2] + (sum(1 << i for i, c in enumerate(classes) if best[2] & c),)
-    # caps[k]: most components a cut of k vertices can leave (0: no cut)
-    caps = [min(alpha, n - k) if k <= n - 2 else 0 for k in range(n + 1)]
-    table = [_thresholds(k, best, target) for k in range(n + 1)]
-    kstop = _hopeless(table, caps)
+    table, kstop = _threshold_table(n, alpha, best, target)
     bits = min(_LANE_BITS, nq)
     _, levels = _lane_patterns(bits)
     nwords = -(-(1 << bits) // 64)
@@ -582,7 +589,7 @@ def _scan(
                     k = V0[s & m] + V1[s >> w & m] + V2[s >> w2]
                     needed0, needed_tie, tie_below = table[k]
                     needed = needed_tie if (tie_below and s < tie_below) else needed0
-                    if needed > caps[k]:
+                    if needed == _NEVER:
                         continue
                     # component count with an early abort once the vertices
                     # left cannot reach the needed component count; inline,
@@ -610,20 +617,24 @@ def _scan(
                             break
                     if count >= needed:
                         best = (k, count, s)
-                        table = [_thresholds(j, best, target) for j in range(n + 1)]
-                        kstop = _hopeless(table, caps)
-    if best[1]:
+                        table, kstop = _threshold_table(n, alpha, best, target)
+    if best[1] and nq < n:
         best = best[:2] + (sum(classes[i] for i in bits_of(best[2])),)
     return best
 
 
+def _process_pool(workers: int):
+    from concurrent.futures import ProcessPoolExecutor  # never loaded by one worker
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _certified_scan(
-    g: Graph, classes, alpha: int, cfg: EngineConfig, target=None, best=_NO_INCUMBENT
+    g: Graph, classes, alpha: int, cfg: EngineConfig, target=None, best=_NO_INCUMBENT, pool=None
 ) -> CutCertificate | None:
     """``_scan`` of g, given its ``twin_classes`` and alpha, from the
-    incumbent ``best``, sharded over ``cfg.workers``; None when no cut beats
-    it.  The scan's own (|S|, omega, mask) leaves through
-    ``_engine_certificate``, where ``verify_certificate`` recounts omega."""
+    incumbent ``best``, sharded over ``cfg.workers`` (in ``pool()`` if given);
+    None when no cut beats it.  The scan's own (|S|, omega, mask) leaves
+    through ``_engine_certificate``, where ``verify_certificate`` recounts omega."""
     quotient = _quotient(g, classes)
     # Workers 2 against 1 with strided shards on three twin-free G(n, 1/2)
     # per n (2-vCPU VM, Python 3.11.7; seconds, best of two, 1 -> 2):
@@ -639,16 +650,15 @@ def _certified_scan(
     if workers < 2:
         best = _scan(quotient, alpha, target, best)
     else:
-        # imported only here: single-worker callers never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import as_completed
 
         # shard i of 64 scans blocks i, i + 64, ... of the single scan;
         # waves of 4 per worker start from the best cut merged so far
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with nullcontext(pool()) if pool else _process_pool(workers) as executor:
             pending, shard = [], 0
             while shard < 64 or pending:
                 while shard < 64 and len(pending) < 4 * workers:
-                    pending.append(pool.submit(_scan, quotient, alpha, target, best, shard, 64))
+                    pending.append(executor.submit(_scan, quotient, alpha, target, best, shard, 64))
                     shard += 1
                 done = next(as_completed(pending))
                 pending.remove(done)
@@ -690,7 +700,7 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     # seed: the complement of a maximum independent set, alpha components
     seed_cut = g.full_mask & ~alpha_set
     cert = _certified_scan(g, classes, alpha, cfg, best=(seed_cut.bit_count(), alpha, seed_cut))
-    return ToughnessResult(cert.ratio, cert)
+    return ToughnessResult(cert.ratio, cert, alpha)
 
 
 def find_cut_below(
@@ -916,7 +926,7 @@ def toughness_upper_search(
     nq = len(classes)
     tabled = -(-nq // 3) <= _ANNEAL_CHUNK_BITS
     if tabled:
-        _, rows, _, w, T, V = _quotient(g, classes)
+        _, rows, _, _, w, T, V = _quotient(g, classes)
         units = [1 << i for i in range(nq)]  # bit i is class i
         full = reps = (1 << nq) - 1  # each class is its own representative
         count, weigh = _table_counters(T, V, w)
@@ -1137,6 +1147,8 @@ def _alpha_without(g: Graph, edge: tuple[int, int], alpha: int) -> int:
     is independent in g, or holds u and v and no other neighbour of either."""
     u, v = edge
     rest = g.full_mask & ~(g.adj[u] | g.adj[v])  # u and v are neighbours in g
+    if 2 + rest.bit_count() <= alpha:  # no search can raise alpha
+        return alpha
     return max(alpha, 2 + independence_number(g, rest)[0])
 
 
@@ -1148,6 +1160,7 @@ def _witness_for_edge(
     hint: CutCertificate | None,
     edge_index: int,
     alpha,
+    pool,
 ) -> EdgeWitness:
     """Find a cut of g-e with ratio strictly below target.
 
@@ -1155,13 +1168,14 @@ def _witness_for_edge(
     cheaper than the short deterministic heuristic run, else that heuristic
     run followed by the scan.  Without a certificate, source "exhaustive"
     means the scan proved no such cut exists, and "inconclusive" that the
-    edge stayed unresolved.  ``alpha()`` gives α(g).
+    edge stayed unresolved.  ``alpha()`` gives α(g), ``pool()`` the pool.
     """
     ge = delete_edge(g, edge)
     if hint is not None:
         if verify_certificate(ge, hint) and hint.ratio < target:
             return EdgeWitness(edge, hint, "template")
-    if not is_connected(ge):
+    # g is connected, so g - e is too when e lies on a triangle
+    if not g.adj[edge[0]] & g.adj[edge[1]] and not is_connected(ge):
         return EdgeWitness(edge, CutCertificate.from_cut(ge, 0), "exhaustive")
     steps = min(MINIMALITY_HEURISTIC_STEPS, 60 * g.n)
     classes = tuple(twin_classes(ge))
@@ -1175,7 +1189,7 @@ def _witness_for_edge(
             return EdgeWitness(edge, cert, "heuristic")
         if not scannable:
             return EdgeWitness(edge, None, "inconclusive")
-    cert = _certified_scan(ge, classes, _alpha_without(g, edge, alpha()), cfg, target)
+    cert = _certified_scan(ge, classes, _alpha_without(g, edge, alpha()), cfg, target, pool=pool)
     return EdgeWitness(edge, cert, "exhaustive")
 
 
@@ -1183,7 +1197,7 @@ def is_minimally_tough(
     g: Graph,
     cfg: EngineConfig = DEFAULT_CONFIG,
     hints: dict[tuple[int, int], CutCertificate] | None = None,
-    toughness: Ratio | None = None,
+    toughness: Ratio | ToughnessResult | None = None,
 ) -> MinimalityReport:
     """Decide whether deleting any single edge strictly lowers the toughness.
 
@@ -1194,22 +1208,25 @@ def is_minimally_tough(
     neither way within the configured limits.
 
     ``toughness`` skips the exact computation of t.  Pass only the exact
-    value (a ``toughness_exact`` result), never the ratio of an upper-bound
-    certificate: every edge is tested against it, so a value above t would
-    let edges that keep t pass as ones that lower it.
+    value or the ``toughness_exact`` result, whose α(g) the scans reuse;
+    never the ratio of an upper-bound certificate: every edge is tested
+    against it, so a value above t would let edges that keep t pass as ones
+    that lower it.  Sharded scans share one pool, started by the first.
     """
     if not is_connected(g):
         raise ValueError("minimality is defined for connected graphs")
     if g.is_complete():
         raise ValueError("complete graphs are never minimally tough")
-    t = toughness_exact(g, cfg).value if toughness is None else toughness
-    hints = hints or {}
-    # α(g), computed once, when the first edge reaches the scan
-    alpha = cache(lambda: independence_number(g)[0])
-    entries = tuple(
-        _witness_for_edge(g, edge, t, cfg, hints.get(edge), idx, alpha)
-        for idx, edge in enumerate(g.edges())
-    )
+    exact = toughness_exact(g, cfg) if toughness is None else toughness
+    t, alpha = (exact.value, exact.alpha) if isinstance(exact, ToughnessResult) else (exact, None)
+    # α(g), unless given, computed once when the first edge reaches the scan
+    alpha_of_g = cache(lambda: independence_number(g)[0] if alpha is None else alpha)
+    with ExitStack() as stack:
+        pool = cache(lambda: stack.enter_context(_process_pool(min(cfg.workers, usable_cpus()))))
+        entries = tuple(
+            _witness_for_edge(g, edge, t, cfg, (hints or {}).get(edge), idx, alpha_of_g, pool)
+            for idx, edge in enumerate(g.edges())
+        )
     return MinimalityReport(t, entries)
 
 
@@ -1254,13 +1271,13 @@ def degree_excess_filter(
     if min_delta is not None and delta < min_delta:
         return DegreeExcessReport(False, delta=delta, reason="degree screen")
     try:
-        t = toughness_exact(g, cfg).value
+        t = (exact := toughness_exact(g, cfg)).value
     except LimitExceeded:
         return DegreeExcessReport(False, inconclusive=True, reason="over exhaustive limit")
     ceil_2t = t.ceil_of_double()
     verdict, reason = False, "degree within ceiling"
     if delta > ceil_2t:
-        verdict = is_minimally_tough(g, cfg, toughness=t).verdict
+        verdict = is_minimally_tough(g, cfg, toughness=exact).verdict
         reasons = {True: "", False: "not minimally tough", None: "minimality inconclusive"}
         reason = reasons[verdict]
     return DegreeExcessReport(

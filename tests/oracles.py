@@ -7,7 +7,8 @@ the annealing search on vertex masks as it was before it moved to the twin
 quotient: a seeded heuristic has no independent answer, so its former
 implementation is the reference the current one must match.
 ``min_adjacency_form`` is the enumerator's former canonical form, kept as a
-second, independently built one.
+second, independently built one, and ``bitwise_parse_graph6`` the graph6
+decoder as it was before it read whole columns.
 """
 
 from __future__ import annotations
@@ -386,3 +387,42 @@ def vertex_mask_anneal(g: Graph, budget_steps: int, seed: int, restarts: int):
         return best[0], best[2]
     cut = next(adj[v] for v in range(g.n) if adj[v] != full ^ (1 << v))
     return Fraction(cut.bit_count(), count(full ^ cut)), cut
+
+
+def bitwise_parse_graph6(line: str) -> Graph:
+    """graph6 decoded one bit at a time, with the same error messages as
+    ``graph6.parse_graph6``."""
+    s = line.strip().removeprefix(">>graph6<<").strip()
+    if not s:
+        raise ValueError("empty graph6 string")
+    data = [ord(c) for c in s]
+    for byte in data:
+        if not 63 <= byte <= 126:
+            raise ValueError(f"byte {byte} outside graph6 range 63..126")
+    if data[0] == 126:
+        if len(data) >= 4 and data[1] == 126:
+            raise ValueError("graph6 n > 258047 not supported")
+        if len(data) < 4:
+            raise ValueError("truncated extended graph6 header")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        body = data[1:]
+    nbits = n * (n - 1) // 2
+    if len(body) != (nbits + 5) // 6:
+        raise ValueError(
+            f"graph6 body length {len(body)} does not match n={n} (need {(nbits + 5) // 6})"
+        )
+    bits = [(byte - 63) >> s_ & 1 for byte in body for s_ in (5, 4, 3, 2, 1, 0)]
+    if any(bits[nbits:]):
+        raise ValueError("nonzero padding bits in graph6 string")
+    adj = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            k += 1
+    return Graph(n, tuple(adj))

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from conftest import nx_graph, random_graph
-from oracles import min_adjacency_form
+from oracles import bitwise_parse_graph6, min_adjacency_form
 
 import toughgraphs.search as search
 import toughgraphs.toughness as engine
@@ -64,6 +64,41 @@ class TestGraph6:
             h = nx.from_graph6_bytes(ours.encode())
             assert sorted(h.nodes) == list(range(n))
             assert sorted(map(sorted, h.edges)) == [list(e) for e in g.edges()]
+
+    def test_matches_the_bitwise_decoder(self, rng):
+        # up to 80 vertices, so from 63 on the extended header
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(0, 80), rng.random())
+            s = write_graph6(g)
+            assert parse_graph6(s) == bitwise_parse_graph6(s) == g
+
+    def test_damaged_lines_fail_as_the_bitwise_decoder_does(self, rng):
+        def outcome(parse, text):
+            try:
+                return parse(text).adj
+            except ValueError as exc:
+                return str(exc)
+
+        failed = 0
+        for _ in range(2000):
+            s = write_graph6(random_graph(rng, rng.randint(0, 70), 0.3))
+            i = rng.randrange(len(s))
+            kind = rng.randrange(3)
+            if kind == 0:
+                s = s[:i]
+            elif kind == 1:
+                s += "".join(chr(rng.randint(32, 300)) for _ in range(rng.randint(1, 3)))
+            else:
+                s = s[:i] + chr(rng.randint(0, 200)) + s[i + 1 :]
+            want = outcome(bitwise_parse_graph6, s)
+            assert outcome(parse_graph6, s) == want, s
+            failed += isinstance(want, str)
+        assert failed > 1000
+
+    def test_large_blowup(self):
+        # 3,000 vertices in whole columns; bit by bit this took over a second
+        g = solid_expand(SolidSpec.uniform(cycle(5), 600))[0]
+        assert parse_graph6(write_graph6(g)) == g
 
     def test_errors(self):
         with pytest.raises(ValueError):

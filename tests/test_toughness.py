@@ -60,6 +60,7 @@ from toughgraphs.toughness import (
     write_certificate,
 )
 from toughgraphs.families import gen_knp2_minus_matching, gen_knp3, gen_planar_chain
+from toughgraphs.search import enumerate_connected
 
 
 def sc52():
@@ -299,6 +300,24 @@ class TestScanOracles:
                     if cert is not None:
                         assert verify_certificate(ge, cert).ok
 
+    def test_every_small_connected_graph_matches_the_oracles(self):
+        # every connected graph with n <= 6: the witness, and the first cut
+        # below t of every G - e, which may be disconnected
+        checked = 0
+        for n in range(2, 7):
+            for g in enumerate_connected(n):
+                if g.is_complete():
+                    continue
+                res = toughness_exact(g)
+                assert witness_key(res) == brute_witness(g), write_graph6(g)
+                for e in g.edges():
+                    ge = delete_edge(g, e)
+                    cert = find_cut_below(ge, res.value)
+                    got = None if cert is None else (cert.cut.bit_count(), cert.cut)
+                    assert got == brute_first_below(ge, ratio_of(res.value)), (write_graph6(g), e)
+                    checked += 1
+        assert checked > 1000
+
     @pytest.mark.parametrize("g", [cycle(5), build_graph(4, [(0, 1), (2, 3)])],
                              ids=["C5", "disconnected"])
     def test_target_zero_or_infinite(self, g):
@@ -445,6 +464,28 @@ class TestQuotientScan:
         assert sorted(submitted_shards) == [(i, 64) for i in range(64)]
         assert one == two and one.failing_edges == [(0, 2)]
 
+    def test_minimality_starts_one_pool(self, monkeypatch, fake_pool):
+        # a twin-free tree on 22 vertices plus the edges 0-2 and 3-9: eight
+        # of its edges reach a sharded scan of G - e, and all eight share
+        # one pool, started by the first
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        sharded = []
+        scan = engine._scan
+
+        def counted(quotient, alpha, target, best, shard=0, shards=1):
+            if shard == 0 and shards > 1:
+                sharded.append(target)
+            return scan(quotient, alpha, target, best, shard, shards)
+
+        monkeypatch.setattr(engine, "_scan", counted)
+        g = parse_graph6("UsC`C?GK??__?G?@?G??C@????OC??CC???_?G??")
+        t = toughness_exact(g).value
+        one = is_minimally_tough(g, EngineConfig(workers=1), toughness=t)
+        assert not fake_pool.built and not sharded
+        two = is_minimally_tough(g, EngineConfig(workers=2), toughness=t)
+        assert fake_pool.built == [2] and len(sharded) == 8
+        assert one == two and len(one.failing_edges) == 10
+
     @pytest.mark.parametrize(
         "cpus,pools,most_pending", [(1, [], 0), (2, [2], 8)], ids=["one-cpu", "two-cpus"]
     )
@@ -531,7 +572,11 @@ class TestLaneFilter:
         # single scan once and marks the oracle's lanes.  Without the
         # hopeless-size stop no block is skipped
         monkeypatch.setattr(engine, "_LANE_BITS", 4)
-        monkeypatch.setattr(engine, "_hopeless", lambda table, caps: len(table))
+        # a table that records any cut of two or more components and
+        # never stops
+        monkeypatch.setattr(
+            engine, "_threshold_table", lambda n, alpha, best, target: ([(2, 0, 0)] * (n + 1), n + 1)
+        )
         flood = engine._disconnected_lanes
         flooded = []
 
@@ -1231,8 +1276,33 @@ class TestMinimalityRouting:
 
     def test_passed_toughness_gives_the_same_report(self, rng):
         for g in self._corpus(rng)[:6] + [cycle(4), gen_knp3(4).graph]:
-            t = toughness_exact(g).value
-            assert is_minimally_tough(g, toughness=t) == is_minimally_tough(g)
+            exact = toughness_exact(g)
+            want = is_minimally_tough(g)
+            assert is_minimally_tough(g, toughness=exact.value) == want
+            assert is_minimally_tough(g, toughness=exact) == want
+
+    def test_degree_excess_filter_searches_alpha_of_g_once(self, monkeypatch):
+        # minimality reuses the alpha(G) that toughness_exact capped its scan
+        # with; the other searches are alpha(G - N[u] - N[v]) of single edges
+        searched = []
+        whole, partial = engine._independent_classes, engine.independence_number
+
+        def classes_counted(g, classes):
+            searched.append(sum(classes) == g.full_mask)
+            return whole(g, classes)
+
+        def within_counted(g, within=None):
+            searched.append(within in (None, g.full_mask))
+            return partial(g, within)
+
+        monkeypatch.setattr(engine, "_independent_classes", classes_counted)
+        monkeypatch.setattr(engine, "independence_number", within_counted)
+        cases = ((write_graph6(sc52()), ""), ("DK{", "not minimally tough"),
+                 ("EFz_", "not minimally tough"), ("Dhc", "degree within ceiling"))
+        for g6, reason in cases:
+            searched.clear()
+            assert degree_excess_filter(parse_graph6(g6)).reason == reason
+            assert searched.count(True) == 1
 
     def test_degree_excess_filter_computes_toughness_once(self, monkeypatch):
         calls = []
