@@ -38,11 +38,17 @@ Most cuts leave G - S connected, so a lane-parallel filter runs first.
 Class subsets go in blocks of 2^L lanes that share their high bits, lane j
 cutting the low L classes set in j.  Each class gets one big integer
 whose bit j says "alive in lane j" and one for "reached in lane j", seeded
-at the lane's lowest alive class; sweeps over the quotient rows,
+at the lane's first alive class in the sweep order; sweeps over the
+quotient rows,
 
     reached[i] |= alive[i] & OR(reached[j] for j adjacent to i),
 
 forward and backward until nothing changes, settle every lane at once.  A
+class past the lanes that the block's high bits leave uncut is alive in
+every lane.  When there is one, the lowest seeds every lane and the sweeps
+take the alive classes in BFS order from it (each such order is built once
+per scan), so dense lanes settle in the first sweep; otherwise the lane
+classes are swept in index order, from seeds that depend only on L.  A
 lane survives when an alive class stays unreached, or when its only alive
 class has two or more members.  The same flood bounds each survivor's
 component count: the seed's component counts one (one per member when it
@@ -324,15 +330,18 @@ def _quotient(g: Graph, classes: tuple[int, ...]) -> _Quotient:
 
 
 # Lane bits L of the scan's disconnection filter: a block of 2^L cuts shares
-# one flood over the quotient rows.  Measured with toughness_exact on the
-# first 30 graphs of the exact-random pool (twin-free, n = 17) and on the
-# four 18-vertex low-width graphs of exact-structured, least of three runs
-# (2-vCPU VM, Python 3.11.7): the scan without the filter took 3.45 s and
-# 1.40 s; L = 8 took 1.07 s on the pool, L = 10 0.49-0.52 s and 1.07-1.17 s,
-# L = 12 0.28 s and 0.95-1.15 s, L = 14 0.27-0.28 s and 1.02-1.15 s.  Below
-# 12 the interpreter's cost per big-int operation dominates; 14 gains
-# nothing and holds integers four times as large.
-_LANE_BITS = 12
+# one flood over the quotient rows.  CPU seconds per pass over the first 120
+# exact-random items (seed 1; twin-free, n = 17), medians of three
+# interleaved runs of five passes (2 cores, Python 3.11.7): L = 12
+# 0.44-0.46, 14 0.29-0.32, 15 0.28-0.30, 16 0.28-0.29.  Over the first 200
+# exact-structured items, two runs of two passes: L = 14 3.14-3.61, 15
+# 2.97-3.21, 16 3.18-3.40.  The flood seeded at each lane's lowest alive
+# class and swept in index order read 0.53-0.55 at 12 and 0.36 at 15 on the
+# first, 3.77-3.84 at 12 on the second.  16 gains nothing over 15 and holds
+# integers twice as large.  L stays at most 16, so that a scan of 22
+# classes, the fewest that shard, still deals at least 64 blocks to its 64
+# shards.
+_LANE_BITS = 15
 
 
 # A block builds its bound on component counts (``_lane_bound``) at the
@@ -369,33 +378,75 @@ def _lane_patterns(bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def _disconnected_lanes(nbrs, sizes, base: int, bits: int) -> tuple[int, list[int], list[int]]:
+@cache
+def _lane_seeds(bits: int) -> tuple[tuple, tuple]:
+    """For a block of 2^bits lanes in which every class past the lanes is
+    cut: (class, lanes) for each lane class, the lanes whose lowest alive
+    class it is (those whose lowest clear bit is its bit), and for each lane
+    class the lane that leaves it alone."""
+    seen, seeds = 0, []
+    for i, a in enumerate(_lane_patterns(bits)[0]):
+        seeds.append((i, a & ~seen))
+        seen |= a
+    top = (1 << bits) - 1  # the lane that cuts every lane class
+    return tuple(seeds), tuple(1 << (top ^ 1 << i) for i in range(bits))
+
+
+def _bfs_order(nbrs, start: int) -> list[int]:
+    """Every class of the quotient in BFS order from class ``start``, then
+    the classes it does not reach, by index."""
+    order, seen = [start], 1 << start
+    for i in order:
+        for j in nbrs[i]:
+            if not seen >> j & 1:
+                seen |= 1 << j
+                order.append(j)
+    return order + [i for i in range(len(nbrs)) if not seen >> i & 1]
+
+
+def _disconnected_lanes(
+    nbrs, sizes, base: int, bits: int, bfs: list[int] | None = None
+) -> tuple[int, list[int], list[int], tuple[tuple[int, int], ...]]:
     """The lanes of the block ``base | j`` (j < 2^bits) whose cut leaves at
     least two components, as bit j of the first result, then each class's
-    alive and reached lanes, for ``_lane_bound``.
+    alive and reached lanes and the (class, lanes) seeds, for ``_lane_bound``.
 
     ``nbrs[i]`` lists the quotient neighbours of class i and ``sizes[i]``
     its vertex count; ``base`` holds the classes cut in every lane.  Class i
     gets one integer whose bit j says "alive in lane j", and one more for
-    "reached in lane j", seeded at each lane's lowest alive class.  Forward
-    and backward sweeps over the quotient rows grow the reached lanes until
-    no integer changes.  A lane is then disconnected when some alive class
-    stays unreached, or when its only alive class has two or more members
-    (twins are never adjacent)."""
+    "reached in lane j", seeded at each lane's first alive class in the
+    sweep order.  ``bfs`` is None when ``base`` cuts every class past the
+    lanes; the sweeps then take the lane classes in index order, with seeds
+    that depend only on the width (``_lane_seeds``).  Otherwise it is the
+    quotient's ``_bfs_order`` from the block's lowest uncut class past the
+    lanes, which is alive in every lane: that class seeds every lane, and
+    dense lanes settle in the first sweep.  Forward and backward sweeps grow
+    the reached lanes until no integer changes.  A lane is then
+    disconnected when some alive class stays unreached, or when its only
+    alive class has two or more members (twins are never adjacent)."""
     lane_alive, _ = _lane_patterns(bits)
     ones = (1 << (1 << bits)) - 1
-    alive = [0 if base >> i & 1 else ones for i in range(len(nbrs))]
-    alive[:bits] = lane_alive
-    order = [i for i, a in enumerate(alive) if a]
-    reached = [0] * len(nbrs)
-    seen = twice = multi = 0
-    for i in order:
-        a = alive[i]
-        reached[i] = a & ~seen
-        twice |= seen & a
-        seen |= a
-        if sizes[i] > 1:
-            multi |= a
+    out = 0
+    if bfs is None:
+        order = range(bits)
+        seeds, lone = _lane_seeds(bits)
+        rest = [0] * (len(nbrs) - bits)
+        alive = [*lane_alive, *rest]
+        reached = [lanes for _, lanes in seeds] + rest
+        for i, lane in enumerate(lone):
+            if sizes[i] > 1:
+                out |= lane
+    else:
+        alive = [0 if base >> i & 1 else ones for i in range(len(nbrs))]
+        alive[:bits] = lane_alive
+        order = [i for i in bfs if alive[i]]
+        seeds = ((order[0], ones),)
+        reached = [0] * len(nbrs)
+        reached[order[0]] = ones
+        # the lane that cuts every lane class leaves the seed class alone
+        # when every other class past the lanes is cut
+        if sizes[order[0]] > 1 and len(order) == bits + 1:
+            out = 1 << (1 << bits) - 1
     # alternate directions; a sweep that changes nothing proves the fixpoint
     sweeps = (order, order[::-1])
     changed = True
@@ -412,28 +463,26 @@ def _disconnected_lanes(nbrs, sizes, base: int, bits: int) -> tuple[int, list[in
                 reached[i] = grown
                 changed = True
         d ^= 1
-    out = seen & ~twice & multi
     for i in order:
         out |= alive[i] ^ reached[i]
-    return out, alive, reached
+    return out, alive, reached, seeds
 
 
-def _lane_bound(sizes, alive, reached) -> tuple[int, int, int, int]:
+def _lane_bound(sizes, alive, reached, seeds) -> tuple[int, int, int, int]:
     """A ``_lane_counter`` of U + (size of the seed class - 1) per lane,
-    from ``_disconnected_lanes``' alive and reached lanes, where U counts
-    the vertices of the alive classes the flood did not reach.
+    from ``_disconnected_lanes``' alive and reached lanes and its seeds,
+    where U counts the vertices of the alive classes the flood did not
+    reach and a lane's seed class is its first alive class in the sweep
+    order.
 
     A lane leaves at most 1 + that many components: the seed's component
     counts one, or one per member when it is the seed class alone, and
     each component among the unreached classes holds at least one vertex.
-    In the scan's closure this is ``count + left`` after the first
-    component, exactly so on a twin-free graph."""
+    In the scan's closure, whose first component holds the lowest alive
+    class, this is ``count + left`` after that component when the lane is
+    seeded there, exactly so on a twin-free graph."""
     terms = [(a ^ r, size) for a, r, size in zip(alive, reached, sizes)]
-    seen = 0
-    for a, size in zip(alive, sizes):
-        if size > 1:
-            terms.append((a & ~seen, size - 1))  # the lanes class a seeds
-        seen |= a
+    terms += [(lanes, sizes[i] - 1) for i, lanes in seeds if sizes[i] > 1]
     return _lane_counter(terms)
 
 
@@ -535,7 +584,9 @@ def _scan(
     vertex masks.  Class subsets run in blocks of 2^``_LANE_BITS`` lanes,
     the low classes, that share their high bits, the block's index;
     ``_disconnected_lanes`` marks the lanes whose cut leaves two or more
-    components and bounds their component counts (``_lane_bound``); only
+    components, flooding from the lowest high class the block leaves uncut
+    (in its ``_bfs_order``, built once per scan) when there is one, and
+    bounds their component counts (``_lane_bound``); only
     the marked lanes whose bound reaches their level's threshold
     (``_viable_lanes``) have their components counted, by class count and
     then ascending value within the block.  Per call and per improvement of
@@ -560,12 +611,20 @@ def _scan(
     nwords = -(-(1 << bits) // 64)
     # klow[c]: fewest vertices that c lane classes hold
     klow = list(accumulate(sorted(sizes[:bits]), initial=0))
-    for high in range(shard, 1 << (nq - bits), shards):
+    blocks = 1 << (nq - bits)
+    bfs = {}  # the _bfs_order from each class that seeds a whole block
+    for high in range(shard, blocks, shards):
         base = high << bits
         kbase = V0[base & m] + V1[base >> w & m] + V2[base >> w2]
         if kbase >= kstop:
             continue
-        cut_lanes, alive_lanes, reached_lanes = _disconnected_lanes(nbrs, sizes, base, bits)
+        order = None
+        if high + 1 < blocks:  # a class past the lanes is alive in every lane
+            u = bits + (~high & (high + 1)).bit_length() - 1
+            order = bfs.get(u)
+            if order is None:
+                order = bfs[u] = _bfs_order(nbrs, u)
+        cut_lanes, *flood = _disconnected_lanes(nbrs, sizes, base, bits, order)
         counter = None
         for c, level in enumerate(levels):
             k = kbase + klow[c]
@@ -575,7 +634,7 @@ def _scan(
             if not lanes:
                 continue
             if counter is None and lanes.bit_count() > _BOUND_LANES_PER_CLASS * nq:
-                counter = _lane_bound(sizes, alive_lanes, reached_lanes)
+                counter = _lane_bound(sizes, *flood)
             lanes = _viable_lanes(lanes, counter, table[k])
             if not lanes:
                 continue
@@ -623,6 +682,19 @@ def _scan(
     return best
 
 
+# The fewest twin classes a scan shards.  Workers 2 against 1 with strided
+# shards on three twin-free G(n, 1/2) per n (2-vCPU VM, Python 3.11.7;
+# seconds, best of two, 1 -> 2): n = 19 0.05 -> 0.11, 0.06 -> 0.08 and
+# 0.03 -> 0.07, n = 20 0.06 -> 0.10, 0.07 -> 0.08 and 0.06 -> 0.10, n = 21
+# 0.17 -> 0.12, 0.09 -> 0.11 and 0.24 -> 0.13, n = 22 0.44 -> 0.23, 0.19 ->
+# 0.16 and 0.13 -> 0.14, n = 23 0.29 -> 0.33, 0.55 -> 0.28 and 0.34 -> 0.22.
+# The pool's start-up outweighs the filtered scan at 19 and 20 classes; two
+# workers win on two of three graphs at 21 and on four of six at 22 and 23.
+# More workers than CPUs only oversubscribe: chain m=4 took 12.3 s at 8
+# workers against 9.1 s at 2 on 2 cores.
+_SHARD_FROM_CLASSES = 22
+
+
 def _process_pool(workers: int):
     from concurrent.futures import ProcessPoolExecutor  # never loaded by one worker
     return ProcessPoolExecutor(max_workers=workers)
@@ -636,17 +708,7 @@ def _certified_scan(
     None when no cut beats it.  The scan's own (|S|, omega, mask) leaves
     through ``_engine_certificate``, where ``verify_certificate`` recounts omega."""
     quotient = _quotient(g, classes)
-    # Workers 2 against 1 with strided shards on three twin-free G(n, 1/2)
-    # per n (2-vCPU VM, Python 3.11.7; seconds, best of two, 1 -> 2):
-    # n = 19 0.05 -> 0.11, 0.06 -> 0.08 and 0.03 -> 0.07, n = 20 0.06 -> 0.10,
-    # 0.07 -> 0.08 and 0.06 -> 0.10, n = 21 0.17 -> 0.12, 0.09 -> 0.11 and
-    # 0.24 -> 0.13, n = 22 0.44 -> 0.23, 0.19 -> 0.16 and 0.13 -> 0.14,
-    # n = 23 0.29 -> 0.33, 0.55 -> 0.28 and 0.34 -> 0.22.  The pool's
-    # start-up outweighs the filtered scan at 19 and 20 classes; two workers
-    # win on two of three graphs at 21 and on four of six at 22 and 23.
-    # More workers than CPUs only oversubscribe: chain m=4 took 12.3 s at 8
-    # workers against 9.1 s at 2 on 2 cores.
-    workers = 1 if len(classes) < 22 else min(cfg.workers, usable_cpus())
+    workers = 1 if len(classes) < _SHARD_FROM_CLASSES else min(cfg.workers, usable_cpus())
     if workers < 2:
         best = _scan(quotient, alpha, target, best)
     else:

@@ -512,11 +512,20 @@ def quotient_of(g):
     return engine._quotient(g, tuple(twin_classes(g)))
 
 
-def disconnected_lanes(g, base, bits):
-    """The lanes ``_disconnected_lanes`` marks on g's twin quotient."""
+def block_flood(g, base, bits):
+    """``_disconnected_lanes`` on g's twin quotient for the block ``base``,
+    swept as the scan sweeps it: in BFS order from the lowest class past the
+    lanes that ``base`` leaves alive, else over the lane classes by index."""
     quotient = quotient_of(g)
     nbrs = [list(bits_of(r)) for r in quotient.rows]
-    return engine._disconnected_lanes(nbrs, quotient.sizes, base, bits)[0]
+    past = [i for i in range(bits, len(nbrs)) if not base >> i & 1]
+    bfs = engine._bfs_order(nbrs, past[0]) if past else None
+    return engine._disconnected_lanes(nbrs, quotient.sizes, base, bits, bfs)
+
+
+def disconnected_lanes(g, base, bits):
+    """The lanes ``_disconnected_lanes`` marks on g's twin quotient."""
+    return block_flood(g, base, bits)[0]
 
 
 def lane_oracle(g, base, bits):
@@ -533,38 +542,81 @@ def lane_oracle(g, base, bits):
     return out
 
 
+def universal_lone_blowup(rng, bits):
+    """A blow-up, at most 13 vertices, of a twin-free base on bits + 3 or
+    bits + 4 vertices whose class ``bits``, the first past the lanes, has
+    two or three members.  Every block that leaves it alive seeds every lane
+    there, and the block that cuts every other class past the lanes leaves
+    it alone in the lane that cuts every lane class."""
+    q = bits + rng.randint(3, 4)
+    base, _ = graph_with_classes(rng, q, twins=False)
+    mult = [1] * q
+    mult[bits] = rng.randint(2, 3)
+    for v in rng.sample(range(q), rng.randint(0, min(q, 13 - q - mult[bits]))):
+        mult[v] += v != bits
+    spec = SolidSpec(base, tuple(mult))
+    g = solid_expand(spec)[0]
+    assert twin_classes(g)[bits].bit_count() == mult[bits] > 1
+    return g, copy_groups(spec)
+
+
+# lane widths under which a scan of 5 to 14 classes takes up to 2,048
+# blocks of 8 lanes, a few blocks, or the scan's own width, one block
+LANE_WIDTHS = (3, 8, engine._LANE_BITS)
+
+
 class TestLaneFilter:
     """The scan's disconnection filter floods 2^_LANE_BITS cuts at once and
     only its marked lanes have their components counted."""
 
-    def _check_blocks(self, g):
-        """Every block, as the scan lays them out."""
+    def _check_blocks(self, g, monkeypatch, widths=LANE_WIDTHS):
+        """Every block, as the scan lays them out with ``_LANE_BITS`` patched
+        to each of ``widths``, against one oracle pass over all 2^q cuts:
+        bit s of ``whole`` is lane s - base of block base."""
         q = len(twin_classes(g))
-        bits = min(engine._LANE_BITS, q)
-        for high in range(1 << (q - bits)):
-            base = high << bits
-            got = disconnected_lanes(g, base, bits)
-            assert got == lane_oracle(g, base, bits), (g.edges(), base)
+        whole = lane_oracle(g, 0, q)
+        for width in widths:
+            monkeypatch.setattr(engine, "_LANE_BITS", width)
+            bits = min(engine._LANE_BITS, q)
+            ones = (1 << (1 << bits)) - 1
+            for high in range(1 << (q - bits)):
+                base = high << bits
+                got = disconnected_lanes(g, base, bits)
+                assert got == whole >> base & ones, (g.edges(), width, base)
 
     @pytest.mark.parametrize("q", [5, 9, 12, 13, 14])
-    def test_twin_free_lanes_match_component_count(self, rng, q):
-        # q < L, q = L and q > L (two and four blocks of 4096 lanes)
+    def test_twin_free_lanes_match_component_count(self, rng, monkeypatch, q):
         for p in (0.3, 0.6):
-            self._check_blocks(twin_free_graph(rng, q, p))
+            self._check_blocks(twin_free_graph(rng, q, p), monkeypatch)
 
     @pytest.mark.parametrize("q", [4, 8, 12])
-    def test_blowup_lanes_match_component_count(self, rng, q):
+    def test_blowup_lanes_match_component_count(self, rng, monkeypatch, q):
         for _ in range(3):
             g, _ = graph_with_classes(rng, q, twins=True)
-            self._check_blocks(g)
+            self._check_blocks(g, monkeypatch)
+
+    @pytest.mark.parametrize("bits", [1, 3, 5])
+    def test_universal_lone_class_lanes(self, rng, monkeypatch, bits):
+        # the seed class of every lane, left alone, is one component per
+        # member: the lane that cuts every lane class is disconnected
+        for _ in range(3):
+            g, _ = universal_lone_blowup(rng, bits)
+            self._check_blocks(g, monkeypatch, (bits,))
+            q = len(twin_classes(g))
+            base = ((1 << (q - bits)) - 2) << bits
+            assert disconnected_lanes(g, base, bits) >> ((1 << bits) - 1) & 1
 
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 2), (2, 5), (4, 3)])
     def test_lone_class_lanes(self, a, b):
         # K_{a,b} has two twin classes: cutting one side leaves the other
-        # alone, a class whose members are all components
+        # alone, a class whose members are all components.  In one block of
+        # two lanes that is a lane class; in blocks of one lane, the B side
+        # seeds the first block and is the lone class of its lane 1
         g = complete_bipartite(a, b)
         assert disconnected_lanes(g, 0, 2) == lane_oracle(g, 0, 2)
         assert disconnected_lanes(g, 0, 2) >> 0b01 & 1 == (b > 1)
+        assert disconnected_lanes(g, 0, 1) == lane_oracle(g, 0, 1) == (b > 1) << 1
+        assert disconnected_lanes(g, 0b10, 1) == lane_oracle(g, 0b10, 1) == (a > 1)
 
     def test_strided_shards_flood_each_block_once(self, rng, monkeypatch):
         # shard i of k floods blocks i, i + k, ...: a split into any number
@@ -580,9 +632,9 @@ class TestLaneFilter:
         flood = engine._disconnected_lanes
         flooded = []
 
-        def checked(nbrs, sizes, base, bits):
+        def checked(nbrs, sizes, base, bits, bfs):
             flooded.append(base)
-            out = flood(nbrs, sizes, base, bits)
+            out = flood(nbrs, sizes, base, bits, bfs)
             assert out[0] == lane_oracle(g, base, bits), (g.edges(), base)
             return out
 
@@ -626,7 +678,7 @@ class TestLaneFilter:
 
     @pytest.mark.parametrize("n", [14, 17, pytest.param(20, marks=pytest.mark.slow)])
     def test_twin_free_witness_matches_brute(self, rng, n):
-        # one to 256 blocks of 4096 lanes; the oracle takes 12 s at n = 20
+        # one to 32 blocks of 32,768 lanes; the oracle takes 12 s at n = 20
         g = twin_free_graph(rng, n, rng.uniform(0.3, 0.7))
         assert witness_key(toughness_exact(g)) == brute_witness(g)
 
@@ -667,6 +719,42 @@ class TestLaneFilter:
                                 best = cand
                         assert best == first, (target, start, shards)
 
+    def test_shard_schedule_never_changes_the_answer(self, monkeypatch, fake_pool):
+        # derandomized: small graphs forced through the two-worker runner at
+        # a drawn lane width, with shards finishing in a drawn order, give
+        # the one-worker witness, and the one-worker first cut below t and
+        # below t + 1
+        pytest.importorskip("hypothesis")
+        from hypothesis import assume, given, settings, strategies as st
+
+        monkeypatch.setattr(engine, "_SHARD_FROM_CLASSES", 0)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
+        one, two = EngineConfig(workers=1), EngineConfig(workers=2)
+
+        @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+        @given(st.data())
+        def check(data):
+            n = data.draw(st.integers(4, 11), label="n")
+            # a spanning tree, each vertex hung below a lower one, plus chords
+            tree = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = build_graph(n, tree + data.draw(st.lists(st.sampled_from(pairs)), label="chords"))
+            assume(not g.is_complete())
+            monkeypatch.setattr(engine, "_LANE_BITS", data.draw(st.integers(1, 5), label="L"))
+
+            def drawn_first(pending):
+                yield pending[data.draw(st.integers(0, len(pending) - 1))]
+
+            monkeypatch.setattr(futures, "as_completed", drawn_first)
+            res = toughness_exact(g, one)
+            assert witness_key(res) == witness_key(toughness_exact(g, two))
+            t = res.value
+            for target in (t, Ratio(t.p + t.q, t.q)):
+                assert find_cut_below(g, target, one) == find_cut_below(g, target, two)
+
+        check()
+        assert fake_pool.built
+
     def test_peak_memory_is_bounded(self):
         # a 2^q-bit table of the cuts would take 512 KB at q = 22.  A spider
         # (ten legs of two vertices, one of three) keeps the scan short
@@ -702,10 +790,14 @@ def lone_seed_blowup(rng):
     return g, copy_groups(spec)
 
 
-def seed_reach(g, alive):
-    """The lowest alive vertex's twin class and every alive vertex joined
-    to it: a class left alone reaches only itself."""
-    seed = next(c for c in twin_classes(g) if c & alive & -alive)
+def seed_reach(g, base, bits, alive):
+    """The twin class that seeds a lane of the block ``base`` and every
+    alive vertex joined to it: the lowest class past the lanes that ``base``
+    leaves alive, else the lane's lowest alive class.  A class left alone
+    reaches only itself."""
+    classes = twin_classes(g)
+    past = [c for i, c in enumerate(classes) if i >= bits and not base >> i & 1]
+    seed = past[0] if past else next(c for c in classes if c & alive)
     reach = frontier = seed
     while frontier:
         grown = 0
@@ -748,38 +840,43 @@ class TestLaneBound:
                     got = engine._viable_lanes(lanes, counter, (v + 1, 0, 0))
                     assert got == want, (terms, v)
 
-    def _check_bound(self, g):
-        """On every disconnected lane of every block, the counter holds
-        U + (size of the seed class - 1), computed here on the vertex graph,
-        and 1 + that bounds ``graph.component_count``."""
-        quotient = quotient_of(g)
-        classes, sizes = quotient.classes, quotient.sizes
-        nbrs = [list(bits_of(r)) for r in quotient.rows]
+    def _check_bound(self, g, monkeypatch, widths=LANE_WIDTHS):
+        """On every disconnected lane of every block, with ``_LANE_BITS``
+        patched to each of ``widths``, the counter holds U + (size of the
+        seed class - 1), computed here on the vertex graph, and 1 + that
+        bounds ``graph.component_count``."""
+        classes = twin_classes(g)
+        sizes = [c.bit_count() for c in classes]
         q = len(classes)
-        bits = min(engine._LANE_BITS, q)
-        for high in range(1 << (q - bits)):
-            base = high << bits
-            lanes, alive_lanes, reached_lanes = engine._disconnected_lanes(nbrs, sizes, base, bits)
-            *planes, sat = engine._lane_bound(sizes, alive_lanes, reached_lanes)
-            for j in bits_of(lanes):
-                alive = g.full_mask & ~sum(classes[i] for i in bits_of(base | j))
-                seed, reach = seed_reach(g, alive)
-                want = (alive & ~reach).bit_count() + seed.bit_count() - 1
-                got = 8 if sat >> j & 1 else sum((p >> j & 1) << i for i, p in enumerate(planes))
-                assert got == min(want, 8), (g.edges(), base | j)
-                assert component_count(g.adj, alive) <= 1 + want
+        for width in widths:
+            monkeypatch.setattr(engine, "_LANE_BITS", width)
+            bits = min(engine._LANE_BITS, q)
+            for high in range(1 << (q - bits)):
+                base = high << bits
+                lanes, *flood = block_flood(g, base, bits)
+                *planes, sat = engine._lane_bound(sizes, *flood)
+                for j in bits_of(lanes):
+                    alive = g.full_mask & ~sum(classes[i] for i in bits_of(base | j))
+                    seed, reach = seed_reach(g, base, bits, alive)
+                    want = (alive & ~reach).bit_count() + seed.bit_count() - 1
+                    got = 8 if sat >> j & 1 else sum((p >> j & 1) << i for i, p in enumerate(planes))
+                    assert got == min(want, 8), (g.edges(), width, base | j)
+                    assert component_count(g.adj, alive) <= 1 + want
 
     @pytest.mark.parametrize("q", [5, 9, 13])
-    def test_twin_free_bound(self, rng, q):
+    def test_twin_free_bound(self, rng, monkeypatch, q):
         for p in (0.3, 0.6):
-            self._check_bound(twin_free_graph(rng, q, p))
+            self._check_bound(twin_free_graph(rng, q, p), monkeypatch)
 
-    def test_blowup_bound(self, rng):
+    def test_blowup_bound(self, rng, monkeypatch):
         for _ in range(3):
-            self._check_bound(graph_with_classes(rng, 8, twins=True)[0])
-            self._check_bound(lone_seed_blowup(rng)[0])
+            self._check_bound(graph_with_classes(rng, 8, twins=True)[0], monkeypatch)
+            self._check_bound(lone_seed_blowup(rng)[0], monkeypatch)
+            for bits in (1, 3, 5):
+                # the seed class of every lane, alone in one of them
+                self._check_bound(universal_lone_blowup(rng, bits)[0], monkeypatch, (bits,))
         for a, b in ((1, 2), (2, 5), (4, 3)):
-            self._check_bound(complete_bipartite(a, b))
+            self._check_bound(complete_bipartite(a, b), monkeypatch, (1, 2))
 
     @pytest.mark.parametrize("lane_bits", [1, 3, 5, None], ids=["L1", "L3", "L5", "default"])
     def test_witness_and_cuts_below_match_oracles(self, rng, monkeypatch, lane_bits):
@@ -809,18 +906,19 @@ class TestLaneBound:
         "g6,lanes",
         [
             # C18(1,2), one of exact-structured's low-width graphs
-            ("QzKWWKB?W@_B?B?@_?W?B_?N??W", (179_826, 106_048)),
+            ("QzKWWKB?W@_B?B?@_?W?B_?N??W", (179_826, 105_746, 8)),
             # the first graph of the exact-random pool: twin-free, n = 17
-            ("P[[j`N@~wufQvEO{?lVQi?MO", (3_095, 725)),
+            ("P[[j`N@~wufQvEO{?lVQi?MO", (2_964, 716, 4)),
         ],
         ids=["C18(1,2)", "exact-random-0"],
     )
     def test_lanes_reaching_the_closure_are_pinned(self, monkeypatch, g6, lanes):
         # (lanes the flood leaves disconnected, lanes the bound lets through)
-        # summed over every level the scan visits; a lost prune shows here
-        # even when timing noise hides it
-        seen = [0, 0]
+        # summed over every level the scan visits, then the blocks flooded;
+        # a lost prune shows here even when timing noise hides it
+        seen = [0, 0, 0]
         viable = engine._viable_lanes
+        flood = engine._disconnected_lanes
 
         def counted(level, counter, thresholds):
             out = viable(level, counter, thresholds)
@@ -828,7 +926,12 @@ class TestLaneBound:
             seen[1] += out.bit_count()
             return out
 
+        def flooded(*args):
+            seen[2] += 1
+            return flood(*args)
+
         monkeypatch.setattr(engine, "_viable_lanes", counted)
+        monkeypatch.setattr(engine, "_disconnected_lanes", flooded)
         g = parse_graph6(g6)
         toughness_exact(g)
         assert tuple(seen) == lanes
