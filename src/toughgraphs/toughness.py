@@ -43,24 +43,27 @@ quotient rows,
 
     reached[i] |= alive[i] & OR(reached[j] for j adjacent to i),
 
-forward and backward until nothing changes, settle every lane at once.  A
-class past the lanes that the block's high bits leave uncut is alive in
-every lane.  When there is one, the lowest seeds every lane and the sweeps
-take the alive classes in BFS order from it (each such order is built once
-per scan), so dense lanes settle in the first sweep; otherwise the lane
-classes are swept in index order, from seeds that depend only on L.  A
-lane survives when an alive class stays unreached, or when its only alive
-class has two or more members.  The same flood bounds each survivor's
-component count: the seed's component counts one (one per member when it
-is the seed class alone) and every other component lies in the unreached
-classes, so omega(G - S) <= 1 + U + (size of the seed class - 1), U the
-vertices of the unreached alive classes.  A bitsliced saturating counter
-holds that sum per lane, and each level of a block keeps the survivors
-whose bound reaches the fewest components any cut of the level needs.
-Only those are counted with the closure above, level by level within a
-block.  Because the minimum under
-(ratio, |S|, mask) does not depend on the order cuts are met, blocks may run
-in any order; only one block's integers are held at a time.
+forward and backward, settle every lane at once.  A sweep looks only at the
+stale classes, those with a neighbour grown since their last look, and a
+class reached in all its alive lanes is never looked at again; the flood
+ends when no class is stale, at the one least fixpoint.  A class past the
+lanes that the block's high bits leave uncut is alive in every lane.  When
+there is one, the lowest seeds every lane and the sweeps take the alive
+classes in BFS order from it (each such order is built once per scan), so
+dense lanes settle in the first sweep; otherwise the lane classes are swept
+in index order, from seeds that depend only on L.  A lane survives when an
+alive class stays unreached, or when its only alive class has two or more
+members.  The same flood bounds each survivor's component count: the seed's
+component counts one (one per member when it is the seed class alone) and
+every other component lies in the unreached classes, so
+omega(G - S) <= 1 + U + (size of the seed class - 1), U the vertices of the
+unreached alive classes.  A bitsliced saturating counter holds that sum per lane, and each
+level of a block keeps the survivors whose bound reaches the fewest
+components any cut of the level needs.  Only those are counted with the
+closure above, level by level within a block, visiting only the 64-lane
+words that hold one.  Because the minimum under (ratio, |S|, mask) does not
+depend on the order cuts are met, blocks may run in any order; only one
+block's integers are held at a time.
 
 The same scan answers the per-edge question of minimality: the cut with the
 fewest vertices, then the lowest mask, whose ratio is below a target.  There
@@ -87,7 +90,9 @@ the (ratio, |S|, mask) tie-break picks the same certificate in either form.
 Both kinds of scan run in ``_certified_scan``.  From 22 twin classes on it
 deals the blocks to 64 strided shards (shard i takes blocks i, i + 64, ...);
 a shard's answer does not depend on the incumbent it starts from, so the
-min-merge is schedule independent.  Each engine's own (|S|, omega, mask)
+min-merge is schedule independent.  Without a target the shards start from
+a short annealing run's cut when it beats the seed, so that the first wave
+prunes nearly as the single scan does.  Each engine's own (|S|, omega, mask)
 leaves through ``_engine_certificate``; ``verify_certificate`` recounts omega.
 """
 
@@ -100,7 +105,7 @@ from collections import namedtuple
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .graph import (
     Graph,
@@ -337,10 +342,14 @@ def _quotient(g: Graph, classes: tuple[int, ...]) -> _Quotient:
 # exact-structured items, two runs of two passes: L = 14 3.14-3.61, 15
 # 2.97-3.21, 16 3.18-3.40.  The flood seeded at each lane's lowest alive
 # class and swept in index order read 0.53-0.55 at 12 and 0.36 at 15 on the
-# first, 3.77-3.84 at 12 on the second.  16 gains nothing over 15 and holds
-# integers twice as large.  L stays at most 16, so that a scan of 22
-# classes, the fewest that shard, still deals at least 64 blocks to its 64
-# shards.
+# first, 3.77-3.84 at 12 on the second.  With the worklist flood, the three
+# widths interleaved item by item in one process: the same 120 graphs took
+# 1.03x as long at L = 14 and 1.02x at 16 as at 15 (two runs of three
+# passes each); the 60 blow-ups of exact-structured plus C18(1,2) and
+# C18(1,3) took 0.88-0.98x at 14 and 0.91-1.00x at 16 (four runs, within
+# the spread of repeated runs of 15 alone).  16 holds integers twice as
+# large.  L stays at most 16, so that a scan of 22 classes, the fewest that
+# shard, still deals at least 64 blocks to its 64 shards.
 _LANE_BITS = 15
 
 
@@ -405,14 +414,14 @@ def _bfs_order(nbrs, start: int) -> list[int]:
 
 
 def _disconnected_lanes(
-    nbrs, sizes, base: int, bits: int, bfs: list[int] | None = None
+    quotient: _Quotient, base: int, bits: int, bfs: list[int] | None = None
 ) -> tuple[int, list[int], list[int], tuple[tuple[int, int], ...]]:
     """The lanes of the block ``base | j`` (j < 2^bits) whose cut leaves at
     least two components, as bit j of the first result, then each class's
     alive and reached lanes and the (class, lanes) seeds, for ``_lane_bound``.
 
-    ``nbrs[i]`` lists the quotient neighbours of class i and ``sizes[i]``
-    its vertex count; ``base`` holds the classes cut in every lane.  Class i
+    ``quotient`` is the twin quotient (its rows, neighbour lists and class
+    sizes are read); ``base`` holds the classes cut in every lane.  Class i
     gets one integer whose bit j says "alive in lane j", and one more for
     "reached in lane j", seeded at each lane's first alive class in the
     sweep order.  ``bfs`` is None when ``base`` cuts every class past the
@@ -421,9 +430,14 @@ def _disconnected_lanes(
     quotient's ``_bfs_order`` from the block's lowest uncut class past the
     lanes, which is alive in every lane: that class seeds every lane, and
     dense lanes settle in the first sweep.  Forward and backward sweeps grow
-    the reached lanes until no integer changes.  A lane is then
+    the reached lanes, each looking only at the stale classes, those with a
+    neighbour grown since they were last looked at (a worklist; Kildall,
+    POPL 1973), until none is stale; a class reached in all its alive lanes
+    can grow no more and is not looked at again.  The least fixpoint is
+    unique, so the order of the looks changes nothing.  A lane is then
     disconnected when some alive class stays unreached, or when its only
     alive class has two or more members (twins are never adjacent)."""
+    _, rows, nbrs, sizes = quotient[:4]
     lane_alive, _ = _lane_patterns(bits)
     ones = (1 << (1 << bits)) - 1
     out = 0
@@ -447,21 +461,26 @@ def _disconnected_lanes(
         # when every other class past the lanes is cut
         if sizes[order[0]] > 1 and len(order) == bits + 1:
             out = 1 << (1 << bits) - 1
-    # alternate directions; a sweep that changes nothing proves the fixpoint
+    # the swept classes still short of their alive lanes, all stale at
+    # first; a class that grows makes those of its neighbours stale, and one
+    # reached in every alive lane is final and leaves them
+    todo = stale = ((1 << len(nbrs)) - 1) ^ base
     sweeps = (order, order[::-1])
-    changed = True
     d = 0
-    while changed:
-        changed = False
+    while stale:
         for i in sweeps[d]:
-            r = reached[i]
-            grown = 0
-            for j in nbrs[i]:
-                grown |= reached[j]
-            grown = r | alive[i] & grown
-            if grown != r:
-                reached[i] = grown
-                changed = True
+            if stale >> i & 1:
+                stale ^= 1 << i
+                r = reached[i]
+                grown = 0
+                for j in nbrs[i]:
+                    grown |= reached[j]
+                grown = r | alive[i] & grown
+                if grown != r:
+                    reached[i] = grown
+                    stale |= rows[i] & todo
+                if grown == alive[i]:
+                    todo ^= 1 << i
         d ^= 1
     for i in order:
         out |= alive[i] ^ reached[i]
@@ -624,7 +643,7 @@ def _scan(
             order = bfs.get(u)
             if order is None:
                 order = bfs[u] = _bfs_order(nbrs, u)
-        cut_lanes, *flood = _disconnected_lanes(nbrs, sizes, base, bits, order)
+        cut_lanes, *flood = _disconnected_lanes(quotient, base, bits, order)
         counter = None
         for c, level in enumerate(levels):
             k = kbase + klow[c]
@@ -638,9 +657,10 @@ def _scan(
             lanes = _viable_lanes(lanes, counter, table[k])
             if not lanes:
                 continue
-            # ascending lanes, 64 at a time: O(1) per lane on a small word
+            # ascending lanes, by the 64-lane words that hold one: O(1) per
+            # lane on a small word, and no visit to an empty word
             words = struct.unpack(f"<{nwords}Q", lanes.to_bytes(8 * nwords, "little"))
-            for wi, word in enumerate(words):
+            for wi, word in compress(enumerate(words), words):
                 while word:
                     low = word & -word
                     word ^= low
@@ -704,7 +724,8 @@ def _certified_scan(
     g: Graph, classes, alpha: int, cfg: EngineConfig, target=None, best=_NO_INCUMBENT, pool=None
 ) -> CutCertificate | None:
     """``_scan`` of g, given its ``twin_classes`` and alpha, from the
-    incumbent ``best``, sharded over ``cfg.workers`` (in ``pool()`` if given);
+    incumbent ``best``, sharded over ``cfg.workers`` (in ``pool()`` if given),
+    and then without a target from an annealed cut that beats ``best``;
     None when no cut beats it.  The scan's own (|S|, omega, mask) leaves
     through ``_engine_certificate``, where ``verify_certificate`` recounts omega."""
     quotient = _quotient(g, classes)
@@ -714,6 +735,14 @@ def _certified_scan(
     else:
         from concurrent.futures import as_completed
 
+        if target is None:
+            # a short annealing run starts the shards nearer the minimum, so
+            # the first wave prunes about as the single scan does; only a
+            # strictly better cut is kept, so the witness is unchanged
+            cert = toughness_upper_search(g, MINIMALITY_HEURISTIC_STEPS, seed=cfg.seed)
+            annealed = (cert.cut.bit_count(), cert.omega, cert.cut)
+            if _better(*annealed, best):
+                best = annealed
         # shard i of 64 scans blocks i, i + 64, ... of the single scan;
         # waves of 4 per worker start from the best cut merged so far
         with nullcontext(pool()) if pool else _process_pool(workers) as executor:

@@ -7,8 +7,9 @@ the annealing search on vertex masks as it was before it moved to the twin
 quotient: a seeded heuristic has no independent answer, so its former
 implementation is the reference the current one must match.
 ``min_adjacency_form`` is the enumerator's former canonical form, kept as a
-second, independently built one, and ``bitwise_parse_graph6`` the graph6
-decoder as it was before it read whole columns.
+second, independently built one, ``bitwise_parse_graph6`` the graph6
+decoder as it was before it read whole columns, and ``sweep_flood`` the
+scan's lane flood as it was before it kept a worklist of stale classes.
 """
 
 from __future__ import annotations
@@ -387,6 +388,58 @@ def vertex_mask_anneal(g: Graph, budget_steps: int, seed: int, restarts: int):
         return best[0], best[2]
     cut = next(adj[v] for v in range(g.n) if adj[v] != full ^ (1 << v))
     return Fraction(cut.bit_count(), count(full ^ cut)), cut
+
+
+def sweep_flood(nbrs, sizes, base: int, bits: int, bfs=None):
+    """The lane flood of the block ``base | j`` (j < 2^bits) as it ran with
+    whole sweeps: every swept class is looked at on every sweep, forward and
+    backward in turn, until one whole sweep changes nothing.  Returns
+    (lanes left disconnected, alive, reached, seeds) in the form of
+    ``toughness._disconnected_lanes``, with the lane patterns and seeds
+    built here lane by lane.  ``bfs`` is None when ``base`` cuts every class
+    past the lanes, else the sweep order from the lowest class it leaves."""
+    q, lanes = len(nbrs), 1 << bits
+    ones = (1 << lanes) - 1
+    # bit j of lane_alive[b]: lane j leaves lane class b uncut
+    lane_alive = [sum(1 << j for j in range(lanes) if not j >> b & 1) for b in range(bits)]
+    out = 0
+    if bfs is None:
+        order = list(range(bits))
+        alive = lane_alive + [0] * (q - bits)
+        # lane j is seeded at its lowest uncut class: bits below i set, bit i clear
+        low = [(1 << i + 1) - 1 for i in range(bits)]
+        seeds = tuple(
+            (i, sum(1 << j for j in range(lanes) if j & low[i] == low[i] >> 1))
+            for i in range(bits)
+        )
+        reached = [lanes_ for _, lanes_ in seeds] + [0] * (q - bits)
+        for i in range(bits):
+            if sizes[i] > 1:  # the lane that leaves class i alone
+                out |= 1 << (lanes - 1 ^ 1 << i)
+    else:
+        alive = [0 if base >> i & 1 else ones for i in range(q)]
+        alive[:bits] = lane_alive
+        order = [i for i in bfs if alive[i]]
+        seeds = ((order[0], ones),)
+        reached = [0] * q
+        reached[order[0]] = ones
+        if sizes[order[0]] > 1 and len(order) == bits + 1:
+            out = 1 << lanes - 1
+    sweeps = (order, order[::-1])
+    changed, d = True, 0
+    while changed:
+        changed = False
+        for i in sweeps[d]:
+            grown = reached[i]
+            for j in nbrs[i]:
+                grown |= alive[i] & reached[j]
+            if grown != reached[i]:
+                reached[i] = grown
+                changed = True
+        d ^= 1
+    for i in order:
+        out |= alive[i] ^ reached[i]
+    return out, alive, reached, seeds
 
 
 def bitwise_parse_graph6(line: str) -> Graph:

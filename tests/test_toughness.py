@@ -16,6 +16,7 @@ from oracles import (
     brute_toughness,
     brute_witness,
     ratio_of,
+    sweep_flood,
     vertex_mask_anneal,
 )
 
@@ -249,6 +250,20 @@ def submitted_shards(monkeypatch):
     return submitted
 
 
+@pytest.fixture
+def anneals(monkeypatch):
+    """The graphs that ``toughness_upper_search`` is called on."""
+    calls = []
+    anneal = engine.toughness_upper_search
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return anneal(g, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "toughness_upper_search", counted)
+    return calls
+
+
 class TestScanOracles:
     def test_witness_matches_brute_on_blowups(self, rng):
         checked = 0
@@ -431,16 +446,18 @@ class TestQuotientScan:
                 got = None if cert is None else (cert.cut.bit_count(), cert.cut)
                 assert got == brute_first_below(g, ratio_of(target))
 
-    def test_twin_free_shards_match_single_worker(self, rng, submitted_shards):
+    def test_twin_free_shards_match_single_worker(self, rng, submitted_shards, anneals):
+        # only the sharded exact scan starts from an annealed cut, once
         g = twin_free_graph(rng, 22)
         a = toughness_exact(g, EngineConfig(workers=1))
-        assert not submitted_shards
+        assert not submitted_shards and not anneals
         b = toughness_exact(g, EngineConfig(workers=2))
         assert sorted(submitted_shards) == [(i, 64) for i in range(64)]
+        assert anneals == [g]
         assert a.value == b.value
         assert a.witness == b.witness
 
-    def test_target_scans_shard_alike(self, rng, submitted_shards):
+    def test_target_scans_shard_alike(self, rng, submitted_shards, anneals):
         # find_cut_below and minimality's per-edge scans share the pool of
         # toughness_exact.  The second graph is a twin-free tree on 22
         # vertices plus the edge 0-2, which closes a cycle of 8 (t = 1/3):
@@ -449,10 +466,13 @@ class TestQuotientScan:
         g = twin_free_graph(rng, 22)
         t = toughness_exact(g).value
         target = Ratio(t.p + t.q, t.q)
+        anneals.clear()
         a = find_cut_below(g, target, EngineConfig(workers=1))
         assert a is not None and not submitted_shards
         assert find_cut_below(g, target, EngineConfig(workers=2)) == a
         assert sorted(submitted_shards) == [(i, 64) for i in range(64)]
+        # below a target the shards start from no incumbent
+        assert not anneals
         submitted_shards.clear()
         g = parse_graph6("UsC`C?GG??__?G?@?G??C@????OC??CC???_?G??")
         assert len(twin_classes(g)) == 22
@@ -512,15 +532,19 @@ def quotient_of(g):
     return engine._quotient(g, tuple(twin_classes(g)))
 
 
+def block_order(quotient, base, bits):
+    """The sweep order the scan gives the block ``base``: BFS order from the
+    lowest class past the lanes that ``base`` leaves alive, else None (the
+    lane classes by index)."""
+    past = [i for i in range(bits, len(quotient.rows)) if not base >> i & 1]
+    return engine._bfs_order(quotient.nbrs, past[0]) if past else None
+
+
 def block_flood(g, base, bits):
     """``_disconnected_lanes`` on g's twin quotient for the block ``base``,
-    swept as the scan sweeps it: in BFS order from the lowest class past the
-    lanes that ``base`` leaves alive, else over the lane classes by index."""
+    swept as the scan sweeps it."""
     quotient = quotient_of(g)
-    nbrs = [list(bits_of(r)) for r in quotient.rows]
-    past = [i for i in range(bits, len(nbrs)) if not base >> i & 1]
-    bfs = engine._bfs_order(nbrs, past[0]) if past else None
-    return engine._disconnected_lanes(nbrs, quotient.sizes, base, bits, bfs)
+    return engine._disconnected_lanes(quotient, base, bits, block_order(quotient, base, bits))
 
 
 def disconnected_lanes(g, base, bits):
@@ -632,9 +656,9 @@ class TestLaneFilter:
         flood = engine._disconnected_lanes
         flooded = []
 
-        def checked(nbrs, sizes, base, bits, bfs):
+        def checked(quotient, base, bits, bfs):
             flooded.append(base)
-            out = flood(nbrs, sizes, base, bits, bfs)
+            out = flood(quotient, base, bits, bfs)
             assert out[0] == lane_oracle(g, base, bits), (g.edges(), base)
             return out
 
@@ -648,6 +672,32 @@ class TestLaneFilter:
                 for shard in range(shards):
                     engine._scan(quotient, alpha, None, engine._NO_INCUMBENT, shard, shards)
                 assert sorted(flooded) == [high << 4 for high in range(1 << (q - 4))]
+
+    @pytest.mark.parametrize("width", [1, 3, 5, 8, engine._LANE_BITS])
+    def test_flood_matches_the_full_sweep_oracle(self, rng, width):
+        # the worklist looks at fewer classes than whole sweeps do and must
+        # reach the same least fixpoint: the same lanes, alive and reached
+        # integers and seeds in every block
+        graphs = [twin_free_graph(rng, q, p) for q, p in ((7, 0.3), (10, 0.5), (12, 0.7))]
+        graphs += [graph_with_classes(rng, q, twins=True)[0] for q in (6, 9)]
+        graphs += [universal_lone_blowup(rng, bits)[0] for bits in (1, 3, 5)]
+        # two random parts joined by the bridge 0-6, then without it: a
+        # flood seeded past the lanes misses the other part, the tail of
+        # its _bfs_order
+        left = random_connected_graph(rng, 6, 0.5)
+        right = random_connected_graph(rng, 5, 0.5)
+        edges = left.edges() + [(u + 6, v + 6) for u, v in right.edges()]
+        split = delete_edge(build_graph(11, edges + [(0, 6)]), (0, 6))
+        assert not is_connected(split)
+        for g in graphs + [split]:
+            quotient = quotient_of(g)
+            q = len(quotient.classes)
+            bits = min(width, q)
+            for high in range(1 << (q - bits)):
+                base = high << bits
+                bfs = block_order(quotient, base, bits)
+                want = sweep_flood(quotient.nbrs, quotient.sizes, base, bits, bfs)
+                assert block_flood(g, base, bits) == want, (g.edges(), width, base)
 
     def test_patterns_are_built_on_demand(self):
         code = (
