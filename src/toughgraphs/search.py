@@ -25,6 +25,7 @@ from .toughness import (
     DEFAULT_CONFIG,
     DegreeExcessReport,
     EngineConfig,
+    _process_pool,
     degree_excess_filter,
     usable_cpus,
 )
@@ -135,10 +136,7 @@ def _screened(work: Iterator, workers: int) -> Iterator[tuple[str, DegreeExcessR
     if len(batch) < 2:
         yield from map(_screen_one, chain(batch, work))
         return
-    # imported only here: single-worker callers never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _process_pool(workers) as pool:
         ahead = pool.map(_screen_one, batch, chunksize=16)
         while batch:
             batch = list(islice(work, 64 * workers))

@@ -37,33 +37,31 @@ masks order like the vertex masks they stand for.
 Most cuts leave G - S connected, so a lane-parallel filter runs first.
 Class subsets go in blocks of 2^L lanes that share their high bits, lane j
 cutting the low L classes set in j.  Each class gets one big integer
-whose bit j says "alive in lane j" and one for "reached in lane j", seeded
-at the lane's first alive class in the sweep order; sweeps over the
-quotient rows,
+whose bit j says "alive in lane j" and one for "reached in lane j".  A
+class past the lanes that the block's high bits leave uncut is alive in
+every lane, and the lowest such class seeds every lane; when there is
+none, each lane is seeded at its lowest alive class, by seeds that depend
+only on L.  Sweeps over the alive classes in index order,
 
     reached[i] |= alive[i] & OR(reached[j] for j adjacent to i),
 
 forward and backward, settle every lane at once.  A sweep looks only at the
 stale classes, those with a neighbour grown since their last look, and a
 class reached in all its alive lanes is never looked at again; the flood
-ends when no class is stale, at the one least fixpoint.  A class past the
-lanes that the block's high bits leave uncut is alive in every lane.  When
-there is one, the lowest seeds every lane and the sweeps take the alive
-classes in BFS order from it (each such order is built once per scan), so
-dense lanes settle in the first sweep; otherwise the lane classes are swept
-in index order, from seeds that depend only on L.  A lane survives when an
-alive class stays unreached, or when its only alive class has two or more
-members.  The same flood bounds each survivor's component count: the seed's
-component counts one (one per member when it is the seed class alone) and
-every other component lies in the unreached classes, so
-omega(G - S) <= 1 + U + (size of the seed class - 1), U the vertices of the
-unreached alive classes.  A bitsliced saturating counter holds that sum per lane, and each
-level of a block keeps the survivors whose bound reaches the fewest
-components any cut of the level needs.  Only those are counted with the
-closure above, level by level within a block, visiting only the 64-lane
-words that hold one.  Because the minimum under (ratio, |S|, mask) does not
-depend on the order cuts are met, blocks may run in any order; only one
-block's integers are held at a time.
+ends when no class is stale, at the one least fixpoint, whatever the
+order of the looks.  A lane survives when an alive class stays unreached,
+or when its seed class has two or more members and no alive neighbour
+(twins are never adjacent).  The same flood bounds each survivor's
+component count: the seed's component counts one (one per member when it
+is the seed class alone) and every other component lies in the unreached
+classes, so omega(G - S) <= 1 + U + (size of the seed class - 1), U the
+vertices of the unreached alive classes.  A bitsliced saturating counter
+holds that sum per lane, and each level of a block keeps the survivors
+whose bound reaches the fewest components any cut of the level needs.
+Only those are counted with the closure above, level by level within a
+block, visiting only the 64-lane words that hold one.  Because the minimum
+under (ratio, |S|, mask) does not depend on the order cuts are met, blocks
+may run in any order; only one block's integers are held at a time.
 
 The same scan answers the per-edge question of minimality: the cut with the
 fewest vertices, then the lowest mask, whose ratio is below a target.  There
@@ -388,33 +386,19 @@ def _lane_patterns(bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @cache
-def _lane_seeds(bits: int) -> tuple[tuple, tuple]:
+def _lane_seeds(bits: int) -> tuple[tuple[int, int], ...]:
     """For a block of 2^bits lanes in which every class past the lanes is
     cut: (class, lanes) for each lane class, the lanes whose lowest alive
-    class it is (those whose lowest clear bit is its bit), and for each lane
-    class the lane that leaves it alone."""
+    class it is (those whose lowest clear bit is its bit)."""
     seen, seeds = 0, []
     for i, a in enumerate(_lane_patterns(bits)[0]):
         seeds.append((i, a & ~seen))
         seen |= a
-    top = (1 << bits) - 1  # the lane that cuts every lane class
-    return tuple(seeds), tuple(1 << (top ^ 1 << i) for i in range(bits))
-
-
-def _bfs_order(nbrs, start: int) -> list[int]:
-    """Every class of the quotient in BFS order from class ``start``, then
-    the classes it does not reach, by index."""
-    order, seen = [start], 1 << start
-    for i in order:
-        for j in nbrs[i]:
-            if not seen >> j & 1:
-                seen |= 1 << j
-                order.append(j)
-    return order + [i for i in range(len(nbrs)) if not seen >> i & 1]
+    return tuple(seeds)
 
 
 def _disconnected_lanes(
-    quotient: _Quotient, base: int, bits: int, bfs: list[int] | None = None
+    quotient: _Quotient, base: int, bits: int
 ) -> tuple[int, list[int], list[int], tuple[tuple[int, int], ...]]:
     """The lanes of the block ``base | j`` (j < 2^bits) whose cut leaves at
     least two components, as bit j of the first result, then each class's
@@ -423,49 +407,41 @@ def _disconnected_lanes(
     ``quotient`` is the twin quotient (its rows, neighbour lists and class
     sizes are read); ``base`` holds the classes cut in every lane.  Class i
     gets one integer whose bit j says "alive in lane j", and one more for
-    "reached in lane j", seeded at each lane's first alive class in the
-    sweep order.  ``bfs`` is None when ``base`` cuts every class past the
-    lanes; the sweeps then take the lane classes in index order, with seeds
-    that depend only on the width (``_lane_seeds``).  Otherwise it is the
-    quotient's ``_bfs_order`` from the block's lowest uncut class past the
-    lanes, which is alive in every lane: that class seeds every lane, and
-    dense lanes settle in the first sweep.  Forward and backward sweeps grow
-    the reached lanes, each looking only at the stale classes, those with a
-    neighbour grown since they were last looked at (a worklist; Kildall,
-    POPL 1973), until none is stale; a class reached in all its alive lanes
-    can grow no more and is not looked at again.  The least fixpoint is
-    unique, so the order of the looks changes nothing.  A lane is then
-    disconnected when some alive class stays unreached, or when its only
-    alive class has two or more members (twins are never adjacent)."""
+    "reached in lane j".  The lowest class past the lanes that ``base``
+    leaves uncut is alive in every lane and seeds them all; when there is
+    none, each lane is seeded at its lowest alive class, by seeds that
+    depend only on the width (``_lane_seeds``).  Forward and backward sweeps
+    over the alive classes in index order grow the reached lanes, each
+    looking only at the stale classes, those with a neighbour grown since
+    they were last looked at (a worklist; Kildall, POPL 1973), until none is
+    stale; a class reached in all its alive lanes can grow no more and is
+    not looked at again.  The least fixpoint is unique, so the order of the
+    looks changes nothing.  A lane is then disconnected when some alive
+    class stays unreached, or when its seed class has two or more members
+    and no alive neighbour (twins are never adjacent)."""
     _, rows, nbrs, sizes = quotient[:4]
-    lane_alive, _ = _lane_patterns(bits)
+    q = len(nbrs)
     ones = (1 << (1 << bits)) - 1
+    high = ((1 << q) - 1) ^ base ^ ((1 << bits) - 1)  # uncut past the lanes
+    alive = [*_lane_patterns(bits)[0]] + [ones if high >> i & 1 else 0 for i in range(bits, q)]
+    seeds = (((high & -high).bit_length() - 1, ones),) if high else _lane_seeds(bits)
+    reached = [0] * q
     out = 0
-    if bfs is None:
-        order = range(bits)
-        seeds, lone = _lane_seeds(bits)
-        rest = [0] * (len(nbrs) - bits)
-        alive = [*lane_alive, *rest]
-        reached = [lanes for _, lanes in seeds] + rest
-        for i, lane in enumerate(lone):
-            if sizes[i] > 1:
-                out |= lane
-    else:
-        alive = [0 if base >> i & 1 else ones for i in range(len(nbrs))]
-        alive[:bits] = lane_alive
-        order = [i for i in bfs if alive[i]]
-        seeds = ((order[0], ones),)
-        reached = [0] * len(nbrs)
-        reached[order[0]] = ones
-        # the lane that cuts every lane class leaves the seed class alone
-        # when every other class past the lanes is cut
-        if sizes[order[0]] > 1 and len(order) == bits + 1:
-            out = 1 << (1 << bits) - 1
-    # the swept classes still short of their alive lanes, all stale at
+    for i, lanes in seeds:
+        reached[i] = lanes
+        if sizes[i] > 1:
+            # the seed's lanes with no alive neighbour: alone, or some
+            # other alive class is unreached there
+            touch = 0
+            for j in nbrs[i]:
+                touch |= alive[j]
+            out |= lanes & ~touch
+    # the uncut classes still short of their alive lanes, all stale at
     # first; a class that grows makes those of its neighbours stale, and one
-    # reached in every alive lane is final and leaves them
-    todo = stale = ((1 << len(nbrs)) - 1) ^ base
-    sweeps = (order, order[::-1])
+    # reached in every alive lane is final and leaves them.  A cut class is
+    # never stale, so the sweeps pass over it
+    todo = stale = ((1 << q) - 1) ^ base
+    sweeps = (range(q), range(q - 1, -1, -1))
     d = 0
     while stale:
         for i in sweeps[d]:
@@ -482,8 +458,8 @@ def _disconnected_lanes(
                 if grown == alive[i]:
                     todo ^= 1 << i
         d ^= 1
-    for i in order:
-        out |= alive[i] ^ reached[i]
+    for a, r in zip(alive, reached):
+        out |= a ^ r
     return out, alive, reached, seeds
 
 
@@ -491,8 +467,7 @@ def _lane_bound(sizes, alive, reached, seeds) -> tuple[int, int, int, int]:
     """A ``_lane_counter`` of U + (size of the seed class - 1) per lane,
     from ``_disconnected_lanes``' alive and reached lanes and its seeds,
     where U counts the vertices of the alive classes the flood did not
-    reach and a lane's seed class is its first alive class in the sweep
-    order.
+    reach and a lane's seed class is the class that seeds it there.
 
     A lane leaves at most 1 + that many components: the seed's component
     counts one, or one per member when it is the seed class alone, and
@@ -603,10 +578,10 @@ def _scan(
     vertex masks.  Class subsets run in blocks of 2^``_LANE_BITS`` lanes,
     the low classes, that share their high bits, the block's index;
     ``_disconnected_lanes`` marks the lanes whose cut leaves two or more
-    components, flooding from the lowest high class the block leaves uncut
-    (in its ``_bfs_order``, built once per scan) when there is one, and
-    bounds their component counts (``_lane_bound``); only
-    the marked lanes whose bound reaches their level's threshold
+    components, flooding every lane from the lowest high class the block
+    leaves uncut when there is one, and bounds their component counts
+    (``_lane_bound``); only the marked lanes whose bound reaches their
+    level's threshold
     (``_viable_lanes``) have their components counted, by class count and
     then ascending value within the block.  Per call and per improvement of
     the incumbent it builds only ``_threshold_table``.  Without a target,
@@ -616,7 +591,7 @@ def _scan(
     With a ``target``, returns the minimum under (|S|, mask) over ``best``
     and the cuts of ratio below it, else ``_NO_INCUMBENT``, just as freely.
     """
-    classes, _, nbrs, sizes, w, (T0, T1, T2), (V0, V1, V2) = quotient
+    classes, _, _, sizes, w, (T0, T1, T2), (V0, V1, V2) = quotient
     n = sum(sizes)
     nq = len(classes)
     full = (1 << nq) - 1
@@ -630,20 +605,12 @@ def _scan(
     nwords = -(-(1 << bits) // 64)
     # klow[c]: fewest vertices that c lane classes hold
     klow = list(accumulate(sorted(sizes[:bits]), initial=0))
-    blocks = 1 << (nq - bits)
-    bfs = {}  # the _bfs_order from each class that seeds a whole block
-    for high in range(shard, blocks, shards):
+    for high in range(shard, 1 << (nq - bits), shards):
         base = high << bits
         kbase = V0[base & m] + V1[base >> w & m] + V2[base >> w2]
         if kbase >= kstop:
             continue
-        order = None
-        if high + 1 < blocks:  # a class past the lanes is alive in every lane
-            u = bits + (~high & (high + 1)).bit_length() - 1
-            order = bfs.get(u)
-            if order is None:
-                order = bfs[u] = _bfs_order(nbrs, u)
-        cut_lanes, *flood = _disconnected_lanes(quotient, base, bits, order)
+        cut_lanes, *flood = _disconnected_lanes(quotient, base, bits)
         counter = None
         for c, level in enumerate(levels):
             k = kbase + klow[c]

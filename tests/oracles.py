@@ -390,41 +390,34 @@ def vertex_mask_anneal(g: Graph, budget_steps: int, seed: int, restarts: int):
     return Fraction(cut.bit_count(), count(full ^ cut)), cut
 
 
-def sweep_flood(nbrs, sizes, base: int, bits: int, bfs=None):
+def sweep_flood(nbrs, sizes, base: int, bits: int):
     """The lane flood of the block ``base | j`` (j < 2^bits) as it ran with
     whole sweeps: every swept class is looked at on every sweep, forward and
     backward in turn, until one whole sweep changes nothing.  Returns
     (lanes left disconnected, alive, reached, seeds) in the form of
-    ``toughness._disconnected_lanes``, with the lane patterns and seeds
-    built here lane by lane.  ``bfs`` is None when ``base`` cuts every class
-    past the lanes, else the sweep order from the lowest class it leaves."""
+    ``toughness._disconnected_lanes``, with the lane patterns, seeds and
+    lone classes found here lane by lane.  Every lane is seeded at the
+    lowest class past the lanes that ``base`` leaves uncut, else at the
+    lane's lowest uncut class."""
     q, lanes = len(nbrs), 1 << bits
     ones = (1 << lanes) - 1
     # bit j of lane_alive[b]: lane j leaves lane class b uncut
     lane_alive = [sum(1 << j for j in range(lanes) if not j >> b & 1) for b in range(bits)]
-    out = 0
-    if bfs is None:
-        order = list(range(bits))
-        alive = lane_alive + [0] * (q - bits)
+    alive = lane_alive + [0 if base >> i & 1 else ones for i in range(bits, q)]
+    past = [i for i in range(bits, q) if alive[i]]
+    if past:
+        seeds = ((past[0], ones),)
+    else:
         # lane j is seeded at its lowest uncut class: bits below i set, bit i clear
         low = [(1 << i + 1) - 1 for i in range(bits)]
         seeds = tuple(
             (i, sum(1 << j for j in range(lanes) if j & low[i] == low[i] >> 1))
             for i in range(bits)
         )
-        reached = [lanes_ for _, lanes_ in seeds] + [0] * (q - bits)
-        for i in range(bits):
-            if sizes[i] > 1:  # the lane that leaves class i alone
-                out |= 1 << (lanes - 1 ^ 1 << i)
-    else:
-        alive = [0 if base >> i & 1 else ones for i in range(q)]
-        alive[:bits] = lane_alive
-        order = [i for i in bfs if alive[i]]
-        seeds = ((order[0], ones),)
-        reached = [0] * q
-        reached[order[0]] = ones
-        if sizes[order[0]] > 1 and len(order) == bits + 1:
-            out = 1 << lanes - 1
+    reached = [0] * q
+    for i, lanes_ in seeds:
+        reached[i] = lanes_
+    order = [i for i in range(q) if alive[i]]
     sweeps = (order, order[::-1])
     changed, d = True, 0
     while changed:
@@ -437,8 +430,12 @@ def sweep_flood(nbrs, sizes, base: int, bits: int, bfs=None):
                 reached[i] = grown
                 changed = True
         d ^= 1
-    for i in order:
-        out |= alive[i] ^ reached[i]
+    out = 0
+    for j in range(lanes):
+        left = [i for i in order if alive[i] >> j & 1]
+        # an alive class unreached, or the only alive class, of 2+ members
+        if any(not reached[i] >> j & 1 for i in left) or len(left) == 1 and sizes[left[0]] > 1:
+            out |= 1 << j
     return out, alive, reached, seeds
 
 

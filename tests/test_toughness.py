@@ -532,19 +532,9 @@ def quotient_of(g):
     return engine._quotient(g, tuple(twin_classes(g)))
 
 
-def block_order(quotient, base, bits):
-    """The sweep order the scan gives the block ``base``: BFS order from the
-    lowest class past the lanes that ``base`` leaves alive, else None (the
-    lane classes by index)."""
-    past = [i for i in range(bits, len(quotient.rows)) if not base >> i & 1]
-    return engine._bfs_order(quotient.nbrs, past[0]) if past else None
-
-
 def block_flood(g, base, bits):
-    """``_disconnected_lanes`` on g's twin quotient for the block ``base``,
-    swept as the scan sweeps it."""
-    quotient = quotient_of(g)
-    return engine._disconnected_lanes(quotient, base, bits, block_order(quotient, base, bits))
+    """``_disconnected_lanes`` on g's twin quotient for the block ``base``."""
+    return engine._disconnected_lanes(quotient_of(g), base, bits)
 
 
 def disconnected_lanes(g, base, bits):
@@ -656,9 +646,9 @@ class TestLaneFilter:
         flood = engine._disconnected_lanes
         flooded = []
 
-        def checked(quotient, base, bits, bfs):
+        def checked(quotient, base, bits):
             flooded.append(base)
-            out = flood(quotient, base, bits, bfs)
+            out = flood(quotient, base, bits)
             assert out[0] == lane_oracle(g, base, bits), (g.edges(), base)
             return out
 
@@ -682,8 +672,7 @@ class TestLaneFilter:
         graphs += [graph_with_classes(rng, q, twins=True)[0] for q in (6, 9)]
         graphs += [universal_lone_blowup(rng, bits)[0] for bits in (1, 3, 5)]
         # two random parts joined by the bridge 0-6, then without it: a
-        # flood seeded past the lanes misses the other part, the tail of
-        # its _bfs_order
+        # flood seeded past the lanes misses the other part
         left = random_connected_graph(rng, 6, 0.5)
         right = random_connected_graph(rng, 5, 0.5)
         edges = left.edges() + [(u + 6, v + 6) for u, v in right.edges()]
@@ -695,8 +684,7 @@ class TestLaneFilter:
             bits = min(width, q)
             for high in range(1 << (q - bits)):
                 base = high << bits
-                bfs = block_order(quotient, base, bits)
-                want = sweep_flood(quotient.nbrs, quotient.sizes, base, bits, bfs)
+                want = sweep_flood(quotient.nbrs, quotient.sizes, base, bits)
                 assert block_flood(g, base, bits) == want, (g.edges(), width, base)
 
     def test_patterns_are_built_on_demand(self):
@@ -812,6 +800,9 @@ class TestLaneFilter:
         legs = [(0, i) for i in range(1, 11)] + [(i, i + 10) for i in range(1, 11)]
         g = build_graph(22, legs + [(20, 21)])
         assert len(twin_classes(g)) == 22
+        # a first scan fills the per-width caches (lane patterns and seeds,
+        # unit tables), which would otherwise count when run alone
+        toughness_exact(g)
         tracemalloc.start()
         try:
             res = toughness_exact(g)
