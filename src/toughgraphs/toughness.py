@@ -692,8 +692,11 @@ def _certified_scan(
 ) -> CutCertificate | None:
     """``_scan`` of g, given its ``twin_classes`` and alpha, from the
     incumbent ``best``, sharded over ``cfg.workers`` (in ``pool()`` if given),
-    and then without a target from an annealed cut that beats ``best``;
-    None when no cut beats it.  The scan's own (|S|, omega, mask) leaves
+    and then without a target from an annealed cut that beats ``best``.
+    Returns the certificate of the minimum over ``best`` and the cuts that
+    beat it, so a real cut handed in comes back when none beats it.  None
+    when that minimum is no cut: ``_NO_INCUMBENT``, or a ceiling incumbent,
+    whose mask is the full mask.  The scan's own (|S|, omega, mask) leaves
     through ``_engine_certificate``, where ``verify_certificate`` recounts omega."""
     quotient = _quotient(g, classes)
     workers = 1 if len(classes) < _SHARD_FROM_CLASSES else min(cfg.workers, usable_cpus())
@@ -726,7 +729,7 @@ def _certified_scan(
                 # below a target, the smallest (|S|, mask) wins
                 if cand[::2] < best[::2] or not best[1] if target else _better(*cand, best):
                     best = cand
-    return _engine_certificate(g, best, target) if best[1] else None
+    return _engine_certificate(g, best, target) if best[1] and best[2] != g.full_mask else None
 
 
 def _scan_classes(g: Graph, cfg: EngineConfig) -> tuple[int, ...]:
@@ -754,11 +757,17 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     if not is_connected(g):
         return ToughnessResult(Ratio(0), CutCertificate.from_cut(g, 0))
     classes = _scan_classes(g, cfg)
-    alpha, alpha_set = _independent_classes(g, classes)
-    # seed: the complement of a maximum independent set, alpha components
-    seed_cut = g.full_mask & ~alpha_set
-    cert = _certified_scan(g, classes, alpha, cfg, best=(seed_cut.bit_count(), alpha, seed_cut))
+    alpha, seed = _alpha_seed(g, classes)
+    cert = _certified_scan(g, classes, alpha, cfg, best=seed)
     return ToughnessResult(cert.ratio, cert, alpha)
+
+
+def _alpha_seed(g: Graph, classes) -> tuple[int, tuple[int, int, int]]:
+    """alpha(g) and the scan's seed incumbent: the complement of a maximum
+    independent set, which leaves alpha components."""
+    alpha, alpha_set = _independent_classes(g, classes)
+    seed_cut = g.full_mask & ~alpha_set
+    return alpha, (seed_cut.bit_count(), alpha, seed_cut)
 
 
 def find_cut_below(
@@ -1296,7 +1305,13 @@ def is_minimally_tough(
 class DegreeExcessReport:
     """Outcome of screening one graph for the minimum-degree excess property:
     connected, non-complete, minimally tough, and delta > ceil(2t).
-    ``graph6`` is the graph's stream text, set on the hits of a search."""
+    ``graph6`` is the graph's stream text, set on the hits of a search.
+
+    ``toughness`` and ``ceil_2t`` are set only on graphs that reach the
+    minimality stage.  A graph rejected as "degree within ceiling" keeps
+    ``delta`` and ``regular``, with ``toughness`` None and ``ceil_2t`` 0, as
+    its exact t is never computed; the earlier rejections set at most
+    ``delta``.  ``delta_over_t`` is set only on hits."""
 
     is_hit: bool
     inconclusive: bool = False
@@ -1320,7 +1335,14 @@ def degree_excess_filter(
     g: Graph, cfg: EngineConfig = DEFAULT_CONFIG, min_delta: int | None = None
 ) -> DegreeExcessReport:
     """Flag g iff it is connected, non-complete, minimally t-tough, and its
-    minimum degree strictly exceeds ceil(2t).  Cheap screens run first."""
+    minimum degree strictly exceeds ceil(2t).  Cheap screens run first.
+
+    delta > ceil(2t) holds iff t <= (delta - 1)/2, so one exact scan from the
+    ceiling T = (delta - 1)/2 + 1/(2n) decides it.  T lies above every ratio
+    up to (delta - 1)/2 and below every larger k/omega: a cut leaves
+    omega <= n - 1 components, so such a ratio exceeds (delta - 1)/2 by at
+    least 1/(2 omega) > 1/(2n).  The scan's answer does not depend on its
+    incumbent, so a cut that beats T is ``toughness_exact``'s minimizer."""
     if not is_connected(g):
         return DegreeExcessReport(False, reason="disconnected")
     if g.is_complete():
@@ -1329,22 +1351,25 @@ def degree_excess_filter(
     if min_delta is not None and delta < min_delta:
         return DegreeExcessReport(False, delta=delta, reason="degree screen")
     try:
-        t = (exact := toughness_exact(g, cfg)).value
+        classes = _scan_classes(g, cfg)
     except LimitExceeded:
         return DegreeExcessReport(False, inconclusive=True, reason="over exhaustive limit")
-    ceil_2t = t.ceil_of_double()
-    verdict, reason = False, "degree within ceiling"
-    if delta > ceil_2t:
-        verdict = is_minimally_tough(g, cfg, toughness=exact).verdict
-        reasons = {True: "", False: "not minimally tough", None: "minimality inconclusive"}
-        reason = reasons[verdict]
+    alpha, seed = _alpha_seed(g, classes)
+    # the full mask is never a cut, so the ceiling comes back as None
+    ceiling = (g.n * (delta - 1) + 1, 2 * g.n, g.full_mask)
+    cert = _certified_scan(g, classes, alpha, cfg, best=seed if _better(*seed, ceiling) else ceiling)
+    if cert is None:
+        return DegreeExcessReport(False, delta=delta, regular=regular, reason="degree within ceiling")
+    t = cert.ratio
+    verdict = is_minimally_tough(g, cfg, toughness=ToughnessResult(t, cert, alpha)).verdict
+    reasons = {True: "", False: "not minimally tough", None: "minimality inconclusive"}
     return DegreeExcessReport(
         verdict is True,
         inconclusive=verdict is None,
         toughness=t,
         delta=delta,
-        ceil_2t=ceil_2t,
+        ceil_2t=t.ceil_of_double(),
         delta_over_t=Ratio(delta * t.q, t.p) if verdict else None,
         regular=regular,
-        reason=reason,
+        reason=reasons[verdict],
     )

@@ -104,6 +104,19 @@ def brute_first_below(g: Graph, target: Fraction):
     return None
 
 
+def brute_within_degree_ceiling(g: Graph) -> bool:
+    """Whether no cut-set S has omega(G - S) >= 2 and 2|S| <= (delta - 1)
+    omega(G - S), that is, whether t(g) > (delta - 1)/2, in integers."""
+    adj = adj_sets(g)
+    delta = min(len(nbrs) for nbrs in adj)
+    for k in range(g.n + 1):
+        for subset in combinations(range(g.n), k):
+            comps = set_components(adj, set(subset))
+            if comps >= 2 and 2 * k <= (delta - 1) * comps:
+                return False
+    return True
+
+
 def brute_alpha(g: Graph) -> int:
     adj = adj_sets(g)
     best = 0

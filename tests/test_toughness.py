@@ -12,8 +12,10 @@ import pytest
 
 from conftest import blown_up_c5, random_connected_graph
 from oracles import (
+    adj_sets,
     brute_first_below,
     brute_toughness,
+    brute_within_degree_ceiling,
     brute_witness,
     ratio_of,
     sweep_flood,
@@ -723,9 +725,12 @@ class TestLaneFilter:
     def test_forced_shards_merge_to_the_single_scan(self, rng, monkeypatch):
         # the pool's shard arguments, run here: any split must min-merge to
         # the unsharded answer, whatever incumbent each shard starts from.
-        # With 4 lane bits the graphs have 1024 and 64 blocks, which 3 does
-        # not divide
+        # From the search screen's ceiling incumbent that answer is the
+        # minimizer when it beats the ceiling, else the ceiling itself; one
+        # graph ends at each.  With 4 lane bits the graphs have 1024 and 64
+        # blocks, which 3 does not divide
         monkeypatch.setattr(engine, "_LANE_BITS", 4)
+        capped = []
         for g in (twin_free_graph(rng, 14), graph_with_classes(rng, 10, True)[0]):
             quotient = quotient_of(g)
             alpha, aset = independence_number(g)
@@ -733,14 +738,19 @@ class TestLaneFilter:
             inc = (seed.bit_count(), aset.bit_count(), seed)
             whole = engine._scan(quotient, alpha, None, inc)
             assert whole == engine._scan(quotient, alpha, None, engine._NO_INCUMBENT)
-            for start in (inc, engine._NO_INCUMBENT, whole):
+            delta = min(row.bit_count() for row in g.adj)
+            ceiling = (g.n * (delta - 1) + 1, 2 * g.n, g.full_mask)
+            below = whole if engine._better(*whole, ceiling) else ceiling
+            capped.append(below == ceiling)
+            for start in (inc, engine._NO_INCUMBENT, whole, ceiling):
+                want = below if start == ceiling else whole
                 for shards in (1, 3, 64):
                     best = start
                     for shard in range(shards):
                         cand = engine._scan(quotient, alpha, None, start, shard, shards)
                         if cand[1] and engine._better(*cand, best):
                             best = cand
-                    assert best == whole, (start, shards)
+                    assert best == want, (start, shards)
             # below a target the shards min-merge under (|S|, mask); t has no
             # cut below it, t + 1 has
             t = Ratio(*whole[:2])
@@ -756,12 +766,14 @@ class TestLaneFilter:
                             if cand[1] and (not best[1] or cand[::2] < best[::2]):
                                 best = cand
                         assert best == first, (target, start, shards)
+        assert sorted(capped) == [False, True]
 
     def test_shard_schedule_never_changes_the_answer(self, monkeypatch, fake_pool):
         # derandomized: small graphs forced through the two-worker runner at
         # a drawn lane width, with shards finishing in a drawn order, give
-        # the one-worker witness, and the one-worker first cut below t and
-        # below t + 1
+        # the one-worker witness, the one-worker first cut below t and below
+        # t + 1, and the one-worker search screen: the annealed start and
+        # the merge end on None, below the ceiling, exactly when one worker does
         pytest.importorskip("hypothesis")
         from hypothesis import assume, given, settings, strategies as st
 
@@ -789,9 +801,19 @@ class TestLaneFilter:
             t = res.value
             for target in (t, Ratio(t.p + t.q, t.q)):
                 assert find_cut_below(g, target, one) == find_cut_below(g, target, two)
+            screened = degree_excess_filter(g, one)
+            assert screened == degree_excess_filter(g, two)
+            reasons.add(screened.reason)
+            # the drawn graphs are sparse and stay within the ceiling, so a
+            # graph past it joins each
+            g6 = data.draw(st.sampled_from(sorted(past)), label="past")
+            assert degree_excess_filter(parse_graph6(g6), two) == past[g6]
 
+        past = {g6: degree_excess_filter(parse_graph6(g6), one) for g6 in ("DK{", "EFz_")}
+        reasons = {rep.reason for rep in past.values()}
         check()
         assert fake_pool.built
+        assert reasons == {"degree within ceiling", "not minimally tough"}
 
     def test_peak_memory_is_bounded(self):
         # a 2^q-bit table of the cuts would take 512 KB at q = 22.  A spider
@@ -1449,22 +1471,29 @@ class TestMinimalityRouting:
             assert searched.count(True) == 1
 
     def test_degree_excess_filter_computes_toughness_once(self, monkeypatch):
-        calls = []
-        exact = engine.toughness_exact
+        # one exact-mode scan of G decides the screen and, past it, gives t;
+        # the other scans are the per-edge target scans of minimality
+        exact_scans, scan = [], engine._certified_scan
 
-        def counting(g, *args, **kwargs):
-            calls.append(g)
-            return exact(g, *args, **kwargs)
+        def counting(g, classes, alpha, cfg, target=None, *args, **kwargs):
+            if target is None:
+                exact_scans.append(g)
+            return scan(g, classes, alpha, cfg, target, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "toughness_exact", counting)
+        def no_exact(*args, **kwargs):
+            raise AssertionError("toughness_exact called")
+
+        monkeypatch.setattr(engine, "_certified_scan", counting)
+        monkeypatch.setattr(engine, "toughness_exact", no_exact)
         # a hit, two graphs that reach the minimality stage and fail it, and
         # one screened out by degree
         cases = ((write_graph6(sc52()), ""), ("DK{", "not minimally tough"),
                  ("EFz_", "not minimally tough"), ("Dhc", "degree within ceiling"))
         for g6, reason in cases:
-            calls.clear()
-            assert degree_excess_filter(parse_graph6(g6)).reason == reason
-            assert len(calls) == 1
+            exact_scans.clear()
+            g = parse_graph6(g6)
+            assert degree_excess_filter(g).reason == reason
+            assert exact_scans == [g]
 
 
 class TestProperties:
@@ -1497,7 +1526,59 @@ class TestProperties:
             assert t <= cert.ratio
 
 
+def planted_twins(rng, n):
+    """A connected random graph on n vertices whose last vertices copy
+    earlier ones: open twins (the same neighbours, not adjacent) and closed
+    twins (the same neighbours and each other)."""
+    base = random_connected_graph(rng, rng.randint(n // 2 + 1, n - 1), rng.uniform(0.3, 0.8))
+    nbrs = adj_sets(base)
+    for v in range(base.n, n):
+        u = rng.randrange(v)
+        nbrs.append(set(nbrs[u]) | ({u} if rng.random() < 0.5 else set()))
+        for w in nbrs[v]:
+            nbrs[w].add(v)
+    return build_graph(n, [(u, v) for v in range(n) for u in nbrs[v] if u < v])
+
+
 class TestDegreeExcess:
+    def test_ceiling_bounds_the_ratios_above_it(self):
+        # T = (n(delta - 1) + 1)/(2n): the least k/omega above (delta - 1)/2
+        # with omega <= n - 1 components lies above T
+        for n in range(2, 41):
+            for delta in range(1, n):
+                for omega in range(2, n):
+                    k = (delta - 1) * omega // 2 + 1
+                    assert 2 * n * k > (n * (delta - 1) + 1) * omega, (n, delta, omega)
+
+    def test_ceiling_scan_matches_brute_force(self, rng, monkeypatch):
+        # the screen rejects exactly the graphs with t > (delta - 1)/2, and
+        # hands minimality toughness_exact's t, witness and alpha otherwise;
+        # minimality itself is stubbed out, as other tests cover it
+        passed = []
+
+        def recorded(g, cfg, toughness):
+            passed.append(toughness)
+            return engine.MinimalityReport(toughness.value, ())
+
+        monkeypatch.setattr(engine, "is_minimally_tough", recorded)
+        graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
+        graphs += [planted_twins(rng, n) for n in range(8, 13) for _ in range(12)]
+        within = 0
+        for g in graphs:
+            if g.is_complete():
+                continue
+            passed.clear()
+            rep = degree_excess_filter(g)
+            assert (rep.reason == "degree within ceiling") == brute_within_degree_ceiling(g)
+            if passed:
+                exact = toughness_exact(g)
+                assert passed == [exact] and rep.toughness == exact.value, write_graph6(g)
+                assert rep.ceil_2t == exact.value.ceil_of_double() < rep.delta
+            else:
+                assert rep.toughness is None and rep.ceil_2t == 0
+                within += 1
+        assert 0 < within < len(graphs) - 100
+
     def test_blown_up_cycle_is_hit(self):
         rep = degree_excess_filter(sc52())
         assert rep.is_hit
