@@ -89,14 +89,22 @@ def independence_number(g: Graph, within: int | None = None) -> tuple[int, int]:
     return _independent_classes(g, twin_classes(g, within))
 
 
+def _class_weights(g: Graph, classes) -> tuple[list[int], int]:
+    """(weight, reps): the size of each of the ``twin_classes`` ``classes``
+    as the weight of its lowest member, and the mask of those members.  The
+    heaviest independent set of the members has weight alpha of the union,
+    and a ``_clique_cover_bound`` over them is at least that."""
+    weight = [0] * g.n
+    for c in classes:
+        weight[(c & -c).bit_length() - 1] = c.bit_count()
+    return weight, sum(c & -c for c in classes)
+
+
 def _independent_classes(g: Graph, classes) -> tuple[int, int]:
     """``independence_number`` of g on the union of ``classes``, the
     ``twin_classes`` of that subgraph, for callers that already hold
     them."""
-    weight = [0] * g.n
-    for c in classes:
-        weight[(c & -c).bit_length() - 1] = c.bit_count()
-    reps = sum(c & -c for c in classes)
+    weight, reps = _class_weights(g, classes)
     try:
         size, chosen = _heaviest_independent(g.adj, weight, reps, 0, 0, (0, 0))
     except RecursionError:

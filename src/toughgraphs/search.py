@@ -130,8 +130,10 @@ def _screened(work: Iterator, workers: int) -> Iterator[tuple[str, DegreeExcessR
     items in batches of 64 per worker and holds at most two: the next batch
     is queued before the current one is read, so no worker waits on the
     slowest item of a batch.  A stream of at most one item starts no pool,
-    and no pool has more workers than ``usable_cpus``."""
-    workers = min(workers, usable_cpus())
+    and no pool has more workers than ``usable_cpus``, which one worker
+    never asks for."""
+    if workers > 1:
+        workers = min(workers, usable_cpus())
     batch = list(islice(work, 64 * workers)) if workers > 1 else []
     if len(batch) < 2:
         yield from map(_screen_one, chain(batch, work))

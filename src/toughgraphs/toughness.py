@@ -15,8 +15,9 @@ never changes the result.
 
 Prunes used:
   (a) a per-level subset bound |S| / min(alpha, n - |S|) measured against the
-      incumbent (omega can never exceed either term); the bound grows with
-      |S|, so no cut at or above the first hopeless size is counted;
+      incumbent (omega can never exceed either term, nor any bound on alpha
+      that stands in for it); the bound grows with |S|, so no cut at or
+      above the first hopeless size is counted;
   (b) twin closure: a subset splitting a twin class is strictly beaten by
       the same subset minus the split vertex, so the scan runs over subsets
       of twin classes, not of vertices.  The exhaustive limit counts classes.
@@ -118,7 +119,12 @@ from .graph import (
     twin_classes,
 )
 from .graph6 import parse_graph6, write_graph6
-from .invariants import _independent_classes, independence_number
+from .invariants import (
+    _class_weights,
+    _clique_cover_bound,
+    _independent_classes,
+    independence_number,
+)
 from .operators import solid_expand
 from .ratio import INFINITE, Ratio, parse_ratio
 
@@ -252,7 +258,7 @@ def parse_certificate(text: str) -> tuple[Graph, CutCertificate]:
 class ToughnessResult:
     value: object  # Ratio or INFINITE
     witness: CutCertificate | None
-    alpha: int | None = None  # alpha(g), the scan's cap on omega; None when no scan ran
+    alpha: int | None = None  # alpha(g) when it was searched, else None
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +596,8 @@ def _scan(
     incumbent handed in (it only prunes candidates that cannot beat it).
     With a ``target``, returns the minimum under (|S|, mask) over ``best``
     and the cuts of ratio below it, else ``_NO_INCUMBENT``, just as freely.
+    ``alpha`` is only a cap on omega: any value at least alpha(g) gives the
+    same answer, and a smaller one prunes more.
     """
     classes, _, _, sizes, w, (T0, T1, T2), (V0, V1, V2) = quotient
     n = sum(sizes)
@@ -690,9 +698,10 @@ def _process_pool(workers: int):
 def _certified_scan(
     g: Graph, classes, alpha: int, cfg: EngineConfig, target=None, best=_NO_INCUMBENT, pool=None
 ) -> CutCertificate | None:
-    """``_scan`` of g, given its ``twin_classes`` and alpha, from the
-    incumbent ``best``, sharded over ``cfg.workers`` (in ``pool()`` if given),
-    and then without a target from an annealed cut that beats ``best``.
+    """``_scan`` of g, given its ``twin_classes`` and a cap ``alpha`` on
+    omega (alpha(g) or any bound above it), from the incumbent ``best``,
+    sharded over ``cfg.workers`` (in ``pool()`` if given), and then without
+    a target from an annealed cut that beats ``best``.
     Returns the certificate of the minimum over ``best`` and the cuts that
     beat it, so a real cut handed in comes back when none beats it.  None
     when that minimum is no cut: ``_NO_INCUMBENT``, or a ceiling incumbent,
@@ -757,17 +766,11 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
     if not is_connected(g):
         return ToughnessResult(Ratio(0), CutCertificate.from_cut(g, 0))
     classes = _scan_classes(g, cfg)
-    alpha, seed = _alpha_seed(g, classes)
-    cert = _certified_scan(g, classes, alpha, cfg, best=seed)
-    return ToughnessResult(cert.ratio, cert, alpha)
-
-
-def _alpha_seed(g: Graph, classes) -> tuple[int, tuple[int, int, int]]:
-    """alpha(g) and the scan's seed incumbent: the complement of a maximum
-    independent set, which leaves alpha components."""
     alpha, alpha_set = _independent_classes(g, classes)
+    # seed: the complement of a maximum independent set, alpha components
     seed_cut = g.full_mask & ~alpha_set
-    return alpha, (seed_cut.bit_count(), alpha, seed_cut)
+    cert = _certified_scan(g, classes, alpha, cfg, best=(seed_cut.bit_count(), alpha, seed_cut))
+    return ToughnessResult(cert.ratio, cert, alpha)
 
 
 def find_cut_below(
@@ -1335,14 +1338,19 @@ def degree_excess_filter(
     g: Graph, cfg: EngineConfig = DEFAULT_CONFIG, min_delta: int | None = None
 ) -> DegreeExcessReport:
     """Flag g iff it is connected, non-complete, minimally t-tough, and its
-    minimum degree strictly exceeds ceil(2t).  Cheap screens run first.
+    minimum degree strictly exceeds ceil(2t).  Cheap screens run first: a
+    connected graph has t > 0, so delta <= 1 <= ceil(2t) rejects it before
+    its twin classes are counted, even past the exhaustive limit.
 
     delta > ceil(2t) holds iff t <= (delta - 1)/2, so one exact scan from the
     ceiling T = (delta - 1)/2 + 1/(2n) decides it.  T lies above every ratio
     up to (delta - 1)/2 and below every larger k/omega: a cut leaves
     omega <= n - 1 components, so such a ratio exceeds (delta - 1)/2 by at
-    least 1/(2 omega) > 1/(2n).  The scan's answer does not depend on its
-    incumbent, so a cut that beats T is ``toughness_exact``'s minimizer."""
+    least 1/(2 omega) > 1/(2n).  The scan caps omega by a clique cover of
+    the twin classes, which is at least alpha; alpha itself is searched only
+    past the ceiling, and handed to minimality with t.  The scan's answer
+    does not depend on its incumbent or on its cap, so a cut that beats T is
+    ``toughness_exact``'s minimizer."""
     if not is_connected(g):
         return DegreeExcessReport(False, reason="disconnected")
     if g.is_complete():
@@ -1350,16 +1358,20 @@ def degree_excess_filter(
     delta, _, regular, _ = degree_profile(g)
     if min_delta is not None and delta < min_delta:
         return DegreeExcessReport(False, delta=delta, reason="degree screen")
+    within = DegreeExcessReport(False, delta=delta, regular=regular, reason="degree within ceiling")
+    if delta <= 1:
+        return within
     try:
         classes = _scan_classes(g, cfg)
     except LimitExceeded:
         return DegreeExcessReport(False, inconclusive=True, reason="over exhaustive limit")
-    alpha, seed = _alpha_seed(g, classes)
+    cover = _clique_cover_bound(g.adj, *_class_weights(g, classes))
     # the full mask is never a cut, so the ceiling comes back as None
     ceiling = (g.n * (delta - 1) + 1, 2 * g.n, g.full_mask)
-    cert = _certified_scan(g, classes, alpha, cfg, best=seed if _better(*seed, ceiling) else ceiling)
+    cert = _certified_scan(g, classes, cover, cfg, best=ceiling)
     if cert is None:
-        return DegreeExcessReport(False, delta=delta, regular=regular, reason="degree within ceiling")
+        return within
+    alpha = _independent_classes(g, classes)[0]
     t = cert.ratio
     verdict = is_minimally_tough(g, cfg, toughness=ToughnessResult(t, cert, alpha)).verdict
     reasons = {True: "", False: "not minimally tough", None: "minimality inconclusive"}

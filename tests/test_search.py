@@ -287,6 +287,21 @@ class TestFilter:
         rep = filter_counterexamples(lines, SearchOptions(config=config))
         assert rep.inconclusive == (write_graph6(cycle(7)),)
 
+    def test_pendant_graph_over_the_limit_is_rejected_not_inconclusive(self):
+        # delta = 1 <= ceil(2t) on any connected graph, so P_30 is rejected
+        # before its 30 twin classes meet the exhaustive limit of 26
+        hit, _ = solid_expand(SolidSpec.uniform(cycle(5), 2))
+        rep = filter_counterexamples([write_graph6(path(30)), write_graph6(hit)])
+        assert (rep.scanned, rep.rejected, rep.inconclusive) == (2, 1, ())
+        assert rep.summary_line() == "1 counterexamples / 2 scanned"
+
+    def test_one_worker_never_asks_for_usable_cpus(self, monkeypatch):
+        def no_affinity():
+            raise AssertionError("usable_cpus called")
+
+        monkeypatch.setattr(search, "usable_cpus", no_affinity)
+        assert filter_counterexamples(["Dhc"] * 3, SearchOptions(workers=1)).scanned == 3
+
     @pytest.mark.parametrize(
         "cpus,pools,first_batch", [(1, [], []), (2, [2], [128])], ids=["one-cpu", "two-cpus"]
     )

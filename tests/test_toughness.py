@@ -13,6 +13,7 @@ import pytest
 from conftest import blown_up_c5, random_connected_graph
 from oracles import (
     adj_sets,
+    brute_alpha,
     brute_first_below,
     brute_toughness,
     brute_within_degree_ceiling,
@@ -1448,8 +1449,9 @@ class TestMinimalityRouting:
             assert is_minimally_tough(g, toughness=exact) == want
 
     def test_degree_excess_filter_searches_alpha_of_g_once(self, monkeypatch):
-        # minimality reuses the alpha(G) that toughness_exact capped its scan
-        # with; the other searches are alpha(G - N[u] - N[v]) of single edges
+        # the screen searches alpha(G) only for a graph past its ceiling, and
+        # minimality reuses it; the other searches are alpha(G - N[u] - N[v])
+        # of single edges.  A graph rejected by degree searches none.
         searched = []
         whole, partial = engine._independent_classes, engine.independence_number
 
@@ -1463,12 +1465,13 @@ class TestMinimalityRouting:
 
         monkeypatch.setattr(engine, "_independent_classes", classes_counted)
         monkeypatch.setattr(engine, "independence_number", within_counted)
-        cases = ((write_graph6(sc52()), ""), ("DK{", "not minimally tough"),
-                 ("EFz_", "not minimally tough"), ("Dhc", "degree within ceiling"))
-        for g6, reason in cases:
+        cases = ((write_graph6(sc52()), "", 1), ("DK{", "not minimally tough", 1),
+                 ("EFz_", "not minimally tough", 1), ("Dhc", "degree within ceiling", 0),
+                 (write_graph6(path(6)), "degree within ceiling", 0))
+        for g6, reason, most in cases:
             searched.clear()
             assert degree_excess_filter(parse_graph6(g6)).reason == reason
-            assert searched.count(True) == 1
+            assert searched.count(True) <= most
 
     def test_degree_excess_filter_computes_toughness_once(self, monkeypatch):
         # one exact-mode scan of G decides the screen and, past it, gives t;
@@ -1578,6 +1581,34 @@ class TestDegreeExcess:
                 assert rep.toughness is None and rep.ceil_2t == 0
                 within += 1
         assert 0 < within < len(graphs) - 100
+
+    def test_class_weighted_clique_cover_bounds_alpha(self, rng):
+        # the cap the screen's scan puts on omega: a clique cover of the twin
+        # classes' lowest members, each weighted by its class size
+        graphs = [planted_twins(rng, n) for n in range(4, 15) for _ in range(8)]
+        graphs += [sc52(), solid_expand(SolidSpec.uniform(path(4), 3))[0]]
+        for g in graphs:
+            cover = engine._clique_cover_bound(g.adj, *engine._class_weights(g, twin_classes(g)))
+            assert cover >= brute_alpha(g), write_graph6(g)
+
+    def test_degree_one_rejected_without_a_scan(self, rng, monkeypatch):
+        # t > 0 on a connected graph, so delta <= 1 <= ceil(2t): pendant
+        # paths, stars and trees are rejected before any scan, even past the
+        # exhaustive limit
+        def no_scan(*args, **kwargs):
+            raise AssertionError("_certified_scan called")
+
+        monkeypatch.setattr(engine, "_certified_scan", no_scan)
+        graphs = [path(n) for n in (3, 5, 30, 40)]
+        graphs += [build_graph(m + 1, [(0, i) for i in range(1, m + 1)]) for m in (2, 5, 40)]
+        graphs += [build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+                   for n in range(3, 40, 3)]
+        pendant = random_connected_graph(rng, 9, 0.6)
+        graphs.append(build_graph(10, pendant.edges() + [(rng.randrange(9), 9)]))
+        for g in graphs:
+            rep = degree_excess_filter(g)
+            assert (rep.reason, rep.delta, rep.inconclusive) == ("degree within ceiling", 1, False)
+            assert rep.toughness is None and rep.ceil_2t == 0
 
     def test_blown_up_cycle_is_hit(self):
         rep = degree_excess_filter(sc52())
