@@ -43,17 +43,33 @@ from .toughness import (
 STEPS_PER_BUDGET_SECOND = 25_000
 
 
+def _at_least(low: int):
+    """An argparse type: an int of at least ``low``.  A value below it exits 2
+    with a message that names the flag, as argparse does for a non-integer."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=None, help="worker count")
+    parser.add_argument("--threads", type=_at_least(1), default=None, help="worker count")
     parser.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed, help="random seed")
-    parser.add_argument("--exhaustive-limit", type=int, default=DEFAULT_CONFIG.exhaustive_limit)
+    parser.add_argument(
+        "--exhaustive-limit", type=_at_least(0), default=DEFAULT_CONFIG.exhaustive_limit
+    )
 
 
 def _config(args) -> EngineConfig:
     threads = args.threads if args.threads is not None else usable_cpus()
     return EngineConfig(
         exhaustive_limit=args.exhaustive_limit,
-        workers=max(1, threads),
+        workers=threads,
         seed=args.seed,
     )
 
@@ -73,7 +89,7 @@ def _cmd_toughness(args) -> int:
     cfg = _config(args)
     g = _load_graph(args)
     if args.upper:
-        steps = max(1, args.budget_secs) * STEPS_PER_BUDGET_SECOND
+        steps = args.budget_secs * STEPS_PER_BUDGET_SECOND
         cert = toughness_upper_search(g, steps, seed=cfg.seed)
         line = f"t <= {cert.ratio}"
     else:
@@ -232,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--upper", action="store_true")
     p.add_argument("--cert", help="write the witness certificate here")
     p.add_argument(
-        "--budget-secs", type=int, default=60,
+        "--budget-secs", type=_at_least(1), default=60,
         help="annealing budget of --upper; converted to a deterministic step count",
     )
     _add_common(p)

@@ -64,11 +64,6 @@ block, visiting only the 64-lane words that hold one.  Because the minimum
 under (ratio, |S|, mask) does not depend on the order cuts are met, blocks
 may run in any order; only one block's integers are held at a time.
 
-The same scan answers the per-edge question of minimality: the cut with the
-fewest vertices, then the lowest mask, whose ratio is below a target.  There
-the cap on component counts is alpha(G - e), derived exactly from alpha(G)
-as max(alpha(G), 2 + alpha(G - N[u] - N[v])) for e = uv.
-
 The annealing upper-bound search builds the same quotient (``_quotient``)
 and, up to 27 twin classes (chunks of at most 9 bits), anneals over class
 masks with the same closure, so a step costs three lookups per round
@@ -86,13 +81,20 @@ functions (count, weigh) that the annealing steps call without knowing
 which it got.  Class masks order like the vertex masks they stand for, so
 the (ratio, |S|, mask) tie-break picks the same certificate in either form.
 
-Both kinds of scan run in ``_certified_scan``.  From 22 twin classes on it
-deals the blocks to 64 strided shards (shard i takes blocks i, i + 64, ...);
-a shard's answer does not depend on the incumbent it starts from, so the
-min-merge is schedule independent.  Without a target the shards start from
-a short annealing run's cut when it beats the seed, so that the first wave
-prunes nearly as the single scan does.  Each engine's own (|S|, omega, mask)
-leaves through ``_engine_certificate``; ``verify_certificate`` recounts omega.
+Every exact answer comes from ``_certified_scan``, and its goal picks the cap
+on omega and the incumbent.  Exact toughness takes alpha(G) and the complement
+of a maximum independent set.  Minimality's per-edge question, the cut of
+G - e with the fewest vertices, then the lowest mask, whose ratio is below a
+target, takes alpha(G - e), exactly max(alpha(G), 2 + alpha(G - N[u] - N[v]))
+for e = uv, and no cut.  The search screen's ceiling takes a clique cover of
+the twin classes, at least alpha, and the ceiling itself, and searches alpha
+only once a cut beats it.  From 22 twin classes on it deals the blocks to 64
+strided shards (shard i takes blocks i, i + 64, ...); a shard's answer does
+not depend on the incumbent it starts from, so the min-merge is schedule
+independent.  Without a target the shards start from a short annealing run's
+cut when it beats the seed, so that the first wave prunes nearly as the single
+scan does.  Each engine's own (|S|, omega, mask) leaves through
+``_engine_certificate``; ``verify_certificate`` recounts omega.
 """
 
 from __future__ import annotations
@@ -587,17 +589,16 @@ def _scan(
     components, flooding every lane from the lowest high class the block
     leaves uncut when there is one, and bounds their component counts
     (``_lane_bound``); only the marked lanes whose bound reaches their
-    level's threshold
-    (``_viable_lanes``) have their components counted, by class count and
-    then ascending value within the block.  Per call and per improvement of
-    the incumbent it builds only ``_threshold_table``.  Without a target,
-    returns the minimum (|S|, omega, mask) under (ratio, |S|, mask) over
-    ``best`` and the cuts that beat it, which is independent of the
-    incumbent handed in (it only prunes candidates that cannot beat it).
-    With a ``target``, returns the minimum under (|S|, mask) over ``best``
-    and the cuts of ratio below it, else ``_NO_INCUMBENT``, just as freely.
-    ``alpha`` is only a cap on omega: any value at least alpha(g) gives the
-    same answer, and a smaller one prunes more.
+    level's threshold (``_viable_lanes``) have their components counted, by
+    class count and then ascending value within the block.  Per call and per
+    improvement of the incumbent it builds only ``_threshold_table``.
+    Without a target, returns the minimum (|S|, omega, mask) under (ratio,
+    |S|, mask) over ``best`` and the cuts that beat it, which is independent
+    of the incumbent handed in (it only prunes candidates that cannot beat
+    it).  With a ``target``, returns the minimum under (|S|, mask) over
+    ``best`` and the cuts of ratio below it, else ``_NO_INCUMBENT``, just as
+    freely.  ``alpha`` is only a cap on omega: any value at least alpha(g)
+    gives the same answer, and a smaller one prunes more.
     """
     classes, _, _, sizes, w, (T0, T1, T2), (V0, V1, V2) = quotient
     n = sum(sizes)
@@ -696,21 +697,38 @@ def _process_pool(workers: int):
 
 
 def _certified_scan(
-    g: Graph, classes, alpha: int, cfg: EngineConfig, target=None, best=_NO_INCUMBENT, pool=None
-) -> CutCertificate | None:
-    """``_scan`` of g, given its ``twin_classes`` and a cap ``alpha`` on
-    omega (alpha(g) or any bound above it), from the incumbent ``best``,
-    sharded over ``cfg.workers`` (in ``pool()`` if given), and then without
-    a target from an annealed cut that beats ``best``.
-    Returns the certificate of the minimum over ``best`` and the cuts that
-    beat it, so a real cut handed in comes back when none beats it.  None
-    when that minimum is no cut: ``_NO_INCUMBENT``, or a ceiling incumbent,
-    whose mask is the full mask.  The scan's own (|S|, omega, mask) leaves
-    through ``_engine_certificate``, where ``verify_certificate`` recounts omega."""
+    g: Graph, cfg: EngineConfig, target=None, ceiling=None, classes=None, alpha=None, pool=None
+) -> tuple[CutCertificate | None, int | None]:
+    """The one exact scan of g, toward the goal that ``target`` or ``ceiling``
+    (an (|S|, omega)) names, exact when neither, with the cap on omega and the
+    incumbent that the goal takes (module docstring); ``alpha``, when given,
+    caps omega below a target.  Returns (certificate or None, alpha(g) or
+    None): None when the minimum is no cut, and alpha(g) if it was searched.
+    Takes g's ``twin_classes`` unless given ``classes``; LimitExceeded past
+    ``cfg.exhaustive_limit``.  Shards over ``cfg.workers`` (in ``pool()`` if
+    given).  The scan's own (|S|, omega, mask) leaves through
+    ``_engine_certificate``, where ``verify_certificate`` recounts omega."""
+    classes = tuple(twin_classes(g)) if classes is None else classes
+    if len(classes) > cfg.exhaustive_limit:
+        raise LimitExceeded(
+            f"{len(classes)} twin classes (n={g.n}) exceed exhaustive limit "
+            f"{cfg.exhaustive_limit}; use the heuristic upper-bound search"
+        )
+    if ceiling is not None:
+        best = (*ceiling, g.full_mask)  # never a cut, so it comes back as None
+        cap = _clique_cover_bound(g.adj, *_class_weights(g, classes))
+    elif target is not None:
+        alpha = _independent_classes(g, classes)[0] if alpha is None else alpha
+        best, cap = _NO_INCUMBENT, alpha
+    else:
+        alpha, alpha_set = _independent_classes(g, classes)
+        # seed: the complement of a maximum independent set, alpha components
+        seed_cut = g.full_mask & ~alpha_set
+        best, cap = (seed_cut.bit_count(), alpha, seed_cut), alpha
     quotient = _quotient(g, classes)
     workers = 1 if len(classes) < _SHARD_FROM_CLASSES else min(cfg.workers, usable_cpus())
     if workers < 2:
-        best = _scan(quotient, alpha, target, best)
+        best = _scan(quotient, cap, target, best)
     else:
         from concurrent.futures import as_completed
 
@@ -728,7 +746,7 @@ def _certified_scan(
             pending, shard = [], 0
             while shard < 64 or pending:
                 while shard < 64 and len(pending) < 4 * workers:
-                    pending.append(executor.submit(_scan, quotient, alpha, target, best, shard, 64))
+                    pending.append(executor.submit(_scan, quotient, cap, target, best, shard, 64))
                     shard += 1
                 done = next(as_completed(pending))
                 pending.remove(done)
@@ -738,18 +756,11 @@ def _certified_scan(
                 # below a target, the smallest (|S|, mask) wins
                 if cand[::2] < best[::2] or not best[1] if target else _better(*cand, best):
                     best = cand
-    return _engine_certificate(g, best, target) if best[1] and best[2] != g.full_mask else None
-
-
-def _scan_classes(g: Graph, cfg: EngineConfig) -> tuple[int, ...]:
-    """g's twin classes; LimitExceeded when they exceed the exhaustive limit."""
-    classes = tuple(twin_classes(g))
-    if len(classes) > cfg.exhaustive_limit:
-        raise LimitExceeded(
-            f"{len(classes)} twin classes (n={g.n}) exceed exhaustive limit "
-            f"{cfg.exhaustive_limit}; use the heuristic upper-bound search"
-        )
-    return classes
+    if not best[1] or best[2] == g.full_mask:
+        return None, alpha
+    if ceiling is not None:  # past the ceiling, minimality reads alpha
+        alpha = _independent_classes(g, classes)[0]
+    return _engine_certificate(g, best, target), alpha
 
 
 def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessResult:
@@ -765,11 +776,7 @@ def toughness_exact(g: Graph, cfg: EngineConfig = DEFAULT_CONFIG) -> ToughnessRe
         return ToughnessResult(INFINITE, None)
     if not is_connected(g):
         return ToughnessResult(Ratio(0), CutCertificate.from_cut(g, 0))
-    classes = _scan_classes(g, cfg)
-    alpha, alpha_set = _independent_classes(g, classes)
-    # seed: the complement of a maximum independent set, alpha components
-    seed_cut = g.full_mask & ~alpha_set
-    cert = _certified_scan(g, classes, alpha, cfg, best=(seed_cut.bit_count(), alpha, seed_cut))
+    cert, alpha = _certified_scan(g, cfg)
     return ToughnessResult(cert.ratio, cert, alpha)
 
 
@@ -784,9 +791,7 @@ def find_cut_below(
         raise ValueError(f"target must be a finite Ratio, got {target!r}")
     if not target.p:
         return None
-    classes = _scan_classes(g, cfg)
-    alpha = _independent_classes(g, classes)[0]
-    return _certified_scan(g, classes, alpha, cfg, target)
+    return _certified_scan(g, cfg, target)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1259,7 +1264,8 @@ def _witness_for_edge(
             return EdgeWitness(edge, cert, "heuristic")
         if not scannable:
             return EdgeWitness(edge, None, "inconclusive")
-    cert = _certified_scan(ge, classes, _alpha_without(g, edge, alpha()), cfg, target, pool=pool)
+    alpha_e = _alpha_without(g, edge, alpha())
+    cert = _certified_scan(ge, cfg, target, classes=classes, alpha=alpha_e, pool=pool)[0]
     return EdgeWitness(edge, cert, "exhaustive")
 
 
@@ -1346,11 +1352,9 @@ def degree_excess_filter(
     ceiling T = (delta - 1)/2 + 1/(2n) decides it.  T lies above every ratio
     up to (delta - 1)/2 and below every larger k/omega: a cut leaves
     omega <= n - 1 components, so such a ratio exceeds (delta - 1)/2 by at
-    least 1/(2 omega) > 1/(2n).  The scan caps omega by a clique cover of
-    the twin classes, which is at least alpha; alpha itself is searched only
-    past the ceiling, and handed to minimality with t.  The scan's answer
-    does not depend on its incumbent or on its cap, so a cut that beats T is
-    ``toughness_exact``'s minimizer."""
+    least 1/(2 omega) > 1/(2n).  The scan's answer does not depend on its
+    incumbent or on its cap, so a cut that beats T is ``toughness_exact``'s
+    minimizer, and it goes to minimality with t and alpha."""
     if not is_connected(g):
         return DegreeExcessReport(False, reason="disconnected")
     if g.is_complete():
@@ -1362,16 +1366,11 @@ def degree_excess_filter(
     if delta <= 1:
         return within
     try:
-        classes = _scan_classes(g, cfg)
+        cert, alpha = _certified_scan(g, cfg, ceiling=(g.n * (delta - 1) + 1, 2 * g.n))
     except LimitExceeded:
         return DegreeExcessReport(False, inconclusive=True, reason="over exhaustive limit")
-    cover = _clique_cover_bound(g.adj, *_class_weights(g, classes))
-    # the full mask is never a cut, so the ceiling comes back as None
-    ceiling = (g.n * (delta - 1) + 1, 2 * g.n, g.full_mask)
-    cert = _certified_scan(g, classes, cover, cfg, best=ceiling)
     if cert is None:
         return within
-    alpha = _independent_classes(g, classes)[0]
     t = cert.ratio
     verdict = is_minimally_tough(g, cfg, toughness=ToughnessResult(t, cert, alpha)).verdict
     reasons = {True: "", False: "not minimally tough", None: "minimality inconclusive"}

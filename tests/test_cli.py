@@ -344,6 +344,38 @@ def test_engine_flags_rejected_where_unused(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("toughness", "--exact", "--g6", "Dhc", "--threads", "0"),
+         "--threads: must be at least 1, got 0"),
+        (("minimal", "--g6", "Dhc", "--threads", "-3"), "--threads: must be at least 1, got -3"),
+        (("search", "--input", "X", "--exhaustive-limit", "-1"),
+         "--exhaustive-limit: must be at least 0, got -1"),
+        (("toughness", "--upper", "--g6", "Dhc", "--budget-secs", "0"),
+         "--budget-secs: must be at least 1, got 0"),
+    ],
+    ids=["threads-0", "threads-negative", "limit-negative", "budget-0"],
+)
+def test_flags_below_their_bound_exit_two(capsys, argv, message):
+    # argparse rejects the value before any input is read, naming the flag
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"error: argument {message}\n" in capsys.readouterr().err
+
+
+def test_flags_at_their_bound_are_accepted(capsys):
+    code, out = run(capsys, "toughness", "--upper", "--g6", "Dhc", "--budget-secs", "1",
+                    "--threads", "1")
+    assert code == 0 and out == "t <= 1/1\n"
+    err = assert_user_error(
+        capsys, ["toughness", "--exact", "--g6", "Dhc", "--exhaustive-limit", "0"]
+    )
+    assert err == ("error: 5 twin classes (n=5) exceed exhaustive limit 0; "
+                   "use the heuristic upper-bound search\n")
+
+
 def test_minimal_knp3_output_pinned(capsys):
     # recorded from the class-indexed quotient implementation of the
     # annealing: 37 edges resolve by annealing and 3 by the target scan

@@ -167,9 +167,20 @@ class TestExact:
         assert res.value == Ratio(2, 1)
 
     def test_limit(self):
-        with pytest.raises(LimitExceeded):
-            toughness_exact(cycle(30))
-        toughness_exact(cycle(12), EngineConfig(exhaustive_limit=12))
+        # the exact and the target scan raise one message from one check;
+        # C12 has 12 twin classes, so it runs at limit 12 and not at 11
+        runs = ((lambda g, cfg: toughness_exact(g, cfg).value, Ratio(1, 1)),
+                (lambda g, cfg: find_cut_below(g, Ratio(1, 1), cfg), None))
+        over = ((cycle(30), EngineConfig()), (cycle(12), EngineConfig(exhaustive_limit=11)))
+        for run, at_limit in runs:
+            for g, cfg in over:
+                with pytest.raises(LimitExceeded) as exc:
+                    run(g, cfg)
+                assert str(exc.value) == (
+                    f"{g.n} twin classes (n={g.n}) exceed exhaustive limit "
+                    f"{cfg.exhaustive_limit}; use the heuristic upper-bound search"
+                )
+            assert run(cycle(12), EngineConfig(exhaustive_limit=12)) == at_limit
 
     def test_matches_oracle_small(self, rng):
         for _ in range(60):
@@ -1478,10 +1489,10 @@ class TestMinimalityRouting:
         # the other scans are the per-edge target scans of minimality
         exact_scans, scan = [], engine._certified_scan
 
-        def counting(g, classes, alpha, cfg, target=None, *args, **kwargs):
+        def counting(g, cfg, target=None, *args, **kwargs):
             if target is None:
                 exact_scans.append(g)
-            return scan(g, classes, alpha, cfg, target, *args, **kwargs)
+            return scan(g, cfg, target, *args, **kwargs)
 
         def no_exact(*args, **kwargs):
             raise AssertionError("toughness_exact called")
@@ -1497,6 +1508,42 @@ class TestMinimalityRouting:
             g = parse_graph6(g6)
             assert degree_excess_filter(g).reason == reason
             assert exact_scans == [g]
+
+    def test_each_caller_enters_the_scan_once(self, monkeypatch):
+        # every exact answer is one _certified_scan call: one per
+        # toughness_exact and find_cut_below, one per degree_excess_filter
+        # that rejects at the ceiling, and in minimality one for t plus one
+        # per edge the scan resolved ("exhaustive", except a bridge, which
+        # disconnects G - e and needs no scan); the screen's minimality stage
+        # scans the same edges, with t from its own call
+        entered, scan = [], engine._certified_scan
+
+        def counting(*args, **kwargs):
+            entered.append(args[0])
+            return scan(*args, **kwargs)
+
+        def scanned(g, rep):
+            return sum(w.source == "exhaustive" and is_connected(delete_edge(g, w.edge))
+                       for w in rep.entries)
+
+        monkeypatch.setattr(engine, "_certified_scan", counting)
+        triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+        graphs = [cycle(5), sc52(), parse_graph6("DK{"), parse_graph6("EFz_"),
+                  gen_knp3(4).graph, triangles]
+        stages = set()
+        for g in graphs:
+            for run in (toughness_exact, lambda g: find_cut_below(g, Ratio(1, 1))):
+                entered.clear()
+                run(g)
+                assert entered == [g]
+            entered.clear()
+            rep = is_minimally_tough(g)
+            assert len(entered) == 1 + scanned(g, rep)
+            entered.clear()
+            reason = degree_excess_filter(g).reason
+            assert len(entered) == 1 + (0 if reason == "degree within ceiling" else scanned(g, rep))
+            stages.add(reason)
+        assert {"degree within ceiling", "not minimally tough", ""} <= stages
 
 
 class TestProperties:
